@@ -14,13 +14,13 @@ from .analysis import (SpectrumClass, build_spectrum, classify,
 from .assembly import (PencilMatrices, assemble_a1, assemble_a2, assemble_k,
                        assemble_matrices, assemble_s_line, assemble_s_volume)
 from .config import ConfigError, SolverConfig, load_config, parse_config
-from .eigensolver import (EigenReport, balance, hessenberg, qr_eigenvalues,
+from .eigensolver import (EigenReport, balance, qr_eigenvalues,
                           recover_eigenvector, solve_pencil)
 from .mesh import (Mesh, MeshError, generate_homogeneous_rect,
                    generate_rect_slab, load_mesh, save_mesh)
 from .oracle import (OracleFamily, OracleRoot, homogeneous_rect_spectrum,
                      slab_dispersion_roots)
-from .pencil import (ExclusionInterval, Pencil, evaluate, exclusion_interval,
+from .pencil import (ExclusionInterval, evaluate, exclusion_interval,
                      linearize, make_pencil, residual)
 from .spaces import FieldSpaces, build_spaces, zero_mean_transform
 
@@ -28,13 +28,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EigenReport", "ExclusionInterval", "FieldSpaces", "Mesh", "MeshError",
-    "OracleFamily", "OracleRoot", "Pencil", "PencilMatrices", "SolverConfig",
+    "OracleFamily", "OracleRoot", "PencilMatrices", "SolverConfig",
     "SpectrumClass", "ConfigError",
     "assemble_a1", "assemble_a2", "assemble_k", "assemble_matrices",
     "assemble_s_line", "assemble_s_volume", "balance", "build_spaces",
     "build_spectrum", "classify", "degeneration_scan", "evaluate",
     "exclusion_interval", "generate_homogeneous_rect", "generate_rect_slab",
-    "hessenberg", "homogeneous_rect_spectrum", "linearize", "load_config",
+    "homogeneous_rect_spectrum", "linearize", "load_config",
     "load_mesh", "make_pencil", "parse_config", "qr_eigenvalues",
     "recover_eigenvector", "residual", "save_mesh", "slab_dispersion_roots",
     "solve_pencil", "symmetry_pairing", "transverse_fields", "verify_all",

@@ -14,10 +14,12 @@ checks are plain symmetry checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import assembly_kernels as kernels
+from .pencil import coefficients, exclusion_interval
 from .spaces import FieldSpaces, zero_mean_transform
 
 
@@ -32,6 +34,8 @@ class PencilMatrices:
     Blocks are ordered electric field first, magnetic field second.  The
     gradient and L2 forms are block diagonal; the interface coupling is
     block off-diagonal and flips sign under the field-parity operator.
+    The operators with the two permittivities determine the quartic
+    pencil, so this is also the pencil the ``pencil`` module works on.
     """
 
     spaces: FieldSpaces
@@ -52,7 +56,17 @@ class PencilMatrices:
 
     @property
     def n(self):
-        return self.spaces.n
+        return self.k.shape[0]
+
+    @property
+    def exclusion(self):
+        return exclusion_interval(self.eps1, self.eps2)
+
+    @cached_property
+    def coefficient_norms(self):
+        """Frobenius norms of the pencil's (C0, C1, C2, C4), for residuals."""
+        return tuple(np.linalg.norm(c, "fro") for c in coefficients(self)) \
+            + (np.linalg.norm(self.k, "fro"),)
 
 
 def _check_eps(eps1, eps2):
@@ -73,24 +87,28 @@ def _pi_restrict(spaces, nodal):
 
 
 def assemble_a1(spaces, eps1, eps2):
-    """Gradient form weighted by the permittivity on the electric block."""
+    """Gradient form weighted by the permittivity on the electric block.
+
+    The unweighted magnetic block is the Gram matrix's own.
+    """
     _check_eps(eps1, eps2)
-    mesh = spaces.mesh
-    weighted = kernels.nodal_stiffness(mesh, eps1, eps2)
-    plain = kernels.nodal_stiffness(mesh, 1.0, 1.0)
+    weighted = kernels.nodal_stiffness(spaces.mesh, eps1, eps2)
+    n_pi = spaces.n_pi
     return _block_diag(spaces,
                        _pi_restrict(spaces, weighted),
-                       zero_mean_transform(spaces, plain))
+                       spaces.gram[n_pi:, n_pi:])
 
 
 def assemble_a2(spaces, eps1, eps2):
-    """Gradient form weighted by the inverse permittivity on the magnetic block."""
+    """Gradient form weighted by the inverse permittivity on the magnetic block.
+
+    The unweighted electric block is the Gram matrix's own.
+    """
     _check_eps(eps1, eps2)
-    mesh = spaces.mesh
-    plain = kernels.nodal_stiffness(mesh, 1.0, 1.0)
-    weighted = kernels.nodal_stiffness(mesh, 1.0 / eps1, 1.0 / eps2)
+    weighted = kernels.nodal_stiffness(spaces.mesh, 1.0 / eps1, 1.0 / eps2)
+    n_pi = spaces.n_pi
     return _block_diag(spaces,
-                       _pi_restrict(spaces, plain),
+                       spaces.gram[:n_pi, :n_pi],
                        zero_mean_transform(spaces, weighted))
 
 
@@ -156,10 +174,9 @@ def assemble_s_volume(spaces):
     return _couple(spaces, v, v.T.tocsr())
 
 
-def assemble_matrices(spaces, eps1, eps2, s_route="line"):
-    """Assemble all four operators; ``s_route`` picks 'line' or 'volume'."""
+def assemble_matrices(spaces, eps1, eps2):
+    """Assemble all four operators, S by the line route."""
     _check_eps(eps1, eps2)
-    s = assemble_s_line(spaces) if s_route == "line" else assemble_s_volume(spaces)
     return PencilMatrices(
         spaces=spaces,
         eps1=float(eps1),
@@ -167,13 +184,6 @@ def assemble_matrices(spaces, eps1, eps2, s_route="line"):
         k=assemble_k(spaces, eps1, eps2),
         a1=assemble_a1(spaces, eps1, eps2),
         a2=assemble_a2(spaces, eps1, eps2),
-        s=s,
+        s=assemble_s_line(spaces),
     )
 
-
-def write_triplets(matrix, stream):
-    """Dump a dense matrix as 'row col value' lines (nonzeros only)."""
-    matrix = np.asarray(matrix)
-    rows, cols = np.nonzero(matrix)
-    for i, j in zip(rows, cols):
-        stream.write(f"{i} {j} {matrix[i, j]:.17g}\n")

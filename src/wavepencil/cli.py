@@ -120,13 +120,8 @@ def comparable_oracle_roots(cfg):
     return kept
 
 
-def run(cfg, out_dir, deterministic=False):
-    """Full pipeline; writes all artifacts and returns a RunResult.
-
-    ``deterministic`` pins the contribution-reduction order and sweep
-    parallelism; the single-solve path is already bit-reproducible.
-    """
-    del deterministic
+def run(cfg, out_dir):
+    """Full pipeline; writes all artifacts and returns a RunResult."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -198,9 +193,12 @@ def _continue_branches(branches, entries, step, eps2):
                                      entries[idx].cls.value)]})
 
 
-def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None,
-          deterministic=False):
-    """One solve per eps2 value; steps run as independent parallel jobs."""
+def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None):
+    """One solve per eps2 value; steps run as independent parallel jobs.
+
+    Results are gathered in step order, so the artifacts do not depend on
+    the worker count.
+    """
     if steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
     if eps2_from < 1.0 or eps2_to < 1.0:
@@ -210,14 +208,11 @@ def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None,
     values = np.linspace(eps2_from, eps2_to, steps)
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if deterministic:
-        workers = 1
 
     def one(step_value):
         step, value = step_value
         step_cfg = cfg.with_eps2(value)
-        return step, value, run(step_cfg, out / f"step_{step:03d}",
-                                deterministic=deterministic)
+        return step, value, run(step_cfg, out / f"step_{step:03d}")
 
     jobs = list(enumerate(values))
     if workers > 1:
@@ -254,7 +249,7 @@ def cmd_mesh(cfg, args):
 
 
 def cmd_solve(cfg, args):
-    result = run(cfg, args.out, deterministic=args.deterministic)
+    result = run(cfg, args.out)
     n_fail = len(result.report.failed())
     print(f"eigenvalues: {len(result.spectrum.entries)}; "
           f"checks failed: {n_fail}; "
@@ -303,7 +298,7 @@ def cmd_oracle(cfg, args):
 
 def cmd_sweep(cfg, args):
     code, branches = sweep(cfg, args.out, args.eps2_from, args.eps2_to,
-                           args.steps, deterministic=args.deterministic)
+                           args.steps)
     print(f"sweep complete: {args.steps} steps, {len(branches)} branches")
     return code
 
@@ -322,8 +317,6 @@ def make_parser():
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--refine", type=int, default=None,
                        help="override the refinement multiplier")
-        p.add_argument("--deterministic", action="store_true",
-                       help="pin reduction order and disable sweep parallelism")
         p.set_defaults(fn=fn)
     sp = sub.choices["sweep"]
     sp.add_argument("--eps2-from", type=float, required=True, dest="eps2_from")

@@ -35,7 +35,6 @@ class SolverConfig:
     refinement: int = 1
     classification_tol: float = 1e-6
     residual_tol: float = 1e-8
-    qr_iteration_cap: int = 30
     compute_vectors: bool = False
     verify_decay_slope: bool = True
     # oracle
@@ -81,7 +80,6 @@ _SCHEMA = {
         "refinement": ("refinement", int),
         "classification_tol": ("classification_tol", float),
         "residual_tol": ("residual_tol", float),
-        "qr_iteration_cap": ("qr_iteration_cap", int),
         "compute_vectors": ("compute_vectors", bool),
         "verify_decay_slope": ("verify_decay_slope", bool),
     },
@@ -206,8 +204,6 @@ def _validate(cfg, source, lines_seen):
             err(attr, f"{attr} must be positive")
     if cfg.oracle_exclusion_margin < 0.0:
         err("oracle_exclusion_margin", "exclusion margin must be >= 0")
-    if cfg.qr_iteration_cap < 1:
-        err("qr_iteration_cap", "qr_iteration_cap must be >= 1")
     if cfg.oracle_transverse_index < 0:
         err("oracle_transverse_index", "transverse_index must be >= 0")
 

@@ -2,8 +2,8 @@
 
 The companion matrix is real and dense; its eigenvalues come from the
 balanced Hessenberg + shifted-QR path of LAPACK (through numpy/scipy),
-exposed here behind the three stage functions so each stage contract
-stays independently testable.  Eigenvectors of the original pencil are
+exposed here behind the balance and QR stage functions so each stage
+contract stays independently testable.  Eigenvectors of the original pencil are
 recovered by inverse iteration on the pencil evaluated at a slightly
 shifted eigenvalue; near a degeneration point a whole numerical null
 space basis is returned instead.
@@ -32,14 +32,12 @@ class EigenReport:
 
     ``vectors`` (n x 4n) and ``residuals`` are filled only when vector
     recovery was requested; ``converged`` flags each pair against the
-    residual tolerance.  ``iterations`` counts inverse-iteration steps
-    (the LAPACK QR stage does not expose sweep counts).
+    residual tolerance.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray | None = None
     residuals: np.ndarray | None = None
-    iterations: int = 0
     converged: np.ndarray | None = None
 
     def __post_init__(self):
@@ -58,25 +56,25 @@ def balance(matrix):
     return scaled, np.diag(d).copy()
 
 
-def hessenberg(matrix):
-    """Unitary reduction to upper Hessenberg form; returns (H, Q)."""
-    h, q = linalg.hessenberg(matrix, calc_q=True)
-    return h, q
+def qr_eigenvalues(h):
+    """All eigenvalues of a matrix by Hessenberg reduction and shifted QR.
 
-
-def qr_eigenvalues(h, iteration_cap=30):
-    """All eigenvalues of a Hessenberg matrix by shifted QR with deflation.
-
-    Backed by the LAPACK implicit-shift QR; non-convergence raises
-    EigensolverError rather than returning silently truncated output.
-    ``iteration_cap`` is accepted for interface stability (the backend
-    uses its own fixed sweep limit of the same order).
+    Backed by the LAPACK implicit-shift QR with its own sweep limit;
+    non-convergence raises EigensolverError rather than returning silently
+    truncated output.
     """
-    del iteration_cap
     try:
         return np.linalg.eigvals(h)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"QR iteration failed to converge: {exc}") from exc
+
+
+def _check_companion_dim(dim):
+    if dim > MAX_COMPANION_DIM:
+        raise EigensolverError(
+            f"companion dimension {dim} exceeds the dense-path cap "
+            f"{MAX_COMPANION_DIM}; the companion would need {dim * dim * 8} "
+            f"bytes")
 
 
 def solve_companion(matrix, compute_vectors=False):
@@ -85,10 +83,7 @@ def solve_companion(matrix, compute_vectors=False):
     Returns eigenvalues, and eigenvectors of the *input* matrix when
     requested (the balancing is undone on the vectors).
     """
-    if matrix.shape[0] > MAX_COMPANION_DIM:
-        raise EigensolverError(
-            f"companion dimension {matrix.shape[0]} exceeds the dense-path "
-            f"cap {MAX_COMPANION_DIM}")
+    _check_companion_dim(matrix.shape[0])
     scaled, d = balance(matrix)
     if compute_vectors:
         try:
@@ -106,8 +101,10 @@ def solve_pencil(pencil, compute_vectors=False, residual_tol=1e-8):
     The companion is formed for g = p * mu with p the characteristic
     magnitude from the exclusion interval, which keeps the coefficient
     scales comparable before the QR stage; eigenvalues are mapped back
-    exactly.
+    exactly.  The dimension cap is checked before the companion is
+    allocated.
     """
+    _check_companion_dim(4 * pencil.n)
     p = pencil.exclusion.p
     comp = pencil_mod.linearize(pencil, scale=p)
     mu, comp_vecs = solve_companion(comp, compute_vectors=compute_vectors)

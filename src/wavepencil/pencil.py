@@ -4,24 +4,28 @@ With K the weighted L2 operator, A1/A2 the weighted gradient operators
 and S the interface coupling, the pencil is
 
     L(g) = g^4 K + g^2 (A1 - (eps1 + eps2) K) + g (eps1 - eps2) S
-           + eps1 eps2 (K - A2),
+           + eps1 eps2 (K - A2)
+         = (g^2 - eps1)(g^2 - eps2) K + g^2 A1 + g (eps1 - eps2) S
+           - eps1 eps2 A2,
 
 a self-adjoint pencil (L(g)^H = L(conj g)) whose spectrum is symmetric
-under g -> -g through the field-parity similarity.  The real interval
-where eigenvalue isolation is not guaranteed, and the degeneration
-points +-sqrt(eps_i) inside it, are exposed alongside.
+under g -> -g through the field-parity similarity.  The pencil is its
+operator set (``assembly.PencilMatrices``): L(g) is evaluated and applied
+in the factored form, where the K term vanishes at the degeneration
+points g^2 = eps_i, and linearized from the monomial coefficients, which
+are formed one at a time and never stored.  The real interval where
+eigenvalue isolation is not guaranteed, and the degeneration points
++-sqrt(eps_i) inside it, are exposed alongside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 import math
 
 import numpy as np
 from scipy import linalg
-
-from .assembly import PencilMatrices
+from scipy.linalg import blas
 
 
 class PencilError(ValueError):
@@ -75,70 +79,61 @@ def degeneration_points(eps1, eps2):
     return sorted({s * r for r in roots for s in (1.0, -1.0)})
 
 
-@dataclass(frozen=True)
-class Pencil:
-    """Coefficient matrices of the quartic pencil (cubic term is zero)."""
-
-    eps1: float
-    eps2: float
-    c0: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    c4: np.ndarray
-    matrices: PencilMatrices | None = None
-
-    @property
-    def n(self):
-        return self.c4.shape[0]
-
-    @property
-    def c3(self):
-        return np.zeros_like(self.c4)
-
-    @cached_property
-    def coefficient_norms(self):
-        """Frobenius norms of (C0, C1, C2, C4), cached for residuals."""
-        return tuple(np.linalg.norm(c, "fro") for c in
-                     (self.c0, self.c1, self.c2, self.c4))
-
-    @property
-    def exclusion(self):
-        return exclusion_interval(self.eps1, self.eps2)
-
-
 def make_pencil(matrices):
-    """Form the pencil coefficients from assembled operator matrices."""
-    k, a1, a2, s = matrices.k, matrices.a1, matrices.a2, matrices.s
-    e1, e2 = matrices.eps1, matrices.eps2
-    shapes = {m.shape for m in (k, a1, a2, s)}
-    if len(shapes) != 1 or k.shape[0] != k.shape[1]:
+    """Check that the operators share one square shape; they are the pencil."""
+    shapes = {m.shape for m in (matrices.k, matrices.a1, matrices.a2,
+                                matrices.s)}
+    if len(shapes) != 1 or matrices.k.shape[0] != matrices.k.shape[1]:
         raise PencilError("operator matrices must share one square shape")
-    return Pencil(
-        eps1=e1,
-        eps2=e2,
-        c0=e1 * e2 * (k - a2),
-        c1=(e1 - e2) * s,
-        c2=a1 - (e1 + e2) * k,
-        c4=k,
-        matrices=matrices,
-    )
+    return matrices
+
+
+def coefficients(pencil):
+    """C0, C1, C2 of the monomial form, formed one at a time (C4 is K)."""
+    e1, e2 = pencil.eps1, pencil.eps2
+    yield e1 * e2 * (pencil.k - pencil.a2)
+    yield (e1 - e2) * pencil.s
+    yield pencil.a1 - (e1 + e2) * pencil.k
+
+
+def _terms(pencil, g):
+    """(weight, operator) pairs of the factored form at g."""
+    e1, e2 = pencil.eps1, pencil.eps2
+    g2 = g * g
+    return (((g2 - e1) * (g2 - e2), pencil.k), (g2, pencil.a1),
+            (g * (e1 - e2), pencil.s), (-e1 * e2, pencil.a2))
 
 
 def evaluate(pencil, gamma):
-    """L(gamma); real output for real gamma, complex otherwise."""
+    """L(gamma); real output for real gamma, complex otherwise.
+
+    The terms are accumulated into one output array in place by BLAS
+    axpy, with no temporary per term; a complex output takes the real and
+    imaginary parts of each weight into its two interleaved halves.  Terms
+    with a zero weight (K at g^2 = eps_i, S when eps1 = eps2) are skipped.
+    The scipy axpy wrapper holds the interpreter lock, so threads that
+    evaluate at the same time take turns.
+    """
     g = complex(gamma)
     if g.imag == 0.0:
         g = g.real
-    g2 = g * g
-    return (g2 * g2) * pencil.c4 + g2 * pencil.c2 + g * pencil.c1 + pencil.c0
+    dtype = complex if isinstance(g, complex) else float
+    out = np.zeros((pencil.n, pencil.n), dtype=dtype)
+    flat = out.reshape(-1).view(float)
+    step = 2 if dtype is complex else 1
+    for weight, op in _terms(pencil, g):
+        weight = complex(weight)
+        x = np.ravel(op)
+        for part, offset in ((weight.real, 0), (weight.imag, 1)):
+            if part != 0.0:
+                blas.daxpy(x, flat, a=part, offy=offset, incy=step)
+    return out
 
 
 def apply(pencil, gamma, v):
     """L(gamma) v without forming the matrix."""
     g = complex(gamma)
-    g2 = g * g
-    return ((g2 * g2) * (pencil.c4 @ v) + g2 * (pencil.c2 @ v)
-            + g * (pencil.c1 @ v) + pencil.c0 @ v)
+    return sum(weight * (op @ v) for weight, op in _terms(pencil, g))
 
 
 def residual(pencil, gamma, v):
@@ -168,22 +163,19 @@ def linearize(pencil, scale=1.0):
     """
     n = pencil.n
     try:
-        cho = linalg.cho_factor(pencil.c4, lower=True)
+        cho = linalg.cho_factor(pencil.k, lower=True)
     except linalg.LinAlgError as exc:
         raise PencilError(
             "leading coefficient is not positive definite; assembly is broken"
         ) from exc
     s = float(scale)
-    b0 = linalg.cho_solve(cho, pencil.c0) / s ** 4
-    b1 = linalg.cho_solve(cho, pencil.c1) / s ** 3
-    b2 = linalg.cho_solve(cho, pencil.c2) / s ** 2
 
     comp = np.zeros((4 * n, 4 * n))
     eye = np.eye(n)
     comp[0 * n:1 * n, 1 * n:2 * n] = eye
     comp[1 * n:2 * n, 2 * n:3 * n] = eye
     comp[2 * n:3 * n, 3 * n:4 * n] = eye
-    comp[3 * n:, 0 * n:1 * n] = -b0
-    comp[3 * n:, 1 * n:2 * n] = -b1
-    comp[3 * n:, 2 * n:3 * n] = -b2
+    for j, c in enumerate(coefficients(pencil)):
+        comp[3 * n:, j * n:(j + 1) * n] = -(linalg.cho_solve(cho, c)
+                                            / s ** (4 - j))
     return comp

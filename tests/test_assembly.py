@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ from scipy import linalg
 import wavepencil as wp
 from wavepencil import assembly_kernels as kernels
 from wavepencil.assembly import (AssemblyError, assemble_s_line,
-                                 assemble_s_volume, write_triplets)
+                                 assemble_s_volume)
 
 PI = math.pi
 
@@ -49,6 +48,14 @@ def test_a2_pi_block_independent_of_permittivity(slab_spaces):
     a2_b = wp.assemble_a2(slab_spaces, 3.0, 7.0)[:n_pi, :n_pi]
     assert np.array_equal(a2_a, a2_b)
     assert np.array_equal(a2_a, slab_spaces.gram[:n_pi, :n_pi])
+
+
+def test_unweighted_gradient_blocks_are_the_gram_blocks(slab_matrices):
+    m = slab_matrices
+    assert (m.eps1, m.eps2) == (1.0, 4.0)
+    n_pi = m.spaces.n_pi
+    assert np.array_equal(m.a1[n_pi:, n_pi:], m.gram[n_pi:, n_pi:])
+    assert np.array_equal(m.a2[:n_pi, :n_pi], m.gram[:n_pi, :n_pi])
 
 
 def test_k_positive_definite(slab_matrices):
@@ -178,15 +185,3 @@ def test_interface_consistency_check(slab_spaces):
     with pytest.raises(AssemblyError):
         assemble_s_line(spaces)
 
-
-def test_triplet_dump_round_trips():
-    mat = np.array([[0.0, 1.5], [-2.25, 0.0]])
-    buf = io.StringIO()
-    write_triplets(mat, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines == ["0 1 1.5", "1 0 -2.25"]
-    rebuilt = np.zeros_like(mat)
-    for ln in lines:
-        i, j, v = ln.split()
-        rebuilt[int(i), int(j)] = float(v)
-    assert np.array_equal(rebuilt, mat)

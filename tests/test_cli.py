@@ -88,6 +88,14 @@ def test_parse_config_validation_errors(mutation, fragment):
         parse_config(broken, source="inline")
 
 
+def test_parse_config_rejects_removed_qr_iteration_cap():
+    text = SMALL_SLAB.replace("[solver]\n", "[solver]\nqr_iteration_cap = 30\n")
+    lineno = text.splitlines().index("qr_iteration_cap = 30") + 1
+    with pytest.raises(ConfigError, match=f"inline:{lineno}: unknown key "
+                                          "'qr_iteration_cap' in \\[solver\\]"):
+        parse_config(text, source="inline")
+
+
 def test_parse_config_rejects_duplicates_and_strays():
     with pytest.raises(ConfigError, match="already set"):
         parse_config("[material]\neps1 = 1\neps1 = 2\n")
@@ -163,8 +171,7 @@ def test_solve_deterministic_outputs_are_byte_identical(tmp_path):
     outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
-        code = main(["solve", "--config", str(cfg), "--out", str(out),
-                     "--deterministic"])
+        code = main(["solve", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         outs.append(out)
     for name in ("spectrum.json", "report.json", "plot.csv",
@@ -279,12 +286,28 @@ def test_sweep_subcommand_wiring(tmp_path):
                 SMALL_HOMOG.replace("nx = 8", "nx = 4")
                            .replace("ny = 8", "ny = 4"))
     code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
-                 "--eps2-from", "2.0", "--eps2-to", "2.5", "--steps", "2",
-                 "--deterministic"])
+                 "--eps2-from", "2.0", "--eps2-to", "2.5", "--steps", "2"])
     assert code == 0
     assert (tmp_path / "sweep.csv").exists()
     assert (tmp_path / "step_000" / "spectrum.json").exists()
     assert (tmp_path / "step_001" / "spectrum.json").exists()
+
+
+def test_sweep_artifacts_do_not_depend_on_worker_count(tmp_path):
+    cfg = parse_config(SMALL_SLAB.replace("nx = 6", "nx = 4")
+                       .replace("ny = 6", "ny = 4"))
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers_{workers}"
+        sweep(cfg, out, 1.0, 4.0, 3, workers=workers)
+        outs.append(out)
+    names = sorted(str(f.relative_to(outs[0])) for f in outs[0].rglob("*")
+                   if f.is_file())
+    assert "sweep.csv" in names and "step_002/spectrum.json" in names
+    assert names == sorted(str(f.relative_to(outs[1]))
+                           for f in outs[1].rglob("*") if f.is_file())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_sweep_validates_range(tmp_path):

@@ -2,22 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 import wavepencil as wp
+from wavepencil import pencil as pencil_mod
+from wavepencil.assembly import PencilMatrices
 from wavepencil.eigensolver import (EigensolverError, MAX_COMPANION_DIM,
-                                    balance, hessenberg, null_space_basis,
+                                    balance, null_space_basis,
                                     numerical_nullity, qr_eigenvalues,
                                     recover_eigenvector, solve_companion,
                                     solve_pencil)
-from wavepencil.pencil import Pencil, linearize, residual
+from wavepencil.pencil import linearize, residual
 
 PI = math.pi
 
 
 def toy_companion():
-    pen = Pencil(eps1=1.0, eps2=1.0,
-                 c0=np.array([[1.0]]), c1=np.array([[0.0]]),
-                 c2=np.array([[-3.0]]), c4=np.array([[2.0]]))
+    """Companion of the scalar quartic 2 g^4 - 3 g^2 + 1."""
+    pen = PencilMatrices(spaces=None, eps1=1.0, eps2=1.0,
+                         k=np.array([[2.0]]), a1=np.array([[1.0]]),
+                         a2=np.array([[1.0]]), s=np.array([[0.0]]))
     return linearize(pen)
 
 
@@ -49,30 +53,13 @@ def test_balance_reduces_norm_spread():
     assert spread(scaled) < spread(a)
 
 
-def test_hessenberg_two_by_two_is_identity_transform():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    h, q = hessenberg(a)
-    assert np.array_equal(h, a)
-    assert np.array_equal(q, np.eye(2))
-
-
-def test_hessenberg_contracts():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((8, 8))
-    h, q = hessenberg(a)
-    assert np.abs(np.tril(h, -2)).max() == 0.0
-    assert np.linalg.norm(q.conj().T @ a @ q - h, "fro") \
-        <= 1e-13 * np.linalg.norm(a, "fro")
-    assert np.linalg.norm(q.conj().T @ q - np.eye(8), "fro") <= 1e-13
-
-
 def test_qr_eigenvalues_diagonal():
     vals = qr_eigenvalues(np.diag([1.0, 2.0, 3.0]))
     assert np.allclose(np.sort_complex(vals), [1.0, 2.0, 3.0], atol=1e-14)
 
 
 def test_qr_eigenvalues_toy_quartic():
-    h, _ = hessenberg(toy_companion())
+    h = linalg.hessenberg(toy_companion())
     vals = np.sort_complex(qr_eigenvalues(h))
     expected = np.sort_complex(np.array(
         [-1.0, -1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 1.0],
@@ -111,6 +98,20 @@ def test_real_companion_spectrum_conjugation_closed(slab_eigenvalues):
 def test_dimension_cap_enforced():
     with pytest.raises(EigensolverError):
         solve_companion(np.zeros((MAX_COMPANION_DIM + 4, MAX_COMPANION_DIM + 4)))
+
+
+def test_solve_pencil_checks_cap_before_linearizing(monkeypatch):
+    n = MAX_COMPANION_DIM // 4 + 1
+    zero = np.broadcast_to(0.0, (n, n))      # shape only, no n x n storage
+    pen = PencilMatrices(spaces=None, eps1=1.0, eps2=4.0,
+                         k=zero, a1=zero, a2=zero, s=zero)
+
+    def never(*args, **kwargs):
+        raise AssertionError("linearize called past the dimension cap")
+
+    monkeypatch.setattr(pencil_mod, "linearize", never)
+    with pytest.raises(EigensolverError, match=f"{(4 * n) ** 2 * 8} bytes"):
+        solve_pencil(pen)
 
 
 def test_homogeneous_spectrum_contains_unit_pair(homog_eigenvalues):
