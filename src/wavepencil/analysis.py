@@ -208,32 +208,6 @@ def count_in_disk(eigenvalues, radius, exclusion, band_margin=0.1):
     return int(np.sum(in_disk & ~in_band))
 
 
-def cluster_diameters(eigenvalues, tol=1e-6):
-    """Group near-coincident eigenvalues and report their diameters.
-
-    Eigenvalues closer than ``tol * (1 + |center|)`` to a cluster join it.
-    Distinguishing a defective eigenvalue from a tight cluster is not
-    numerically well posed, so only the diameters are reported; no Jordan
-    structure is claimed.  Returns (center, count, diameter) triples for
-    clusters with at least two members, largest first.
-    """
-    vals = np.sort_complex(np.asarray(eigenvalues, dtype=complex))
-    clusters = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        center = vals[start:i].mean() if i > start else 0.0
-        if i == len(vals) or abs(vals[i] - center) > tol * (1.0 + abs(center)):
-            if i - start >= 2:
-                group = vals[start:i]
-                diam = float(max(abs(a - b) for a in group for b in group)) \
-                    if len(group) <= 64 else float(
-                        2.0 * np.abs(group - group.mean()).max())
-                clusters.append((complex(group.mean()), i - start, diam))
-            start = i
-    clusters.sort(key=lambda c: -c[1])
-    return clusters
-
-
 def degeneration_scan(pencils, rel_tol=1e-8):
     """Numerical nullity of L at each degeneration value, per refinement.
 
@@ -288,15 +262,51 @@ def transverse_fields(pi_nodal, psi_nodal, gamma, mesh, eps1, eps2, tol=1e-9):
     return TransverseFields(e1=e1, e2=e2, h1=h1, h2=h2)
 
 
+def _field_blocks(matrices):
+    """Index slices of the electric and the magnetic field block."""
+    n_pi = matrices.spaces.n_pi
+    return slice(0, n_pi), slice(n_pi, matrices.n)
+
+
+def _block_eigvals(op, matrices):
+    """Generalized eigenvalues of a block-diagonal operator against G.
+
+    The union, ascending, of the eigenvalues of the symmetrised diagonal
+    blocks against the matching Gram blocks; equal to those of the full
+    symmetrised operator when its off-diagonal blocks vanish.
+    """
+    g = matrices.gram
+    vals = [linalg.eigh(0.5 * (op[b, b] + op[b, b].T), g[b, b],
+                        eigvals_only=True) for b in _field_blocks(matrices)]
+    return np.sort(np.concatenate(vals))
+
+
+def _s_bound(matrices):
+    """Largest |generalized eigenvalue| of the symmetrised S against G.
+
+    S is block off-diagonal with upper-right block F (symmetrised), so with
+    G_pi = L_pi L_pi^T and G_psi = L_psi L_psi^T the eigenvalues are
+    +-sigma_i(L_pi^-1 F L_psi^-T) and zeros; the bound is sigma_max.
+    """
+    e, m = _field_blocks(matrices)
+    s, g = matrices.s, matrices.gram
+    f = 0.5 * (s[e, m] + s[m, e].T)
+    l_pi = linalg.cholesky(g[e, e], lower=True)
+    l_psi = linalg.cholesky(g[m, m], lower=True)
+    x = linalg.solve_triangular(l_pi, f, lower=True)
+    x = linalg.solve_triangular(l_psi, x.T, lower=True)
+    return float(linalg.svdvals(x)[0])
+
+
 def k_decay_slope(matrices, fraction=1.0 / 3.0):
     """Log-log slope of the generalized L2 eigenvalues over the lowest modes.
 
     Eigenvalues of (K, G) sorted descending behave like C/n; the fit runs
     over the first ``fraction`` of the indices, where the continuum decay
-    law is resolved by the mesh.
+    law is resolved by the mesh.  K and G are block diagonal, so the
+    eigenvalues are those of the two field blocks.
     """
-    vals = linalg.eigh(matrices.k, matrices.gram, eigvals_only=True)
-    vals = np.sort(vals)[::-1]
+    vals = _block_eigvals(matrices.k, matrices)[::-1]
     n_fit = max(int(len(vals) * fraction), 3)
     ns = np.arange(1, n_fit + 1, dtype=float)
     slope = np.polyfit(np.log(ns), np.log(vals[:n_fit]), 1)[0]
@@ -353,36 +363,32 @@ def verify_all(matrices, pencil=None, spectrum=None,
     """Run every discretely checkable property and report margins.
 
     Failures are returned in the report, not raised; the CLI maps a failed
-    report to a nonzero exit status.
+    report to a nonzero exit status.  K positivity and the operator bounds
+    are read from the field blocks; where ``parity_block_structure`` fails,
+    the report fails already, and the bounds are then those of the blocks.
     """
     rep = PropertyReport()
-    g = matrices.gram
     eps_max = matrices.eps_max
 
     for name, mat in (("hermiticity_k", matrices.k), ("hermiticity_a1", matrices.a1),
                       ("hermiticity_a2", matrices.a2), ("hermiticity_s", matrices.s)):
         rep.add(name, _max_asym(mat), 1e-14, "<=")
 
-    k_min = float(linalg.eigh(matrices.k, eigvals_only=True,
-                              subset_by_index=(0, 0))[0])
+    k_min = min(float(linalg.eigh(matrices.k[b, b], eigvals_only=True,
+                                  subset_by_index=(0, 0))[0])
+                for b in _field_blocks(matrices))
     rep.add("k_positive_definite", k_min, 0.0, ">=")
     # strict positivity: flip the pass flag if exactly zero
     if k_min <= 0.0:
         rep.checks[-1].passed = False
 
-    sym_k = 0.5 * (matrices.k + matrices.k.T)
-    sym_a1 = 0.5 * (matrices.a1 + matrices.a1.T)
-    sym_a2 = 0.5 * (matrices.a2 + matrices.a2.T)
-    sym_s = 0.5 * (matrices.s + matrices.s.T)
-
-    a1_eigs = linalg.eigh(sym_a1, g, eigvals_only=True)
+    a1_eigs = _block_eigvals(matrices.a1, matrices)
     rep.add("a1_bound_lower", a1_eigs[0], 1.0 - 1e-10, ">=")
     rep.add("a1_bound_upper", a1_eigs[-1], eps_max + 1e-10, "<=")
-    a2_eigs = linalg.eigh(sym_a2, g, eigvals_only=True)
+    a2_eigs = _block_eigvals(matrices.a2, matrices)
     rep.add("a2_bound_lower", a2_eigs[0], 1.0 / eps_max - 1e-10, ">=")
     rep.add("a2_bound_upper", a2_eigs[-1], 1.0 + 1e-10, "<=")
-    s_eigs = linalg.eigh(sym_s, g, eigvals_only=True)
-    rep.add("s_bound", float(np.abs(s_eigs).max()), 0.5 + 1e-10, "<=")
+    rep.add("s_bound", _s_bound(matrices), 0.5 + 1e-10, "<=")
 
     p = matrices.spaces.parity_signs()
     parity = max(

@@ -143,7 +143,7 @@ def recover_eigenvector(pencil, gamma, tol=1e-8, max_iter=40, seed=0):
     """
     n = pencil.n
     shift = 1e-9 * (1.0 + abs(gamma)) * (1.0 + 1.0j) / np.sqrt(2.0)
-    mat = pencil_mod.evaluate(pencil, complex(gamma) + shift).astype(complex)
+    mat = pencil_mod.evaluate(pencil, complex(gamma) + shift)
     lu = linalg.lu_factor(mat)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -181,22 +181,34 @@ def _pencil_scale(pencil, gamma):
 def null_space_basis(pencil, gamma, rel_tol=1e-8, max_dim=12):
     """Numerical null-space basis of L(gamma) at a degeneration-flagged value.
 
-    Right singular vectors whose singular values fall below ``rel_tol``
-    times the pencil scale at gamma, capped at ``max_dim`` columns.
+    Singular vectors whose singular values fall below ``rel_tol`` times the
+    pencil scale at gamma, capped at ``max_dim`` columns, smallest first.
+    At real gamma L(gamma) is real symmetric, so these are the eigenvectors
+    of its smallest |eigenvalues|; complex gamma takes the SVD.
     """
     mat = pencil_mod.evaluate(pencil, gamma)
-    _, svals, vh = np.linalg.svd(mat)
+    if np.isrealobj(mat):
+        lam, vecs = np.linalg.eigh(mat)
+        svals = np.abs(lam)
+        order = np.argsort(svals)
+        svals, vecs = svals[order], vecs[:, order]
+    else:
+        _, svals, vh = np.linalg.svd(mat)
+        svals, vecs = svals[::-1], vh.conj().T[:, ::-1]
     null_dim = int(np.sum(svals <= rel_tol * _pencil_scale(pencil, gamma)))
-    if null_dim == 0:
-        return np.empty((pencil.n, 0))
-    take = min(null_dim, max_dim)
-    return vh.conj().T[:, -take:]
+    return vecs[:, :min(null_dim, max_dim)]
 
 
 def numerical_nullity(pencil, gamma, rel_tol=1e-8):
-    """Count of singular values of L(gamma) below rel_tol * pencil scale."""
+    """Count of singular values of L(gamma) below rel_tol * pencil scale.
+
+    At real gamma L(gamma) is real symmetric and its singular values are
+    the |eigenvalues| from the symmetric eigensolver; complex gamma takes
+    the SVD.
+    """
     mat = pencil_mod.evaluate(pencil, gamma)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if len(svals) == 0:
-        return 0
+    if np.isrealobj(mat):
+        svals = np.abs(np.linalg.eigvalsh(mat))
+    else:
+        svals = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(svals <= rel_tol * _pencil_scale(pencil, gamma)))

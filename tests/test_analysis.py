@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 import wavepencil as wp
 from wavepencil import analysis
@@ -112,24 +113,6 @@ def test_count_helpers(slab_eigenvalues):
     with_band = count_in_disk(slab_eigenvalues, 3.0, EXC, band_margin=0.1)
     no_band = int(np.sum(np.abs(slab_eigenvalues) <= 3.0))
     assert with_band < no_band
-
-
-def test_cluster_diameters_reports_tight_groups():
-    vals = np.array([1.0, 1.0 + 1e-9, 1.0 - 1e-9, 2.5j, 2.5j + 1e-9, 4.0],
-                    dtype=complex)
-    clusters = analysis.cluster_diameters(vals, tol=1e-6)
-    assert [(c[1]) for c in clusters] == [3, 2]
-    assert all(c[2] <= 3e-9 for c in clusters)
-    assert analysis.cluster_diameters(np.array([1.0, 2.0, 3.0]),
-                                      tol=1e-6) == []
-
-
-def test_degeneration_cluster_diameter_on_spectrum(slab_eigenvalues):
-    clusters = analysis.cluster_diameters(slab_eigenvalues, tol=1e-6)
-    centers = [c[0] for c in clusters if c[1] > 20]
-    # the four degeneration values carry the large clusters
-    for g in (1.0, -1.0, 2.0, -2.0):
-        assert any(abs(c - g) < 1e-3 for c in centers)
 
 
 def test_degeneration_scan_homogeneous_full_collapse(homog_pencil):
@@ -287,3 +270,44 @@ def test_verify_all_fails_on_negated_k_diagonal(slab_matrices):
     rep = verify_all(bad)
     assert not rep.all_passed
     assert not rep["k_positive_definite"].passed
+
+
+def _dense_bound_margins(mats):
+    """Bound margins from the full-size operators against the full Gram."""
+    g = mats.gram
+    a1, a2, s = (linalg.eigh(0.5 * (op + op.T), g, eigvals_only=True)
+                 for op in (mats.a1, mats.a2, mats.s))
+    k_vals = np.sort(linalg.eigh(mats.k, g, eigvals_only=True))[::-1]
+    n_fit = max(int(len(k_vals) * (1.0 / 3.0)), 3)
+    slope = np.polyfit(np.log(np.arange(1, n_fit + 1)),
+                       np.log(k_vals[:n_fit]), 1)[0]
+    return {
+        "k_positive_definite": linalg.eigh(mats.k, eigvals_only=True,
+                                           subset_by_index=(0, 0))[0],
+        "a1_bound_lower": a1[0], "a1_bound_upper": a1[-1],
+        "a2_bound_lower": a2[0], "a2_bound_upper": a2[-1],
+        "s_bound": np.abs(s).max(),
+        "k_decay_slope_dev": abs(slope + 1.0),
+    }
+
+
+@pytest.mark.parametrize("case", ["slab", "slit"])
+def test_block_bounds_equal_the_full_size_eigenproblems(case, slab_matrices,
+                                                        slit_mesh):
+    mats = slab_matrices if case == "slab" else wp.assemble_matrices(
+        wp.build_spaces(slit_mesh), 1.0, 4.0)
+    rep = verify_all(mats, include_decay_slope=True)
+    for name, ref in _dense_bound_margins(mats).items():
+        assert rep[name].margin == pytest.approx(ref, rel=1e-12, abs=0), name
+
+
+def test_electric_magnetic_entry_in_a1_fails_parity(slab_matrices):
+    # the block-wise bounds rest on this check: a coupling entry that keeps
+    # A1 symmetric must still fail the report
+    a1 = slab_matrices.a1.copy()
+    i, j = 0, slab_matrices.spaces.n_pi
+    a1[i, j] = a1[j, i] = 1e-3
+    rep = verify_all(dataclasses.replace(slab_matrices, a1=a1))
+    assert rep["hermiticity_a1"].passed
+    assert not rep["parity_block_structure"].passed
+    assert not rep.all_passed

@@ -193,3 +193,41 @@ def test_null_space_basis_at_degeneration(homog_pencil):
 
 def test_numerical_nullity_zero_away_from_spectrum(slab_pencil):
     assert numerical_nullity(slab_pencil, 3.5) == 0
+
+
+def _svd_nullity(pencil, gamma, rel_tol=1e-8):
+    n0, n1, n2, n4 = pencil.coefficient_norms
+    a = abs(gamma)
+    cutoff = rel_tol * (a ** 4 * n4 + a * a * n2 + a * n1 + n0)
+    svals = np.linalg.svd(wp.evaluate(pencil, gamma), compute_uv=False)
+    return int(np.sum(svals <= cutoff))
+
+
+@pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0, -2.0, 3.5, 0.7 + 0.3j])
+def test_numerical_nullity_equals_svd_count(slab_pencil, gamma):
+    assert numerical_nullity(slab_pencil, gamma) == \
+        _svd_nullity(slab_pencil, gamma)
+
+
+@pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0, -2.0])
+def test_null_space_basis_width_is_the_nullity(slab_pencil, gamma):
+    basis = null_space_basis(slab_pencil, gamma, max_dim=slab_pencil.n)
+    assert basis.shape[1] == numerical_nullity(slab_pencil, gamma) > 0
+    for j in range(basis.shape[1]):
+        assert residual(slab_pencil, gamma, basis[:, j]) <= 1e-12
+
+
+def test_homogeneous_null_space_basis_width_is_the_nullity(homog_pencil):
+    g = math.sqrt(2.0)
+    basis = null_space_basis(homog_pencil, g, max_dim=homog_pencil.n)
+    assert basis.shape[1] == numerical_nullity(homog_pencil, g)
+
+
+def test_null_space_basis_at_a_complex_eigenvalue(slab_pencil, slab_eigenvalues):
+    # complex gamma takes the SVD; the basis is the mode's singular vector
+    vals = slab_eigenvalues[(np.abs(slab_eigenvalues.real) > 1e-3)
+                            & (np.abs(slab_eigenvalues.imag) > 1e-3)]
+    g = vals[np.argmin(np.abs(vals))]
+    basis = null_space_basis(slab_pencil, g)
+    assert basis.shape[1] == numerical_nullity(slab_pencil, g) == 1
+    assert residual(slab_pencil, g, basis[:, 0]) <= 1e-12
