@@ -181,33 +181,27 @@ def _pencil_scale(pencil, gamma):
 def null_space_basis(pencil, gamma, rel_tol=1e-8, max_dim=12):
     """Numerical null-space basis of L(gamma) at a degeneration-flagged value.
 
-    Singular vectors whose singular values fall below ``rel_tol`` times the
-    pencil scale at gamma, capped at ``max_dim`` columns, smallest first.
-    At real gamma L(gamma) is real symmetric, so these are the eigenvectors
-    of its smallest |eigenvalues|; complex gamma takes the SVD.
+    Right singular vectors whose singular values fall below ``rel_tol``
+    times the pencil scale at gamma, capped at ``max_dim`` columns.
     """
     mat = pencil_mod.evaluate(pencil, gamma)
-    if np.isrealobj(mat):
-        lam, vecs = np.linalg.eigh(mat)
-        svals = np.abs(lam)
-        order = np.argsort(svals)
-        svals, vecs = svals[order], vecs[:, order]
-    else:
-        _, svals, vh = np.linalg.svd(mat)
-        svals, vecs = svals[::-1], vh.conj().T[:, ::-1]
+    _, svals, vh = np.linalg.svd(mat)
     null_dim = int(np.sum(svals <= rel_tol * _pencil_scale(pencil, gamma)))
-    return vecs[:, :min(null_dim, max_dim)]
+    if null_dim == 0:
+        return np.empty((pencil.n, 0))
+    take = min(null_dim, max_dim)
+    return vh.conj().T[:, -take:]
 
 
 def numerical_nullity(pencil, gamma, rel_tol=1e-8):
     """Count of singular values of L(gamma) below rel_tol * pencil scale.
 
-    At real gamma L(gamma) is real symmetric and its singular values are
-    the |eigenvalues| from the symmetric eigensolver; complex gamma takes
-    the SVD.
+    Where L(gamma) is real symmetric (real gamma on symmetric operators) its
+    singular values are the |eigenvalues| from the symmetric eigensolver;
+    any other L(gamma), complex or asymmetric, takes the SVD.
     """
     mat = pencil_mod.evaluate(pencil, gamma)
-    if np.isrealobj(mat):
+    if np.isrealobj(mat) and np.array_equal(mat, mat.T):
         svals = np.abs(np.linalg.eigvalsh(mat))
     else:
         svals = np.linalg.svd(mat, compute_uv=False)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -179,8 +180,13 @@ def test_parity_maps_eigenvectors_across_sign(slab_spaces, slab_pencil,
 def test_null_space_basis_at_slab_degeneration(slab_pencil):
     basis = null_space_basis(slab_pencil, 1.0, max_dim=6)
     assert basis.shape == (slab_pencil.n, 6)
-    for j in range(basis.shape[1]):
-        assert residual(slab_pencil, 1.0, basis[:, j]) <= 1e-12
+    # uncapped, the basis is as wide as the nullity and every column is a
+    # kernel vector
+    for g in (1.0, -1.0, 2.0, -2.0):
+        basis = null_space_basis(slab_pencil, g, max_dim=slab_pencil.n)
+        assert basis.shape[1] == numerical_nullity(slab_pencil, g) > 6
+        for j in range(basis.shape[1]):
+            assert residual(slab_pencil, g, basis[:, j]) <= 1e-12
 
 
 def test_null_space_basis_at_degeneration(homog_pencil):
@@ -189,6 +195,8 @@ def test_null_space_basis_at_degeneration(homog_pencil):
     # every column is an exact kernel vector of the collapsed pencil
     lmat = wp.evaluate(homog_pencil, math.sqrt(2.0))
     assert np.abs(lmat @ basis).max() <= 1e-10
+    full = null_space_basis(homog_pencil, math.sqrt(2.0), max_dim=homog_pencil.n)
+    assert full.shape[1] == numerical_nullity(homog_pencil, math.sqrt(2.0))
 
 
 def test_numerical_nullity_zero_away_from_spectrum(slab_pencil):
@@ -203,28 +211,28 @@ def _svd_nullity(pencil, gamma, rel_tol=1e-8):
     return int(np.sum(svals <= cutoff))
 
 
-@pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0, -2.0, 3.5, 0.7 + 0.3j])
+@pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0, -2.0, 0.7 + 0.3j])
 def test_numerical_nullity_equals_svd_count(slab_pencil, gamma):
     assert numerical_nullity(slab_pencil, gamma) == \
         _svd_nullity(slab_pencil, gamma)
 
 
-@pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0, -2.0])
-def test_null_space_basis_width_is_the_nullity(slab_pencil, gamma):
-    basis = null_space_basis(slab_pencil, gamma, max_dim=slab_pencil.n)
-    assert basis.shape[1] == numerical_nullity(slab_pencil, gamma) > 0
-    for j in range(basis.shape[1]):
-        assert residual(slab_pencil, gamma, basis[:, j]) <= 1e-12
-
-
-def test_homogeneous_null_space_basis_width_is_the_nullity(homog_pencil):
-    g = math.sqrt(2.0)
-    basis = null_space_basis(homog_pencil, g, max_dim=homog_pencil.n)
-    assert basis.shape[1] == numerical_nullity(homog_pencil, g)
+def test_numerical_nullity_of_an_asymmetric_pencil_is_the_svd_count(
+        slab_matrices, slab_pencil):
+    # one entry above the diagonal of A1, on a row and a column that the
+    # kernel at gamma = 1 uses: a solver that reads one triangle misses it
+    vecs = null_space_basis(slab_pencil, 1.0, max_dim=slab_pencil.n)
+    weight = np.abs(vecs).sum(axis=1)
+    i, j = sorted(np.argsort(weight)[-2:])
+    a1 = slab_matrices.a1.copy()
+    a1[i, j] += 1.0
+    bad = wp.make_pencil(dataclasses.replace(slab_matrices, a1=a1))
+    assert numerical_nullity(bad, 1.0) == _svd_nullity(bad, 1.0) \
+        < numerical_nullity(slab_pencil, 1.0)
 
 
 def test_null_space_basis_at_a_complex_eigenvalue(slab_pencil, slab_eigenvalues):
-    # complex gamma takes the SVD; the basis is the mode's singular vector
+    # at a simple complex eigenvalue the basis is the mode itself
     vals = slab_eigenvalues[(np.abs(slab_eigenvalues.real) > 1e-3)
                             & (np.abs(slab_eigenvalues.imag) > 1e-3)]
     g = vals[np.argmin(np.abs(vals))]
