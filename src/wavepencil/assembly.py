@@ -19,8 +19,12 @@ from functools import cached_property
 import numpy as np
 
 from . import assembly_kernels as kernels
-from .pencil import coefficients, exclusion_interval
-from .spaces import FieldSpaces, zero_mean_transform
+from .pencil import exclusion_interval
+from .spaces import FieldSpaces, reflector, zero_mean_transform
+
+
+#: Rows of the operators taken at a time when summing coefficient norms.
+NORM_ROW_BLOCK = 64
 
 
 class AssemblyError(ValueError):
@@ -64,9 +68,21 @@ class PencilMatrices:
 
     @cached_property
     def coefficient_norms(self):
-        """Frobenius norms of the pencil's (C0, C1, C2, C4), for residuals."""
-        return tuple(np.linalg.norm(c, "fro") for c in coefficients(self)) \
-            + (np.linalg.norm(self.k, "fro"),)
+        """Frobenius norms of the pencil's (C0, C1, C2, C4), for residuals.
+
+        ||C0||^2 and ||C2||^2 are summed over blocks of ``NORM_ROW_BLOCK``
+        rows, so no n x n temporary is formed; ||C1|| = |eps1 - eps2| ||S||.
+        """
+        e1, e2 = self.eps1, self.eps2
+        sq0 = sq2 = 0.0
+        for start in range(0, self.n, NORM_ROW_BLOCK):
+            rows = slice(start, start + NORM_ROW_BLOCK)
+            c0 = (e1 * e2 * (self.k[rows] - self.a2[rows])).ravel()
+            c2 = (self.a1[rows] - (e1 + e2) * self.k[rows]).ravel()
+            sq0 += c0 @ c0
+            sq2 += c2 @ c2
+        return (np.sqrt(sq0), abs(e1 - e2) * np.linalg.norm(self.s, "fro"),
+                np.sqrt(sq2), np.linalg.norm(self.k, "fro"))
 
 
 def _check_eps(eps1, eps2):
@@ -139,15 +155,19 @@ def _couple(spaces, bottom_nodal, top_nodal):
     trial node j; ``top_nodal`` the electric test with the magnetic trial.
     Both blocks are assembled from the form itself, so an orientation
     fault in the mesh surfaces as a Hermiticity violation instead of being
-    silently symmetrised away.
+    silently symmetrised away.  Z^T X is applied through the reflector,
+    as ``(X - beta v (v^T X))[1:]``.
     """
     n_pi, n = spaces.n_pi, spaces.n
-    z = spaces.null_basis
-    bottom_left = z.T @ (bottom_nodal[:, spaces.pi_nodes].toarray())
-    top_right = top_nodal[spaces.pi_nodes, :].toarray() @ z
+    v, beta = reflector(spaces.mean_vector)
+
+    def reduce_rows(x):
+        return x[1:] - np.outer(beta * v[1:], v @ x)
+
     out = np.zeros((n, n))
-    out[n_pi:, :n_pi] = bottom_left
-    out[:n_pi, n_pi:] = top_right
+    out[n_pi:, :n_pi] = reduce_rows(bottom_nodal[:, spaces.pi_nodes].toarray())
+    out[:n_pi, n_pi:] = reduce_rows(
+        top_nodal[spaces.pi_nodes, :].T.toarray()).T
     return out
 
 

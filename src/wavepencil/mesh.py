@@ -113,7 +113,9 @@ def _edge_triangle_map(mesh):
 def validate(mesh):
     """Check all structural mesh invariants; raise MeshError on violation.
 
-    Checked: index ranges, counterclockwise orientation (positive areas),
+    Checked: index ranges, every node belonging to a triangle (a node in
+    none would carry no basis function and a zero mean-vector entry),
+    counterclockwise orientation (positive areas),
     every boundary edge tagged, gamma0/gammaprime edges on the boundary,
     gamma edges separating exactly one region-1 from one region-2 triangle,
     and every interior region-change edge being tagged gamma.
@@ -123,6 +125,10 @@ def validate(mesh):
         raise MeshError("triangle refers to a nonexistent node")
     if mesh.edges.size and (mesh.edges.min() < 0 or mesh.edges.max() >= n):
         raise MeshError("edge refers to a nonexistent node")
+    used = np.zeros(n, dtype=bool)
+    used[mesh.triangles.ravel()] = True
+    if not used.all():
+        raise MeshError(f"node {int(np.argmin(used))} belongs to no triangle")
     if not np.all((mesh.regions == 1) | (mesh.regions == 2)):
         raise MeshError("region tags must be 1 or 2")
     for tag in mesh.edge_tags:

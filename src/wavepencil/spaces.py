@@ -6,9 +6,12 @@ First-order nodal elements for both scalar fields:
   on the shield (outer boundary and both slit sides), so those nodes are
   eliminated;
 * the magnetic longitudinal component lives in the zero-mean space; the
-  constraint is imposed through an explicit orthonormal null-space basis
-  (Householder complement of the per-node mean vector), which keeps every
-  reduced matrix congruent to its nodal origin.
+  constraint is imposed through an orthonormal null-space basis Z, columns
+  2..N of the Householder reflector H = I - beta v v^T that sends the
+  per-node mean vector to a multiple of the first unit vector, which keeps
+  every reduced matrix congruent to its nodal origin.  Products with Z
+  apply H as the identity minus a rank-one term, in O(N^2) work; the
+  stored basis is never a factor of an operator product.
 
 The Gram matrix of the product space is the block-diagonal stiffness
 (gradient) inner product; all operator bounds downstream are relative
@@ -47,7 +50,9 @@ class FieldSpaces:
     null_basis : (N, N-1) float array
         Orthonormal columns spanning the complement of ``mean_vector``;
         magnetic-field coordinate vectors y map to nodal values
-        ``null_basis @ y`` with exactly zero weighted mean.
+        ``null_basis @ y`` with exactly zero weighted mean.  Kept for
+        expanding coordinate vectors; operator products apply the
+        reflector (``reflector``) instead of multiplying by this array.
     gram : (n, n) float array
         Block-diagonal gradient Gram matrix, electric block first.
     """
@@ -98,17 +103,27 @@ class FieldSpaces:
         return pi_nodal, self.null_basis @ psi_part
 
 
-def _householder_complement(m):
-    """Orthonormal basis of the hyperplane orthogonal to m.
+def reflector(m):
+    """(v, beta) of the Householder reflector H = I - beta v v^T.
 
-    Columns 2..N of the Householder reflector sending m to a multiple of
-    the first unit vector.  m must have a positive first entry, which
-    holds for mean vectors (every node owns positive patch area).
+    H sends m to a multiple of the first unit vector, and its columns
+    2..N are an orthonormal basis of the hyperplane orthogonal to m.
+    m must have a positive first entry, which holds for mean vectors
+    (every node belongs to a triangle of positive area).
     """
     v = m.astype(float).copy()
     v[0] += np.sign(v[0]) * np.linalg.norm(m)
-    h = np.eye(len(m)) - (2.0 / np.dot(v, v)) * np.outer(v, v)
-    return h[:, 1:]
+    return v, 2.0 / np.dot(v, v)
+
+
+def _householder_complement(m):
+    """Columns 2..N of the reflector of m, formed as one array."""
+    v, beta = reflector(m)
+    z = np.outer(v, v[1:])
+    z *= -beta
+    cols = np.arange(len(m) - 1)
+    z[cols + 1, cols] += 1.0
+    return z
 
 
 def build_spaces(mesh):
@@ -136,8 +151,7 @@ def build_spaces(mesh):
 
     stiff = kernels.nodal_stiffness(mesh, 1.0, 1.0)
     g_pi = stiff[np.ix_(pi_nodes, pi_nodes)].toarray()
-    g_psi = null_basis.T @ (stiff @ null_basis)
-    g_psi = 0.5 * (g_psi + g_psi.T)
+    g_psi = _reflect_congruence(mean, stiff)
 
     n_pi, n_psi = len(pi_nodes), null_basis.shape[1]
     gram = np.zeros((n_pi + n_psi, n_pi + n_psi))
@@ -162,20 +176,43 @@ def _is_hermitian(m):
     return np.array_equal(m, m.conj().T)
 
 
+def _reflect_congruence(m, nodal_matrix):
+    """(H M H)[1:, 1:] for the reflector H = I - beta v v^T of m.
+
+    With p = M v and c = v^T p, H M H = M - (w v^T + v u^T), a rank-two
+    update, where w = beta p - (beta^2 c / 2) v and u is formed the same
+    way from M^T v.  For a Hermitian M, u = conj(w) and the update is
+    summed entrywise, so the result is exactly Hermitian without a
+    symmetrisation pass.
+    """
+    n = len(m)
+    if nodal_matrix.shape != (n, n):
+        raise ValueError(
+            f"nodal matrix must be {n}x{n}, got {nodal_matrix.shape}")
+    v, beta = reflector(m)
+    p = nodal_matrix @ v
+    shift = (0.5 * beta * beta * np.dot(v, p)) * v
+    w = beta * p - shift
+    if _is_hermitian(nodal_matrix):
+        u = w.conj()
+    else:
+        u = beta * (nodal_matrix.T @ v) - shift
+    update = np.outer(w[1:], v[1:])
+    update += np.outer(v[1:], u[1:])
+    lower = nodal_matrix[1:, 1:]
+    if sparse.issparse(lower):
+        lower = lower.toarray()
+    return lower - update
+
+
 def zero_mean_transform(spaces, nodal_matrix):
     """Reduce a full nodal matrix onto the zero-mean coordinates.
 
-    Returns ``Z^H M Z`` with Z the stored null basis.  Hermiticity of the
-    input is preserved exactly: the congruence of a Hermitian matrix is
-    Hermitian, so the result is symmetrised to remove summation-order
-    rounding.
+    Returns ``Z^H M Z`` with Z the null basis, computed as
+    ``(H M H)[1:, 1:]`` from the reflector H = I - beta v v^T (Z is real,
+    so Z^H = Z^T); the stored basis is not multiplied.  The input may be
+    sparse or dense.  Hermiticity of the input is preserved exactly: the
+    congruence of a Hermitian matrix is Hermitian, and the update is
+    formed so that rounding keeps it so.
     """
-    z = spaces.null_basis
-    if nodal_matrix.shape != (z.shape[0], z.shape[0]):
-        raise ValueError(
-            f"nodal matrix must be {z.shape[0]}x{z.shape[0]}, "
-            f"got {nodal_matrix.shape}")
-    reduced = z.conj().T @ (nodal_matrix @ z)
-    if _is_hermitian(nodal_matrix):
-        reduced = 0.5 * (reduced + reduced.conj().T)
-    return reduced
+    return _reflect_congruence(spaces.mean_vector, nodal_matrix)

@@ -134,6 +134,23 @@ def test_line_and_volume_assemblies_agree(slab_spaces):
     assert np.abs(line - vol).max() <= 1e-12
 
 
+@pytest.mark.parametrize("mesh_name", ["slab_mesh", "slit_mesh"])
+def test_couplings_are_the_products_with_null_basis(request, mesh_name):
+    spaces = wp.build_spaces(request.getfixturevalue(mesh_name))
+    z, pi, n_pi = spaces.null_basis, spaces.pi_nodes, spaces.n_pi
+    d = kernels.interface_line_matrix(spaces.mesh).toarray()
+    v = kernels.volume_skew_matrix(spaces.mesh).toarray()
+    for s, bottom, top in ((assemble_s_line(spaces), d, -d),
+                           (assemble_s_volume(spaces), v, v.T)):
+        bottom_left = z.T @ bottom[:, pi]
+        top_right = top[pi, :] @ z
+        scale = max(np.abs(bottom_left).max(), np.abs(top_right).max())
+        assert np.abs(s[n_pi:, :n_pi] - bottom_left).max() <= 1e-13 * scale
+        assert np.abs(s[:n_pi, n_pi:] - top_right).max() <= 1e-13 * scale
+        assert np.abs(s[:n_pi, :n_pi]).max() == 0.0
+        assert np.abs(s[n_pi:, n_pi:]).max() == 0.0
+
+
 def test_minimal_interface_agreement_to_machine():
     spaces = wp.build_spaces(wp.generate_rect_slab(PI, PI, PI / 2, 2, 2))
     line = assemble_s_line(spaces)

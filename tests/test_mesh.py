@@ -109,6 +109,21 @@ def test_load_rejects_dangling_index():
         load_mesh("\n".join(lines) + "\n")
 
 
+def test_load_rejects_node_in_no_triangle():
+    m = wp.generate_rect_slab(PI, PI, PI / 2, 2, 2)
+    assert meshes_equal(load_mesh(save_mesh(m)), m)
+    # the same slab behind an extra node 0 that no triangle uses: its mean
+    # vector entry would be 0 and the zero-mean basis wrong
+    orphaned = wp.Mesh(nodes=np.vstack([[PI / 4, PI / 4], m.nodes]),
+                       triangles=m.triangles + 1, regions=m.regions.copy(),
+                       edges=m.edges + 1, edge_tags=m.edge_tags,
+                       interface_edges=m.interface_edges + 1)
+    text = save_mesh(orphaned)
+    assert text.startswith("nodes 10\n")
+    with pytest.raises(MeshError, match="node 0 belongs to no triangle"):
+        load_mesh(text)
+
+
 def test_load_rejects_untagged_boundary_edge():
     m = wp.generate_rect_slab(PI, PI, PI / 2, 2, 2)
     text = save_mesh(m)

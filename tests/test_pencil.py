@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from wavepencil.assembly import PencilMatrices
-from wavepencil.pencil import (PencilError, apply, degeneration_points,
-                               evaluate, exclusion_interval, linearize,
-                               make_pencil, residual)
+from wavepencil.assembly import NORM_ROW_BLOCK, PencilMatrices
+from wavepencil.pencil import (PencilError, apply, coefficients,
+                               degeneration_points, evaluate,
+                               exclusion_interval, linearize, make_pencil,
+                               residual)
 
 PI = math.pi
 
@@ -59,6 +60,25 @@ def test_dimension_mismatch_rejected(slab_matrices):
     bad = dataclasses.replace(slab_matrices, s=np.zeros((3, 3)))
     with pytest.raises(PencilError):
         make_pencil(bad)
+
+
+@pytest.mark.parametrize("coupled_a1", [False, True])
+def test_coefficient_norms_are_the_frobenius_norms(slab_matrices, coupled_a1):
+    import dataclasses
+    m = slab_matrices
+    # several row blocks, the last one partial
+    assert m.n > NORM_ROW_BLOCK and m.n % NORM_ROW_BLOCK != 0
+    if coupled_a1:
+        # a symmetric entry in A1's electric-magnetic block: the sum must
+        # not assume block structure
+        a1 = m.a1.copy()
+        i, j = m.spaces.n_pi // 2, m.spaces.n_pi + 3
+        a1[i, j] = a1[j, i] = 0.3 * np.abs(a1).max()
+        m = dataclasses.replace(m, a1=a1)
+    expected = [np.linalg.norm(c, "fro") for c in coefficients(m)] \
+        + [np.linalg.norm(m.k, "fro")]
+    for got, want in zip(m.coefficient_norms, expected, strict=True):
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_evaluate_at_zero_is_constant_term(slab_pencil):

@@ -58,6 +58,43 @@ def test_constant_vector_outside_null_basis_range(slab_spaces):
     assert np.linalg.norm(residual) > 0.1
 
 
+def test_gram_magnetic_block_is_the_reduced_stiffness(slab_spaces):
+    z = slab_spaces.null_basis
+    stiff = kernels.nodal_stiffness(slab_spaces.mesh, 1.0, 1.0).toarray()
+    expected = z.T @ stiff @ z
+    n_pi = slab_spaces.n_pi
+    got = slab_spaces.gram[n_pi:, n_pi:]
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("kind", ["sparse_mass", "dense_symmetric",
+                                  "dense_hermitian", "dense_nonsymmetric"])
+def test_zero_mean_transform_is_the_congruence_with_null_basis(slab_spaces,
+                                                              kind):
+    n = slab_spaces.mesh.n_nodes
+    rng = np.random.default_rng(5)
+    dense = rng.standard_normal((n, n))
+    if kind == "sparse_mass":
+        m = kernels.nodal_mass(slab_spaces.mesh, 1.0, 1.0)
+        dense = m.toarray()
+    elif kind == "dense_symmetric":
+        m = dense = dense + dense.T
+    elif kind == "dense_hermitian":
+        dense = dense + 1j * rng.standard_normal((n, n))
+        m = dense = dense + dense.conj().T
+    else:
+        m = dense
+    z = slab_spaces.null_basis
+    expected = z.T @ dense @ z
+    got = zero_mean_transform(slab_spaces, m)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+    if kind == "dense_nonsymmetric":
+        # a non-symmetric input is not symmetrised
+        assert np.abs(got - got.T).max() > 0.1 * np.abs(expected).max()
+    else:
+        assert np.abs(got - got.conj().T).max() == 0.0
+
+
 def test_zero_mean_transform_identity(slab_spaces):
     n = slab_spaces.mesh.n_nodes
     red = zero_mean_transform(slab_spaces, np.eye(n))
