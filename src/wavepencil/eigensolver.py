@@ -5,8 +5,8 @@ balanced Hessenberg + shifted-QR path of LAPACK (through numpy/scipy),
 exposed here behind the balance and QR stage functions so each stage
 contract stays independently testable.  Eigenvectors of the original pencil are
 recovered by inverse iteration on the pencil evaluated at a slightly
-shifted eigenvalue; near a degeneration point a whole numerical null
-space basis is returned instead.
+shifted eigenvalue; at a degeneration point the numerical nullity of the
+pencil is counted instead.
 """
 
 from __future__ import annotations
@@ -176,21 +176,6 @@ def _pencil_scale(pencil, gamma):
     n0, n1, n2, n4 = pencil.coefficient_norms
     a = abs(gamma)
     return a ** 4 * n4 + a * a * n2 + a * n1 + n0
-
-
-def null_space_basis(pencil, gamma, rel_tol=1e-8, max_dim=12):
-    """Numerical null-space basis of L(gamma) at a degeneration-flagged value.
-
-    Right singular vectors whose singular values fall below ``rel_tol``
-    times the pencil scale at gamma, capped at ``max_dim`` columns.
-    """
-    mat = pencil_mod.evaluate(pencil, gamma)
-    _, svals, vh = np.linalg.svd(mat)
-    null_dim = int(np.sum(svals <= rel_tol * _pencil_scale(pencil, gamma)))
-    if null_dim == 0:
-        return np.empty((pencil.n, 0))
-    take = min(null_dim, max_dim)
-    return vh.conj().T[:, -take:]
 
 
 def numerical_nullity(pencil, gamma, rel_tol=1e-8):

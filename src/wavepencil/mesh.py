@@ -402,15 +402,3 @@ def load_mesh(text):
         interface_edges=np.array(interface, dtype=int).reshape(-1, 2),
     )
     return validate(mesh)
-
-
-def meshes_equal(a, b):
-    """Node-for-node equality, used by the round-trip tests."""
-    return (
-        np.array_equal(a.nodes, b.nodes)
-        and np.array_equal(a.triangles, b.triangles)
-        and np.array_equal(a.regions, b.regions)
-        and np.array_equal(a.edges, b.edges)
-        and a.edge_tags == b.edge_tags
-        and np.array_equal(a.interface_edges, b.interface_edges)
-    )

@@ -311,3 +311,120 @@ def test_electric_magnetic_entry_in_a1_fails_parity(slab_matrices):
     assert rep["hermiticity_a1"].passed
     assert not rep["parity_block_structure"].passed
     assert not rep.all_passed
+
+
+def _loop_identity_margins(pencil, seed=0, n_random=10):
+    """The pencil identities from L(g) at each seeded point, as a reference."""
+    rng = np.random.default_rng(seed)
+    signs = pencil.spaces.parity_signs()
+    worst_sa = worst_par = 0.0
+    for _ in range(n_random):
+        gam = pencil.exclusion.p * complex(rng.standard_normal(),
+                                           rng.standard_normal())
+        lg = wp.evaluate(pencil, gam)
+        denom = np.linalg.norm(lg, "fro")
+        worst_sa = max(worst_sa, float(np.linalg.norm(
+            lg.conj().T - wp.evaluate(pencil, np.conj(gam)), "fro") / denom))
+        plp = signs[:, None] * lg * signs[None, :]
+        worst_par = max(worst_par, float(np.linalg.norm(
+            plp - wp.evaluate(pencil, -gam), "fro") / denom))
+    return worst_sa, worst_par
+
+
+@pytest.fixture(params=["slab", "slit", "homog"])
+def clean_matrices(request, slab_matrices, homog_matrices, slit_mesh):
+    if request.param == "slab":
+        return slab_matrices
+    if request.param == "homog":
+        return homog_matrices
+    return wp.assemble_matrices(wp.build_spaces(slit_mesh), 1.0, 4.0)
+
+
+def test_pencil_identities_are_exactly_zero_on_clean_pencils(clean_matrices):
+    pen = wp.make_pencil(clean_matrices)
+    rep = verify_all(clean_matrices, pencil=pen)
+    assert rep["pencil_selfadjoint"].margin == 0.0
+    assert rep["pencil_parity"].margin == 0.0
+    assert _loop_identity_margins(pen) == (0.0, 0.0)
+
+
+def _inject(mats, name, i, j, value, symmetric):
+    op = getattr(mats, name).copy()
+    op[i, j] += value
+    if symmetric:
+        op[j, i] += value
+    return dataclasses.replace(mats, **{name: op})
+
+
+@pytest.mark.parametrize("defect", ["a1_asymmetric", "k_pi_psi", "s_diagonal"])
+def test_pencil_identity_gram_forms_match_the_evaluate_loop(defect,
+                                                            slab_matrices):
+    e = slab_matrices.spaces.n_pi
+    bad = {
+        "a1_asymmetric": lambda m: _inject(m, "a1", 0, 1, 1.0, False),
+        "k_pi_psi": lambda m: _inject(m, "k", 0, e, 1.0, True),
+        "s_diagonal": lambda m: _inject(m, "s", 0, 1, 1.0, True),
+    }[defect](slab_matrices)
+    pen = wp.make_pencil(bad)
+    rep = verify_all(bad, pencil=pen)
+    ref = dict(zip(("pencil_selfadjoint", "pencil_parity"),
+                   _loop_identity_margins(pen)))
+    assert max(ref.values()) > 1e-3
+    for name, margin in ref.items():
+        assert rep[name].margin == pytest.approx(margin, rel=1e-10, abs=0), name
+        assert rep[name].passed == (margin <= rep[name].threshold), name
+
+
+@pytest.mark.parametrize("case", ["slab", "slit"])
+def test_block_slice_margins_equal_the_full_size_formulas(case, slab_matrices,
+                                                          slit_mesh):
+    mats = slab_matrices if case == "slab" else wp.assemble_matrices(
+        wp.build_spaces(slit_mesh), 1.0, 4.0)
+    rep = verify_all(mats)
+    for name in ("k", "a1", "a2", "s"):
+        m = getattr(mats, name)
+        assert rep[f"hermiticity_{name}"].margin == \
+            float(np.abs(m - m.conj().T).max())
+    p = mats.spaces.parity_signs()
+    parity = max(
+        float(np.abs(p[:, None] * op * p[None, :] - sign * op).max())
+        for op, sign in ((mats.a1, 1.0), (mats.a2, 1.0), (mats.k, 1.0),
+                         (mats.s, -1.0)))
+    assert rep["parity_block_structure"].margin == parity
+
+
+@pytest.mark.parametrize("case", ["slab", "homog"])
+def test_degeneration_scan_counts_once_per_magnitude(case, monkeypatch,
+                                                     slab_pencil, homog_pencil):
+    if case == "slab":
+        pencils = [wp.make_pencil(wp.assemble_matrices(wp.build_spaces(
+            wp.generate_rect_slab(PI, PI, PI / 2, 6, 6)), 1.0, 4.0)),
+            slab_pencil]
+    else:
+        pencils = [wp.make_pencil(wp.assemble_matrices(wp.build_spaces(
+            wp.generate_homogeneous_rect(PI, PI, 4, 4, PI / 2)), 2.0, 2.0)),
+            homog_pencil]
+    calls = []
+    nullity = analysis.numerical_nullity
+
+    def counted(pencil, gamma, **kwargs):
+        calls.append((id(pencil), gamma))
+        return nullity(pencil, gamma, **kwargs)
+
+    monkeypatch.setattr(analysis, "numerical_nullity", counted)
+    gammas, table = degeneration_scan(pencils)
+    magnitudes = {abs(g) for g in gammas}
+    assert len(calls) == len(pencils) * len(magnitudes)
+    assert len(set(calls)) == len(calls)
+    for pen, row in zip(pencils, table):
+        assert set(row) == set(gammas)
+        for g in gammas:
+            assert row[g] == nullity(pen, g)
+
+
+def test_degeneration_scan_refuses_a_parity_breaking_pencil(slab_matrices,
+                                                            slab_pencil):
+    bad = _inject(slab_matrices, "a1", 0, slab_matrices.spaces.n_pi, 1e-3,
+                  True)
+    with pytest.raises(ValueError, match="A1"):
+        degeneration_scan([slab_pencil, wp.make_pencil(bad)])

