@@ -422,7 +422,8 @@ def _identity_margins(pencil, asym, gammas):
     sum_i (w_i(g) + w_i(-g)) over its electric-magnetic blocks.  Each
     squared Frobenius norm is a 4x4 Gram form, relative to
     ||L(g)||_F^2 = w^H (G_diag + G_off) w.  ``asym`` maps id(O) to
-    O - O^T (the sign cancels in the form).
+    O - O^T (the sign cancels in the form); an operator missing from it
+    is differenced here.
     """
     e, m = _field_blocks(pencil)
     ops = [op for _, op in _terms(pencil, 0.0)]
