@@ -284,12 +284,6 @@ def transverse_fields(pi_nodal, psi_nodal, gamma, mesh, eps1, eps2, tol=1e-9):
     return TransverseFields(e1=e1, e2=e2, h1=h1, h2=h2)
 
 
-def _field_blocks(matrices):
-    """Index slices of the electric and the magnetic field block."""
-    n_pi = matrices.spaces.n_pi
-    return slice(0, n_pi), slice(n_pi, matrices.n)
-
-
 def _block_eigvals(op, matrices):
     """Generalized eigenvalues of a block-diagonal operator against G.
 
@@ -297,9 +291,9 @@ def _block_eigvals(op, matrices):
     blocks against the matching Gram blocks; equal to those of the full
     symmetrised operator when its off-diagonal blocks vanish.
     """
-    g = matrices.gram
-    vals = [linalg.eigh(0.5 * (op[b, b] + op[b, b].T), g[b, b],
-                        eigvals_only=True) for b in _field_blocks(matrices)]
+    sp = matrices.spaces
+    vals = [linalg.eigh(0.5 * (op[b, b] + op[b, b].T), g, eigvals_only=True)
+            for b, g in zip(sp.blocks, (sp.gram_pi, sp.gram_psi))]
     return np.sort(np.concatenate(vals))
 
 
@@ -310,11 +304,11 @@ def _s_bound(matrices):
     G_pi = L_pi L_pi^T and G_psi = L_psi L_psi^T the eigenvalues are
     +-sigma_i(L_pi^-1 F L_psi^-T) and zeros; the bound is sigma_max.
     """
-    e, m = _field_blocks(matrices)
-    s, g = matrices.s, matrices.gram
+    sp, s = matrices.spaces, matrices.s
+    e, m = sp.blocks
     f = 0.5 * (s[e, m] + s[m, e].T)
-    l_pi = linalg.cholesky(g[e, e], lower=True)
-    l_psi = linalg.cholesky(g[m, m], lower=True)
+    l_pi = linalg.cholesky(sp.gram_pi, lower=True)
+    l_psi = linalg.cholesky(sp.gram_psi, lower=True)
     x = linalg.solve_triangular(l_pi, f, lower=True)
     x = linalg.solve_triangular(l_psi, x.T, lower=True)
     return float(linalg.svdvals(x)[0])
@@ -388,7 +382,7 @@ def _parity_defects(matrices):
     electric-magnetic blocks of K, A1 and A2, and P S P + S is 2x the
     diagonal blocks of S; this reads those blocks as slices.
     """
-    e, m = _field_blocks(matrices)
+    e, m = matrices.spaces.blocks
     off, diag = ((e, m), (m, e)), ((e, e), (m, m))
     return {name: max(_max_abs(op[b]) for b in blocks)
             for name, op, blocks in (("K", matrices.k, off),
@@ -425,7 +419,7 @@ def _identity_margins(pencil, asym, gammas):
     O - O^T (the sign cancels in the form); an operator missing from it
     is differenced here.
     """
-    e, m = _field_blocks(pencil)
+    e, m = pencil.spaces.blocks
     ops = [op for _, op in _terms(pencil, 0.0)]
     g_diag = _gram(ops, ((e, e), (m, m)))
     g_off = _gram(ops, ((e, m), (m, e)))
@@ -467,7 +461,7 @@ def verify_all(matrices, pencil=None, spectrum=None,
 
     k_min = min(float(linalg.eigh(matrices.k[b, b], eigvals_only=True,
                                   subset_by_index=(0, 0))[0])
-                for b in _field_blocks(matrices))
+                for b in matrices.spaces.blocks)
     rep.add("k_positive_definite", k_min, 0.0, ">=")
     # strict positivity: flip the pass flag if exactly zero
     if k_min <= 0.0:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import assembly_kernels as kernels
 from .pencil import exclusion_interval
-from .spaces import FieldSpaces, reflector, zero_mean_transform
+from .spaces import FieldSpaces, zero_mean_transform
 
 
 #: Rows of the operators taken at a time when summing coefficient norms.
@@ -33,11 +33,12 @@ class AssemblyError(ValueError):
 
 @dataclass(frozen=True)
 class PencilMatrices:
-    """The four operator matrices with their permittivities and Gram matrix.
+    """The four operator matrices with their permittivities.
 
-    Blocks are ordered electric field first, magnetic field second.  The
-    gradient and L2 forms are block diagonal; the interface coupling is
-    block off-diagonal and flips sign under the field-parity operator.
+    Blocks are laid out as ``spaces.blocks`` says, electric field first,
+    and the Gram blocks are ``spaces.gram_pi`` and ``spaces.gram_psi``.
+    The gradient and L2 forms are block diagonal; the interface coupling
+    is block off-diagonal and flips sign under the field-parity operator.
     The operators with the two permittivities determine the quartic
     pencil, so this is also the pencil the ``pencil`` module works on.
     """
@@ -49,10 +50,6 @@ class PencilMatrices:
     a1: np.ndarray
     a2: np.ndarray
     s: np.ndarray
-
-    @property
-    def gram(self):
-        return self.spaces.gram
 
     @property
     def eps_max(self):
@@ -91,15 +88,11 @@ def _check_eps(eps1, eps2):
 
 
 def _block_diag(spaces, pi_block, psi_block):
-    n_pi, n = spaces.n_pi, spaces.n
-    out = np.zeros((n, n))
-    out[:n_pi, :n_pi] = pi_block
-    out[n_pi:, n_pi:] = psi_block
+    e, m = spaces.blocks
+    out = np.zeros((spaces.n, spaces.n))
+    out[e, e] = pi_block
+    out[m, m] = psi_block
     return out
-
-
-def _pi_restrict(spaces, nodal):
-    return nodal[np.ix_(spaces.pi_nodes, spaces.pi_nodes)].toarray()
 
 
 def assemble_a1(spaces, eps1, eps2):
@@ -109,10 +102,7 @@ def assemble_a1(spaces, eps1, eps2):
     """
     _check_eps(eps1, eps2)
     weighted = kernels.nodal_stiffness(spaces.mesh, eps1, eps2)
-    n_pi = spaces.n_pi
-    return _block_diag(spaces,
-                       _pi_restrict(spaces, weighted),
-                       spaces.gram[n_pi:, n_pi:])
+    return _block_diag(spaces, spaces.pi_block(weighted), spaces.gram_psi)
 
 
 def assemble_a2(spaces, eps1, eps2):
@@ -122,9 +112,7 @@ def assemble_a2(spaces, eps1, eps2):
     """
     _check_eps(eps1, eps2)
     weighted = kernels.nodal_stiffness(spaces.mesh, 1.0 / eps1, 1.0 / eps2)
-    n_pi = spaces.n_pi
-    return _block_diag(spaces,
-                       spaces.gram[:n_pi, :n_pi],
+    return _block_diag(spaces, spaces.gram_pi,
                        zero_mean_transform(spaces, weighted))
 
 
@@ -134,8 +122,7 @@ def assemble_k(spaces, eps1, eps2):
     mesh = spaces.mesh
     weighted = kernels.nodal_mass(mesh, eps1, eps2)
     plain = kernels.nodal_mass(mesh, 1.0, 1.0)
-    return _block_diag(spaces,
-                       _pi_restrict(spaces, weighted),
+    return _block_diag(spaces, spaces.pi_block(weighted),
                        zero_mean_transform(spaces, plain))
 
 
@@ -155,18 +142,13 @@ def _couple(spaces, bottom_nodal, top_nodal):
     trial node j; ``top_nodal`` the electric test with the magnetic trial.
     Both blocks are assembled from the form itself, so an orientation
     fault in the mesh surfaces as a Hermiticity violation instead of being
-    silently symmetrised away.  Z^T X is applied through the reflector,
-    as ``(X - beta v (v^T X))[1:]``.
+    silently symmetrised away.  Z^T X is applied through the reflector
+    (``spaces.reduce_rows``).
     """
-    n_pi, n = spaces.n_pi, spaces.n
-    v, beta = reflector(spaces.mean_vector)
-
-    def reduce_rows(x):
-        return x[1:] - np.outer(beta * v[1:], v @ x)
-
-    out = np.zeros((n, n))
-    out[n_pi:, :n_pi] = reduce_rows(bottom_nodal[:, spaces.pi_nodes].toarray())
-    out[:n_pi, n_pi:] = reduce_rows(
+    e, m = spaces.blocks
+    out = np.zeros((spaces.n, spaces.n))
+    out[m, e] = spaces.reduce_rows(bottom_nodal[:, spaces.pi_nodes].toarray())
+    out[e, m] = spaces.reduce_rows(
         top_nodal[spaces.pi_nodes, :].T.toarray()).T
     return out
 

@@ -41,6 +41,12 @@ def build_mesh(cfg):
     return generate_homogeneous_rect(cfg.width, cfg.height, nx, ny, cfg.slab_x)
 
 
+def build_pencil(cfg):
+    """Mesh -> spaces -> assembly: the operator set, which is the pencil."""
+    spaces = build_spaces(build_mesh(cfg))
+    return make_pencil(assemble_matrices(spaces, cfg.eps1, cfg.eps2))
+
+
 @dataclass
 class RunResult:
     spectrum: analysis.Spectrum
@@ -81,6 +87,12 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _write_report(path, report):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(report.to_json())
+        fh.write("\n")
+
+
 def _write_plot_csv(path, spectrum):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("re_gamma,im_gamma,class\n")
@@ -97,10 +109,8 @@ def _write_oracle_csv(path, matches):
                      f"{fem.real:.17g},{fem.imag:.17g},{rel:.17g}\n")
 
 
-def comparable_oracle_roots(cfg):
-    """Oracle roots inside the search box and off the dilated exclusion band."""
-    exc = exclusion_interval(cfg.eps1, cfg.eps2)
-    lo, hi = exc.dilated(cfg.oracle_exclusion_margin)
+def oracle_roots(cfg):
+    """Slab dispersion roots of every configured family, family by family."""
     roots = []
     for fam in cfg.oracle_families:
         roots.extend(oracle.slab_dispersion_roots(
@@ -110,14 +120,17 @@ def comparable_oracle_roots(cfg):
             family=oracle.OracleFamily(fam),
             gamma_max=cfg.oracle_gamma_max,
         ))
-    kept = []
-    for r in roots:
-        if abs(r.gamma) > cfg.oracle_gamma_max:
-            continue
-        if abs(r.gamma.imag) <= 1e-12 and lo <= abs(r.gamma.real) <= hi:
-            continue
-        kept.append(r)
-    return kept
+    return roots
+
+
+def comparable_oracle_roots(cfg):
+    """Oracle roots inside the search box and off the dilated exclusion band."""
+    lo, hi = exclusion_interval(cfg.eps1, cfg.eps2).dilated(
+        cfg.oracle_exclusion_margin)
+    return [r for r in oracle_roots(cfg)
+            if abs(r.gamma) <= cfg.oracle_gamma_max
+            and not (abs(r.gamma.imag) <= 1e-12
+                     and lo <= abs(r.gamma.real) <= hi)]
 
 
 def run(cfg, out_dir):
@@ -125,18 +138,14 @@ def run(cfg, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    mesh = build_mesh(cfg)
-    spaces = build_spaces(mesh)
-    matrices = assemble_matrices(spaces, cfg.eps1, cfg.eps2)
-    pencil = make_pencil(matrices)
+    pencil = build_pencil(cfg)
     report_input = eigensolver.solve_pencil(
-        pencil, compute_vectors=cfg.compute_vectors,
-        residual_tol=cfg.residual_tol)
+        pencil, compute_vectors=cfg.compute_vectors)
     spectrum = analysis.build_spectrum(
         report_input.eigenvalues, pencil.exclusion,
         tol=cfg.classification_tol, residuals=report_input.residuals)
     report = analysis.verify_all(
-        matrices, pencil=pencil, spectrum=spectrum,
+        pencil, pencil=pencil, spectrum=spectrum,
         include_decay_slope=cfg.verify_decay_slope)
 
     matches = []
@@ -148,9 +157,7 @@ def run(cfg, out_dir):
         _write_oracle_csv(out / cfg.oracle_file, matches)
 
     _write_json(out / cfg.spectrum_file, _spectrum_payload(cfg, spectrum))
-    with open(out / cfg.report_file, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    _write_report(out / cfg.report_file, report)
     _write_plot_csv(out / cfg.plot_file, spectrum)
 
     exit_code = 0 if (report.all_passed and mismatches == 0) else 1
@@ -260,17 +267,12 @@ def cmd_solve(cfg, args):
     return result.exit_code
 
 def cmd_verify(cfg, args):
-    mesh = build_mesh(cfg)
-    spaces = build_spaces(mesh)
-    matrices = assemble_matrices(spaces, cfg.eps1, cfg.eps2)
-    pencil = make_pencil(matrices)
-    report = analysis.verify_all(matrices, pencil=pencil,
+    pencil = build_pencil(cfg)
+    report = analysis.verify_all(pencil, pencil=pencil,
                                  include_decay_slope=cfg.verify_decay_slope)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / cfg.report_file, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    _write_report(out / cfg.report_file, report)
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         print(f"{status} {check.name}: {check.margin:.3e} "
@@ -279,14 +281,7 @@ def cmd_verify(cfg, args):
 
 
 def cmd_oracle(cfg, args):
-    roots = []
-    for fam in cfg.oracle_families:
-        roots.extend(oracle.slab_dispersion_roots(
-            a=cfg.width, b=cfg.height, d=cfg.slab_x,
-            eps1=cfg.eps1, eps2=cfg.eps2,
-            n=cfg.oracle_transverse_index,
-            family=oracle.OracleFamily(fam),
-            gamma_max=cfg.oracle_gamma_max))
+    roots = oracle_roots(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / cfg.oracle_file

@@ -34,7 +34,6 @@ class SolverConfig:
     # solver
     refinement: int = 1
     classification_tol: float = 1e-6
-    residual_tol: float = 1e-8
     compute_vectors: bool = False
     verify_decay_slope: bool = True
     # oracle
@@ -79,7 +78,6 @@ _SCHEMA = {
     "solver": {
         "refinement": ("refinement", int),
         "classification_tol": ("classification_tol", float),
-        "residual_tol": ("residual_tol", float),
         "compute_vectors": ("compute_vectors", bool),
         "verify_decay_slope": ("verify_decay_slope", bool),
     },
@@ -198,7 +196,7 @@ def _validate(cfg, source, lines_seen):
         err("eps2", f"eps2 must be >= 1 (got {cfg.eps2})")
     if cfg.refinement < 1:
         err("refinement", "refinement must be >= 1")
-    for attr in ("classification_tol", "residual_tol", "oracle_gamma_max",
+    for attr in ("classification_tol", "oracle_gamma_max",
                  "oracle_match_rel_tol"):
         if getattr(cfg, attr) <= 0.0:
             err(attr, f"{attr} must be positive")

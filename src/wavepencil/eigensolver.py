@@ -31,14 +31,12 @@ class EigenReport:
     """Companion solve output.
 
     ``vectors`` (n x 4n) and ``residuals`` are filled only when vector
-    recovery was requested; ``converged`` flags each pair against the
-    residual tolerance.
+    recovery was requested.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray | None = None
     residuals: np.ndarray | None = None
-    converged: np.ndarray | None = None
 
     def __post_init__(self):
         if self.vectors is not None:
@@ -50,10 +48,12 @@ def balance(matrix):
     """Diagonal similarity scaling equalising row/column norms.
 
     Returns (scaled matrix, diagonal scale vector d) with
-    ``scaled = D^-1 A D``; eigenvalues are unchanged.
+    ``scaled = D^-1 A D``; eigenvalues are unchanged.  The scales come
+    back as a vector, so no dense transformation matrix is formed.
     """
-    scaled, d = linalg.matrix_balance(matrix, permute=False)
-    return scaled, np.diag(d).copy()
+    scaled, (d, _) = linalg.matrix_balance(matrix, permute=False,
+                                           separate=True)
+    return scaled, d
 
 
 def qr_eigenvalues(h):
@@ -95,7 +95,7 @@ def solve_companion(matrix, compute_vectors=False):
     return qr_eigenvalues(scaled), None
 
 
-def solve_pencil(pencil, compute_vectors=False, residual_tol=1e-8):
+def solve_pencil(pencil, compute_vectors=False):
     """Full spectrum of the quartic pencil via the scaled companion.
 
     The companion is formed for g = p * mu with p the characteristic
@@ -112,7 +112,6 @@ def solve_pencil(pencil, compute_vectors=False, residual_tol=1e-8):
 
     vectors = None
     residuals = None
-    converged = None
     if compute_vectors:
         n = pencil.n
         vectors = np.empty((n, len(gammas)), dtype=complex)
@@ -129,9 +128,8 @@ def solve_pencil(pencil, compute_vectors=False, residual_tol=1e-8):
             v = v / nv
             vectors[:, idx] = v
             residuals[idx] = pencil_mod.residual(pencil, g, v)
-        converged = residuals <= residual_tol
     return EigenReport(eigenvalues=gammas, vectors=vectors,
-                       residuals=residuals, converged=converged)
+                       residuals=residuals)
 
 
 def recover_eigenvector(pencil, gamma, tol=1e-8, max_iter=40, seed=0):

@@ -118,7 +118,8 @@ def validate(mesh):
     counterclockwise orientation (positive areas),
     every boundary edge tagged, gamma0/gammaprime edges on the boundary,
     gamma edges separating exactly one region-1 from one region-2 triangle,
-    and every interior region-change edge being tagged gamma.
+    every interior region-change edge being tagged gamma, and every gamma
+    edge stored with region 1 on its left (``interface_orientation_errors``).
     """
     n = mesh.n_nodes
     if mesh.triangles.size and (mesh.triangles.min() < 0 or mesh.triangles.max() >= n):
@@ -176,6 +177,11 @@ def validate(mesh):
     iface_keys = {_edge_key(int(i), int(j)) for i, j in mesh.interface_edges}
     if gamma_keys != iface_keys:
         raise MeshError("interface_edges and gamma-tagged edges disagree")
+    bad = _orientation_errors(mesh, adj)
+    if bad:
+        i, j = bad[0]
+        raise MeshError(f"gamma edge {i} -> {j} is misoriented: region 1 "
+                        f"must lie on its left")
     return mesh
 
 
@@ -186,7 +192,10 @@ def interface_orientation_errors(mesh):
     point from the region-2 triangle into the region-1 triangle; this is
     checked against the adjacent triangle centroids.
     """
-    adj = _edge_triangle_map(mesh)
+    return _orientation_errors(mesh, _edge_triangle_map(mesh))
+
+
+def _orientation_errors(mesh, adj):
     bad = []
     for i, j in mesh.interface_edges:
         key = _edge_key(int(i), int(j))

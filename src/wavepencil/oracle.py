@@ -125,6 +125,20 @@ def _kxsq(u, eps, n, b):
     return eps - u - (n * math.pi / b) ** 2
 
 
+def _slab_terms(family, u, a, b, d, eps1, eps2, n):
+    """The two terms of the cleared slab determinant (region 2, region 1)."""
+    if family not in (OracleFamily.LSE, OracleFamily.LSM):
+        raise OracleError(f"not a slab family: {family}")
+    k1sq = _kxsq(u, eps1, n, b)
+    k2sq = _kxsq(u, eps2, n, b)
+    t_left = _sin_over_k(k2sq, d) * _cos_k(k1sq, a - d)
+    t_right = _sin_over_k(k1sq, a - d) * _cos_k(k2sq, d)
+    if family is OracleFamily.LSM:
+        t_left *= k2sq / eps2
+        t_right *= k1sq / eps1
+    return t_left, t_right
+
+
 def cleared_determinant(family, u, a, b, d, eps1, eps2, n):
     """Slab determinant with tangents cleared, as a function of u = gamma^2.
 
@@ -136,17 +150,8 @@ def cleared_determinant(family, u, a, b, d, eps1, eps2, n):
     transverse-resonance problem, including points where the tangent form
     degenerates into a pole-root coincidence.
     """
-    k1sq = _kxsq(u, eps1, n, b)
-    k2sq = _kxsq(u, eps2, n, b)
-    t_left = _sin_over_k(k2sq, d)
-    t_right = _sin_over_k(k1sq, a - d)
-    c_left = _cos_k(k2sq, d)
-    c_right = _cos_k(k1sq, a - d)
-    if family is OracleFamily.LSE:
-        return t_left * c_right + t_right * c_left
-    if family is OracleFamily.LSM:
-        return (k2sq / eps2) * t_left * c_right + (k1sq / eps1) * t_right * c_left
-    raise OracleError(f"not a slab family: {family}")
+    t_left, t_right = _slab_terms(family, u, a, b, d, eps1, eps2, n)
+    return t_left + t_right
 
 
 def normalized_determinant(family, u, a, b, d, eps1, eps2, n):
@@ -156,13 +161,7 @@ def normalized_determinant(family, u, a, b, d, eps1, eps2, n):
     a polished root reaches residuals near machine precision even where
     the hyperbolic branches make the raw terms large.
     """
-    k1sq = _kxsq(u, eps1, n, b)
-    k2sq = _kxsq(u, eps2, n, b)
-    t_left = _sin_over_k(k2sq, d) * _cos_k(k1sq, a - d)
-    t_right = _sin_over_k(k1sq, a - d) * _cos_k(k2sq, d)
-    if family is OracleFamily.LSM:
-        t_left *= k2sq / eps2
-        t_right *= k1sq / eps1
+    t_left, t_right = _slab_terms(family, u, a, b, d, eps1, eps2, n)
     return (t_left + t_right) / (1.0 + abs(t_left) + abs(t_right))
 
 

@@ -13,9 +13,12 @@ First-order nodal elements for both scalar fields:
   apply H as the identity minus a rank-one term, in O(N^2) work; the
   stored basis is never a factor of an operator product.
 
+Product-space vectors and matrices are laid out electric block first,
+then magnetic (``FieldSpaces.blocks``); this module is the one place
+that knows that layout and how the zero-mean constraint is applied.
 The Gram matrix of the product space is the block-diagonal stiffness
-(gradient) inner product; all operator bounds downstream are relative
-to it.
+(gradient) inner product, stored as its two field blocks; all operator
+bounds downstream are relative to it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class SpaceError(ValueError):
 
 @dataclass(frozen=True)
 class FieldSpaces:
-    """Degree-of-freedom maps and the Gram matrix of the product space.
+    """Degree-of-freedom maps, the field-block layout and the Gram blocks.
 
     Attributes
     ----------
@@ -53,8 +56,11 @@ class FieldSpaces:
         ``null_basis @ y`` with exactly zero weighted mean.  Kept for
         expanding coordinate vectors; operator products apply the
         reflector (``reflector``) instead of multiplying by this array.
-    gram : (n, n) float array
-        Block-diagonal gradient Gram matrix, electric block first.
+    gram_pi : (n_pi, n_pi) float array
+        Electric block of the gradient Gram matrix.
+    gram_psi : (n_psi, n_psi) float array
+        Magnetic block of the gradient Gram matrix; the off-diagonal
+        blocks are zero and not stored.
     """
 
     mesh: Mesh
@@ -62,11 +68,12 @@ class FieldSpaces:
     pi_index: np.ndarray
     mean_vector: np.ndarray
     null_basis: np.ndarray
-    gram: np.ndarray
+    gram_pi: np.ndarray
+    gram_psi: np.ndarray
 
     def __post_init__(self):
         for arr in (self.pi_nodes, self.pi_index, self.mean_vector,
-                    self.null_basis, self.gram):
+                    self.null_basis, self.gram_pi, self.gram_psi):
             arr.setflags(write=False)
 
     @property
@@ -81,11 +88,29 @@ class FieldSpaces:
     def n(self):
         return self.n_pi + self.n_psi
 
+    @property
+    def blocks(self):
+        """Index slices of the electric and the magnetic field block."""
+        return slice(0, self.n_pi), slice(self.n_pi, self.n)
+
     def parity_signs(self):
         """Diagonal of the field-flip operator: -1 on the electric block."""
         signs = np.ones(self.n)
-        signs[: self.n_pi] = -1.0
+        signs[self.blocks[0]] = -1.0
         return signs
+
+    def pi_block(self, nodal):
+        """Dense electric block ``M[pi, pi]`` of a sparse nodal matrix."""
+        return _restrict(nodal, self.pi_nodes)
+
+    def reduce_rows(self, x):
+        """Z^T X for a nodal row block X, as ``(X - beta v (v^T X))[1:]``.
+
+        Applies the reflector H = I - beta v v^T of the mean vector; the
+        stored basis is not multiplied.
+        """
+        v, beta = reflector(self.mean_vector)
+        return x[1:] - np.outer(beta * v[1:], v @ x)
 
     def psi_nodal(self, y):
         """Nodal values of a magnetic-field coordinate vector."""
@@ -93,7 +118,8 @@ class FieldSpaces:
 
     def split(self, v):
         """Split a product-space vector into (electric, magnetic) parts."""
-        return v[: self.n_pi], v[self.n_pi:]
+        e, m = self.blocks
+        return v[e], v[m]
 
     def nodal_fields(self, v):
         """Expand a product-space vector to two full nodal vectors."""
@@ -126,8 +152,12 @@ def _householder_complement(m):
     return z
 
 
+def _restrict(nodal, nodes):
+    return nodal[np.ix_(nodes, nodes)].toarray()
+
+
 def build_spaces(mesh):
-    """Construct DOF maps, the zero-mean basis and the Gram matrix.
+    """Construct DOF maps, the zero-mean basis and the Gram blocks.
 
     Raises
     ------
@@ -150,21 +180,14 @@ def build_spaces(mesh):
     null_basis = _householder_complement(mean)
 
     stiff = kernels.nodal_stiffness(mesh, 1.0, 1.0)
-    g_pi = stiff[np.ix_(pi_nodes, pi_nodes)].toarray()
-    g_psi = _reflect_congruence(mean, stiff)
-
-    n_pi, n_psi = len(pi_nodes), null_basis.shape[1]
-    gram = np.zeros((n_pi + n_psi, n_pi + n_psi))
-    gram[:n_pi, :n_pi] = g_pi
-    gram[n_pi:, n_pi:] = g_psi
-
     return FieldSpaces(
         mesh=mesh,
         pi_nodes=pi_nodes,
         pi_index=pi_index,
         mean_vector=mean,
         null_basis=null_basis,
-        gram=gram,
+        gram_pi=_restrict(stiff, pi_nodes),
+        gram_psi=_reflect_congruence(mean, stiff),
     )
 
 

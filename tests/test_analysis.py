@@ -274,7 +274,7 @@ def test_verify_all_fails_on_negated_k_diagonal(slab_matrices):
 
 def _dense_bound_margins(mats):
     """Bound margins from the full-size operators against the full Gram."""
-    g = mats.gram
+    g = linalg.block_diag(mats.spaces.gram_pi, mats.spaces.gram_psi)
     a1, a2, s = (linalg.eigh(0.5 * (op + op.T), g, eigvals_only=True)
                  for op in (mats.a1, mats.a2, mats.s))
     k_vals = np.sort(linalg.eigh(mats.k, g, eigvals_only=True))[::-1]

@@ -16,14 +16,18 @@ def gen_eigs(a, g):
     return linalg.eigh(a, g, eigvals_only=True)
 
 
+def full_gram(sp):
+    return linalg.block_diag(sp.gram_pi, sp.gram_psi)
+
+
 def test_a1_equals_gram_for_unit_permittivity(slab_spaces):
     assert np.array_equal(wp.assemble_a1(slab_spaces, 1.0, 1.0),
-                          slab_spaces.gram)
+                          full_gram(slab_spaces))
 
 
 def test_a1_generalized_spectrum_within_bounds(slab_spaces):
     a1 = wp.assemble_a1(slab_spaces, 1.0, 4.0)
-    ev = gen_eigs(a1, slab_spaces.gram)
+    ev = gen_eigs(a1, full_gram(slab_spaces))
     assert ev[0] >= 1.0 - 1e-10
     assert ev[-1] <= 4.0 + 1e-10
 
@@ -31,13 +35,13 @@ def test_a1_generalized_spectrum_within_bounds(slab_spaces):
 def test_a1_pi_block_scales_with_constant_permittivity(slab_spaces):
     a1 = wp.assemble_a1(slab_spaces, 2.0, 2.0)
     n_pi = slab_spaces.n_pi
-    g_pi = slab_spaces.gram[:n_pi, :n_pi]
+    g_pi = slab_spaces.gram_pi
     assert np.allclose(a1[:n_pi, :n_pi], 2.0 * g_pi, rtol=0, atol=1e-14)
 
 
 def test_a2_generalized_spectrum_within_bounds(slab_spaces):
     a2 = wp.assemble_a2(slab_spaces, 1.0, 4.0)
-    ev = gen_eigs(a2, slab_spaces.gram)
+    ev = gen_eigs(a2, full_gram(slab_spaces))
     assert ev[0] >= 0.25 - 1e-10
     assert ev[-1] <= 1.0 + 1e-10
 
@@ -47,15 +51,15 @@ def test_a2_pi_block_independent_of_permittivity(slab_spaces):
     a2_a = wp.assemble_a2(slab_spaces, 1.0, 4.0)[:n_pi, :n_pi]
     a2_b = wp.assemble_a2(slab_spaces, 3.0, 7.0)[:n_pi, :n_pi]
     assert np.array_equal(a2_a, a2_b)
-    assert np.array_equal(a2_a, slab_spaces.gram[:n_pi, :n_pi])
+    assert np.array_equal(a2_a, slab_spaces.gram_pi)
 
 
 def test_unweighted_gradient_blocks_are_the_gram_blocks(slab_matrices):
     m = slab_matrices
     assert (m.eps1, m.eps2) == (1.0, 4.0)
     n_pi = m.spaces.n_pi
-    assert np.array_equal(m.a1[n_pi:, n_pi:], m.gram[n_pi:, n_pi:])
-    assert np.array_equal(m.a2[:n_pi, :n_pi], m.gram[:n_pi, :n_pi])
+    assert np.array_equal(m.a1[n_pi:, n_pi:], m.spaces.gram_psi)
+    assert np.array_equal(m.a2[:n_pi, :n_pi], m.spaces.gram_pi)
 
 
 def test_k_positive_definite(slab_matrices):
@@ -124,7 +128,7 @@ def test_s_kernel_contains_interface_free_vectors(slab_spaces, slab_matrices):
 
 
 def test_s_generalized_bound(slab_spaces, slab_matrices):
-    ev = gen_eigs(slab_matrices.s, slab_spaces.gram)
+    ev = gen_eigs(slab_matrices.s, full_gram(slab_spaces))
     assert np.abs(ev).max() <= 0.5 + 1e-10
 
 

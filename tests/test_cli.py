@@ -96,6 +96,14 @@ def test_parse_config_rejects_removed_qr_iteration_cap():
         parse_config(text, source="inline")
 
 
+def test_parse_config_rejects_removed_residual_tol():
+    text = SMALL_SLAB.replace("[solver]\n", "[solver]\nresidual_tol = 1e-8\n")
+    lineno = text.splitlines().index("residual_tol = 1e-8") + 1
+    with pytest.raises(ConfigError, match=f"inline:{lineno}: unknown key "
+                                          "'residual_tol' in \\[solver\\]"):
+        parse_config(text, source="inline")
+
+
 def test_parse_config_rejects_duplicates_and_strays():
     with pytest.raises(ConfigError, match="already set"):
         parse_config("[material]\neps1 = 1\neps1 = 2\n")
@@ -187,7 +195,7 @@ def test_verify_subcommand_passes_on_fresh_mesh(tmp_path):
     assert all(chk["passed"] for chk in report)
 
 
-def test_verify_subcommand_fails_on_corrupted_mesh_file(tmp_path):
+def test_verify_subcommand_fails_on_corrupted_mesh_file(tmp_path, capsys):
     mesh = wp.generate_rect_slab(PI, PI, PI / 2, 6, 6)
     text = wp.save_mesh(mesh)
     i, j = mesh.interface_edges[0]
@@ -202,10 +210,10 @@ def test_verify_subcommand_fails_on_corrupted_mesh_file(tmp_path):
     )
     cfg = write(tmp_path, "cfg.ini", cfg_text)
     code = main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
-    assert code == 1
-    report = json.loads((tmp_path / "report.json").read_text())
-    failed = {chk["check"] for chk in report if not chk["passed"]}
-    assert failed & {"hermiticity_s", "s_line_volume_agreement"}
+    # the reversed gamma line is rejected when the mesh is loaded
+    assert code == 2
+    assert f"gamma edge {j} -> {i} is misoriented" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_oracle_subcommand_writes_csv(tmp_path):

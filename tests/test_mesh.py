@@ -136,6 +136,17 @@ def test_load_rejects_node_in_no_triangle():
         load_mesh(text)
 
 
+def test_load_rejects_reversed_gamma_line():
+    m = wp.generate_rect_slab(PI, PI, PI / 2, 4, 4)
+    text = save_mesh(m)
+    i, j = m.interface_edges[1]
+    reversed_text = text.replace(f"{i} {j} gamma", f"{j} {i} gamma", 1)
+    assert reversed_text != text
+    with pytest.raises(MeshError, match=f"gamma edge {j} -> {i} is "
+                                        "misoriented"):
+        load_mesh(reversed_text)
+
+
 def test_load_rejects_untagged_boundary_edge():
     m = wp.generate_rect_slab(PI, PI, PI / 2, 2, 2)
     text = save_mesh(m)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 import wavepencil as wp
 from wavepencil import assembly_kernels as kernels
@@ -15,18 +16,23 @@ def test_minimal_grid_dof_counts():
     sp = build_spaces(m)
     assert sp.n_pi == 1          # only the centre node survives Dirichlet
     assert sp.n_psi == 8         # 9 nodes minus the mean constraint
-    assert sp.gram.shape == (9, 9)
+    assert sp.gram_pi.shape == (1, 1)
+    assert sp.gram_psi.shape == (8, 8)
+
+
+def full_gram(sp):
+    return linalg.block_diag(sp.gram_pi, sp.gram_psi)
 
 
 def test_gram_blocks_match_unweighted_assembly(slab_spaces):
     a1 = wp.assemble_a1(slab_spaces, 1.0, 1.0)
-    assert np.array_equal(a1, slab_spaces.gram)
+    assert np.array_equal(a1, full_gram(slab_spaces))
     a2 = wp.assemble_a2(slab_spaces, 1.0, 1.0)
-    assert np.array_equal(a2, slab_spaces.gram)
+    assert np.array_equal(a2, full_gram(slab_spaces))
 
 
 def test_gram_positive_definite_and_symmetric(slab_spaces):
-    g = slab_spaces.gram
+    g = full_gram(slab_spaces)
     assert np.abs(g - g.T).max() == 0.0
     evals = np.linalg.eigvalsh(g)
     assert evals[0] > 0.0
@@ -62,8 +68,28 @@ def test_gram_magnetic_block_is_the_reduced_stiffness(slab_spaces):
     z = slab_spaces.null_basis
     stiff = kernels.nodal_stiffness(slab_spaces.mesh, 1.0, 1.0).toarray()
     expected = z.T @ stiff @ z
-    n_pi = slab_spaces.n_pi
-    got = slab_spaces.gram[n_pi:, n_pi:]
+    got = slab_spaces.gram_psi
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_field_block_helpers_follow_the_electric_first_layout(slit_mesh):
+    sp = build_spaces(slit_mesh)
+    e, m = sp.blocks
+    assert (e.start, e.stop, m.start, m.stop) == (0, sp.n_pi, sp.n_pi, sp.n)
+    v = np.arange(sp.n, dtype=float)
+    pi_part, psi_part = sp.split(v)
+    assert np.array_equal(pi_part, v[:sp.n_pi])
+    assert np.array_equal(psi_part, v[sp.n_pi:])
+    assert np.array_equal(sp.parity_signs(),
+                          np.r_[-np.ones(sp.n_pi), np.ones(sp.n_psi)])
+    stiff = kernels.nodal_stiffness(slit_mesh, 1.0, 1.0)
+    expected_pi = stiff.toarray()[np.ix_(sp.pi_nodes, sp.pi_nodes)]
+    assert np.array_equal(sp.pi_block(stiff), expected_pi)
+    assert np.array_equal(sp.gram_pi, expected_pi)
+    x = np.random.default_rng(7).standard_normal((slit_mesh.n_nodes, 5))
+    expected = sp.null_basis.T @ x
+    got = sp.reduce_rows(x)
+    assert got.shape == (sp.n_psi, 5)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -126,7 +152,7 @@ def test_under_resolved_mesh_rejected():
         "nodes 4", "0 0", "1 0", "1 1", "0 1",
         "triangles 2", "0 1 2 1", "0 2 3 2",
         "edges 5", "0 1 gamma0", "1 2 gamma0", "2 3 gamma0", "3 0 gamma0",
-        "0 2 gamma",
+        "2 0 gamma",
     ]) + "\n"
     mesh = wp.load_mesh(text)
     with pytest.raises(SpaceError):
