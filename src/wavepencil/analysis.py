@@ -35,6 +35,10 @@ from .eigensolver import numerical_nullity
 from .pencil import ExclusionInterval, _terms, degeneration_points
 
 
+#: Bound on the normalized partner distance |partner - target| / (1 + |g|).
+SYMMETRY_TOL = 1e-8
+
+
 class SpectrumClass(str, Enum):
     PROPAGATING = "propagating"
     EVANESCENT = "evanescent"
@@ -79,9 +83,17 @@ class PairingReport:
     """Nearest-partner matching of the spectrum under its three symmetries."""
 
     partners: dict          # map name -> (index array, distance array)
-    max_normalized: float   # worst distance / (1 + |gamma|)
-    violations: dict        # map name -> indices beyond tolerance
-    tol: float
+    normalized: dict        # map name -> distance / (1 + |gamma|)
+
+    @property
+    def max_normalized(self):
+        return max(float(np.max(d, initial=0.0))
+                   for d in self.normalized.values())
+
+    @property
+    def violations(self):
+        return {name: np.where(d > SYMMETRY_TOL)[0]
+                for name, d in self.normalized.items()}
 
     @property
     def ok(self):
@@ -126,28 +138,22 @@ def _match_multiset(values, targets):
     return out_idx, out_dist
 
 
-def symmetry_pairing(eigenvalues, tol=1e-8):
+def symmetry_pairing(eigenvalues):
     """Match every eigenvalue with its -g, conj(g) and -conj(g) partners.
 
     The matching is a permutation of the multiset per symmetry; entries
-    whose partner distance exceeds tol * (1 + |g|) are reported as
-    violations.
+    whose partner distance exceeds SYMMETRY_TOL * (1 + |g|) are reported
+    as violations.
     """
     vals = np.asarray(eigenvalues, dtype=complex)
     scale = 1.0 + np.abs(vals)
-    partners = {}
-    violations = {}
-    worst = 0.0
+    partners, normalized = {}, {}
     for name, target in (("neg", -vals), ("conj", np.conj(vals)),
                          ("negconj", -np.conj(vals))):
         idx, dist = _match_multiset(vals, target)
         partners[name] = (idx, dist)
-        normalized = dist / scale
-        violations[name] = np.where(normalized > tol)[0]
-        if len(vals):
-            worst = max(worst, float(normalized.max()))
-    return PairingReport(partners=partners, max_normalized=worst,
-                         violations=violations, tol=tol)
+        normalized[name] = dist / scale
+    return PairingReport(partners=partners, normalized=normalized)
 
 
 @dataclass
@@ -165,24 +171,17 @@ class Spectrum:
     """Classified eigenvalue list with symmetry partners and counts."""
 
     entries: list
+    eigenvalues: np.ndarray
     exclusion: ExclusionInterval
     pairing: PairingReport
     counts: dict
     max_abs_real: float
 
-    @property
-    def eigenvalues(self):
-        return np.array([e.gamma for e in self.entries], dtype=complex)
 
-    def of_class(self, cls):
-        return [e for e in self.entries if e.cls is cls]
-
-
-def build_spectrum(eigenvalues, exclusion, tol=1e-6, pairing_tol=1e-8,
-                   residuals=None):
+def build_spectrum(eigenvalues, exclusion, tol=1e-6, residuals=None):
     """Classify eigenvalues and resolve their symmetry partners."""
-    vals = np.asarray(eigenvalues, dtype=complex)
-    pairing = symmetry_pairing(vals, tol=pairing_tol)
+    vals = np.array(eigenvalues, dtype=complex)
+    pairing = symmetry_pairing(vals)
     entries = []
     counts = {cls: 0 for cls in SpectrumClass}
     for i, g in enumerate(vals):
@@ -196,9 +195,9 @@ def build_spectrum(eigenvalues, exclusion, tol=1e-6, pairing_tol=1e-8,
             partner_conj=int(pairing.partners["conj"][0][i]),
             partner_negconj=int(pairing.partners["negconj"][0][i]),
         ))
-    max_abs_real = float(np.abs(vals.real).max()) if len(vals) else 0.0
-    return Spectrum(entries=entries, exclusion=exclusion, pairing=pairing,
-                    counts=counts, max_abs_real=max_abs_real)
+    max_abs_real = float(np.max(np.abs(vals.real), initial=0.0))
+    return Spectrum(entries=entries, eigenvalues=vals, exclusion=exclusion,
+                    pairing=pairing, counts=counts, max_abs_real=max_abs_real)
 
 
 def count_real_outside_exclusion(spectrum):
@@ -216,7 +215,7 @@ def count_in_disk(eigenvalues, radius, exclusion, band_margin=0.1):
     return int(np.sum(in_disk & ~in_band))
 
 
-def degeneration_scan(pencils, rel_tol=1e-8):
+def degeneration_scan(pencils):
     """Numerical nullity of L at each degeneration value, per refinement.
 
     Returns (gammas, table) where table[r][g] is the nullity for the r-th
@@ -241,8 +240,7 @@ def degeneration_scan(pencils, rel_tol=1e-8):
     gammas = degeneration_points(*eps)
     table = []
     for p in pencils:
-        nullity = {g: numerical_nullity(p, g, rel_tol=rel_tol)
-                   for g in gammas if g > 0.0}
+        nullity = {g: numerical_nullity(p, g) for g in gammas if g > 0.0}
         table.append({g: nullity[abs(g)] for g in gammas})
     return gammas, table
 
@@ -257,7 +255,7 @@ class TransverseFields:
     h2: np.ndarray
 
 
-def transverse_fields(pi_nodal, psi_nodal, gamma, mesh, eps1, eps2, tol=1e-9):
+def transverse_fields(pi_nodal, psi_nodal, gamma, mesh, eps1, eps2):
     """Reconstruct the transverse fields from the longitudinal pair.
 
     Uses the per-region scalar ktilde^2 = eps - gamma^2 and the constant
@@ -268,7 +266,7 @@ def transverse_fields(pi_nodal, psi_nodal, gamma, mesh, eps1, eps2, tol=1e-9):
     g2 = g * g
     eps = np.where(mesh.regions == 1, eps1, eps2)
     k2 = eps - g2
-    if np.min(np.abs(k2)) <= tol * (1.0 + abs(g2)):
+    if np.min(np.abs(k2)) <= 1e-9 * (1.0 + abs(g2)):
         raise DegenerationError(
             "gamma^2 is numerically at a permittivity value; the transverse "
             "reconstruction is not defined there")
@@ -314,16 +312,16 @@ def _s_bound(matrices):
     return float(linalg.svdvals(x)[0])
 
 
-def k_decay_slope(matrices, fraction=1.0 / 3.0):
+def k_decay_slope(matrices):
     """Log-log slope of the generalized L2 eigenvalues over the lowest modes.
 
     Eigenvalues of (K, G) sorted descending behave like C/n; the fit runs
-    over the first ``fraction`` of the indices, where the continuum decay
-    law is resolved by the mesh.  K and G are block diagonal, so the
+    over the first third of the indices, where the continuum decay law is
+    resolved by the mesh.  K and G are block diagonal, so the
     eigenvalues are those of the two field blocks.
     """
     vals = _block_eigvals(matrices.k, matrices)[::-1]
-    n_fit = max(int(len(vals) * fraction), 3)
+    n_fit = max(len(vals) // 3, 3)
     ns = np.arange(1, n_fit + 1, dtype=float)
     slope = np.polyfit(np.log(ns), np.log(vals[:n_fit]), 1)[0]
     return float(slope)
@@ -360,8 +358,8 @@ class PropertyReport:
     def failed(self):
         return [c for c in self.checks if not c.passed]
 
-    def to_json(self, indent=2):
-        return json.dumps([c.to_dict() for c in self.checks], indent=indent)
+    def to_json(self):
+        return json.dumps([c.to_dict() for c in self.checks], indent=2)
 
     def __getitem__(self, name):
         for c in self.checks:
@@ -405,8 +403,8 @@ def _form(g, w):
     return max(float((w.conj() @ g @ w).real), 0.0)
 
 
-def _identity_margins(pencil, asym, gammas):
-    """Worst self-adjointness and parity defects of L over ``gammas``.
+def _identity_margins(matrices, asym, n_random):
+    """Worst self-adjointness and parity defects of L at seeded points.
 
     With L(g) = sum_i w_i(g) O_i over real operators (``pencil._terms``):
     L(g)^H - L(conj g) = sum_i conj(w_i) (O_i^T - O_i), since the weights
@@ -415,20 +413,22 @@ def _identity_margins(pencil, asym, gammas):
     sum_i (w_i(g) - w_i(-g)) over the diagonal blocks of O_i minus
     sum_i (w_i(g) + w_i(-g)) over its electric-magnetic blocks.  Each
     squared Frobenius norm is a 4x4 Gram form, relative to
-    ||L(g)||_F^2 = w^H (G_diag + G_off) w.  ``asym`` maps id(O) to
-    O - O^T (the sign cancels in the form); an operator missing from it
-    is differenced here.
+    ||L(g)||_F^2 = w^H (G_diag + G_off) w.  ``asym`` lists the defects
+    O - O^T in the operator order of ``_terms`` (the sign cancels in the
+    form).
     """
-    e, m = pencil.spaces.blocks
-    ops = [op for _, op in _terms(pencil, 0.0)]
+    e, m = matrices.spaces.blocks
+    ops = [op for _, op in _terms(matrices, 0.0)]
     g_diag = _gram(ops, ((e, e), (m, m)))
     g_off = _gram(ops, ((e, m), (m, e)))
-    g_asym = _gram([asym[id(op)] if id(op) in asym else op - op.T
-                    for op in ops], ((slice(None), slice(None)),))
+    g_asym = _gram(asym, ((slice(None), slice(None)),))
+    rng = np.random.default_rng(0)
+    p_scale = matrices.exclusion.p
     worst_sa = worst_par = 0.0
-    for gam in gammas:
-        w = np.array([wt for wt, _ in _terms(pencil, gam)], dtype=complex)
-        w_neg = np.array([wt for wt, _ in _terms(pencil, -gam)],
+    for _ in range(n_random):
+        gam = p_scale * complex(rng.standard_normal(), rng.standard_normal())
+        w = np.array([wt for wt, _ in _terms(matrices, gam)], dtype=complex)
+        w_neg = np.array([wt for wt, _ in _terms(matrices, -gam)],
                          dtype=complex)
         norm2 = _form(g_diag + g_off, w)
         worst_sa = max(worst_sa, math.sqrt(_form(g_asym, w) / norm2))
@@ -438,26 +438,35 @@ def _identity_margins(pencil, asym, gammas):
 
 
 def verify_all(matrices, pencil=None, spectrum=None,
-               include_decay_slope=False, seed=0, n_random=10):
+               include_decay_slope=False, n_random=10):
     """Run every discretely checkable property and report margins.
 
     Failures are returned in the report, not raised; the CLI maps a failed
     report to a nonzero exit status.  K positivity and the operator bounds
     are read from the field blocks; where ``parity_block_structure`` fails,
     the report fails already, and the bounds are then those of the blocks.
-    The hermiticity defects O - O^T are formed once and serve both the
-    ``hermiticity_*`` checks and the self-adjointness identity; the pencil
-    identities at the ``n_random`` seeded points are Gram forms of the
-    operator defects (``_identity_margins``), with no L(g) formed.
+    The operators are the pencil (``make_pencil`` returns them), so
+    ``pencil`` only switches on the self-adjointness and parity identities
+    at ``n_random`` seeded points; both are Gram forms of the operators of
+    ``matrices`` (``_identity_margins``), with no L(g) formed.  Each
+    defect O - O^T is formed once: the ``hermiticity_*`` checks and the
+    self-adjointness form read it, and it is dropped before the bound
+    eigensolves.  The symmetry checks read the normalized partner
+    distances of ``spectrum.pairing``.
     """
     rep = PropertyReport()
     eps_max = matrices.eps_max
 
-    asym = {}
-    for name, mat in (("hermiticity_k", matrices.k), ("hermiticity_a1", matrices.a1),
-                      ("hermiticity_a2", matrices.a2), ("hermiticity_s", matrices.s)):
-        asym[id(mat)] = mat - mat.T
-        rep.add(name, _max_abs(asym[id(mat)]), 1e-14, "<=")
+    asym = {name: getattr(matrices, name) - getattr(matrices, name).T
+            for name in ("k", "a1", "a2", "s")}
+    for name, defect in asym.items():
+        rep.add(f"hermiticity_{name}", _max_abs(defect), 1e-14, "<=")
+    if pencil is not None:
+        # K, A1, S, A2: the operator order of ``_terms``
+        selfadjoint, parity = _identity_margins(
+            matrices, [asym[name] for name in ("k", "a1", "s", "a2")],
+            n_random)
+    del asym
 
     k_min = min(float(linalg.eigh(matrices.k[b, b], eigvals_only=True,
                                   subset_by_index=(0, 0))[0])
@@ -480,46 +489,31 @@ def verify_all(matrices, pencil=None, spectrum=None,
 
     s_line = assemble_s_line(matrices.spaces)
     s_vol = assemble_s_volume(matrices.spaces)
-    rep.add("s_line_volume_agreement", float(np.abs(s_line - s_vol).max()),
-            1e-12, "<=")
+    rep.add("s_line_volume_agreement", _max_abs(s_line - s_vol), 1e-12, "<=")
     rep.add("s_matches_reassembly",
-            min(float(np.abs(matrices.s - s_line).max()),
-                float(np.abs(matrices.s - s_vol).max())), 1e-12, "<=")
+            min(_max_abs(matrices.s - s_line), _max_abs(matrices.s - s_vol)),
+            1e-12, "<=")
 
     if pencil is not None:
-        rng = np.random.default_rng(seed)
-        p_scale = pencil.exclusion.p
-        gammas = [p_scale * complex(rng.standard_normal(), rng.standard_normal())
-                  for _ in range(n_random)]
-        selfadjoint, parity = _identity_margins(pencil, asym, gammas)
         rep.add("pencil_selfadjoint", selfadjoint, 1e-13, "<=")
         rep.add("pencil_parity", parity, 1e-13, "<=")
 
     if spectrum is not None:
-        pairing = spectrum.pairing
+        normalized = spectrum.pairing.normalized
         for name in ("conj", "neg", "negconj"):
-            idx, dist = pairing.partners[name]
-            scale = 1.0 + np.abs(spectrum.eigenvalues)
-            margin = float((dist / scale).max()) if len(dist) else 0.0
-            tol = 1e-10 if name == "conj" else 1e-8
-            rep.add(f"symmetry_{name}_closure", margin, tol, "<=")
-        worst = 0.0
-        vals = spectrum.eigenvalues
-        for e in spectrum.entries:
-            if e.cls is not SpectrumClass.COMPLEX:
-                continue
-            scale = 1.0 + abs(e.gamma)
-            for name, target in (("neg", -e.gamma),
-                                 ("conj", e.gamma.conjugate()),
-                                 ("negconj", -e.gamma.conjugate())):
-                partner = vals[getattr(e, f"partner_{name}")]
-                worst = max(worst, abs(partner - target) / scale)
-        rep.add("complex_quadruples", worst, 1e-8, "<=")
+            tol = 1e-10 if name == "conj" else SYMMETRY_TOL
+            rep.add(f"symmetry_{name}_closure",
+                    np.max(normalized[name], initial=0.0), tol, "<=")
+        is_complex = np.array([e.cls is SpectrumClass.COMPLEX
+                               for e in spectrum.entries], dtype=bool)
+        rep.add("complex_quadruples",
+                max(np.max(d, initial=0.0, where=is_complex)
+                    for d in normalized.values()), SYMMETRY_TOL, "<=")
         if matrices.eps1 == matrices.eps2:
-            g2 = vals * vals
-            margin = float((np.abs(g2.imag) / (1.0 + np.abs(g2))).max()) \
-                if len(vals) else 0.0
-            rep.add("homogeneous_no_complex_waves", margin, 1e-8, "<=")
+            g2 = spectrum.eigenvalues ** 2
+            rep.add("homogeneous_no_complex_waves",
+                    np.max(np.abs(g2.imag) / (1.0 + np.abs(g2)), initial=0.0),
+                    1e-8, "<=")
 
     if include_decay_slope:
         slope = k_decay_slope(matrices)

@@ -66,7 +66,6 @@ _SCHEMA = {
         "width": ("width", float),
         "height": ("height", float),
         "slab_x": ("slab_x", float),
-        "interface_x": ("slab_x", float),
         "nx": ("nx", int),
         "ny": ("ny", int),
         "path": ("mesh_path", str),

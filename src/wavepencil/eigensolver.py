@@ -21,6 +21,9 @@ from . import pencil as pencil_mod
 #: Hard cap on the companion dimension (4n) accepted by the dense path.
 MAX_COMPANION_DIM = 8000
 
+#: Rank cutoff of ``numerical_nullity``, relative to the coefficient scale.
+NULLITY_REL_TOL = 1e-8
+
 
 class EigensolverError(RuntimeError):
     pass
@@ -165,27 +168,19 @@ def recover_eigenvector(pencil, gamma, tol=1e-8, max_iter=40, seed=0):
     return best, best_res, bool(best_res <= tol), its
 
 
-def _pencil_scale(pencil, gamma):
-    """Magnitude of the pencil at gamma: the coefficient-norm polynomial.
+def numerical_nullity(pencil, gamma):
+    """Count of singular values of L(gamma) below NULLITY_REL_TOL * scale.
 
-    Used as the cutoff scale for rank decisions; unlike ||L(gamma)|| it
-    does not collapse when the pencil itself degenerates to zero.
-    """
-    n0, n1, n2, n4 = pencil.coefficient_norms
-    a = abs(gamma)
-    return a ** 4 * n4 + a * a * n2 + a * n1 + n0
-
-
-def numerical_nullity(pencil, gamma, rel_tol=1e-8):
-    """Count of singular values of L(gamma) below rel_tol * pencil scale.
-
-    Where L(gamma) is real symmetric (real gamma on symmetric operators) its
-    singular values are the |eigenvalues| from the symmetric eigensolver;
-    any other L(gamma), complex or asymmetric, takes the SVD.
+    The scale is ``pencil.coefficient_scale``, which unlike ||L(gamma)||
+    does not collapse when the pencil degenerates.  Where L(gamma) is real
+    symmetric (real gamma on symmetric operators) its singular values are
+    the |eigenvalues| from the symmetric eigensolver; any other L(gamma),
+    complex or asymmetric, takes the SVD.
     """
     mat = pencil_mod.evaluate(pencil, gamma)
     if np.isrealobj(mat) and np.array_equal(mat, mat.T):
         svals = np.abs(np.linalg.eigvalsh(mat))
     else:
         svals = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(svals <= rel_tol * _pencil_scale(pencil, gamma)))
+    cutoff = NULLITY_REL_TOL * pencil_mod.coefficient_scale(pencil, gamma)
+    return int(np.sum(svals <= cutoff))

@@ -202,12 +202,12 @@ def _polish(f, u, fu, lo, hi):
 
 
 def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
-                          gamma_max=4.0, samples_per_segment=2000):
+                          gamma_max=4.0):
     """Real- and imaginary-axis slab eigenvalues by bracketing in gamma^2.
 
-    The search runs on a uniform u = gamma^2 grid over the two axis
-    segments [-gamma_max^2, 0] (imaginary gamma) and [0, gamma_max^2]
-    (real gamma).  Sign changes of the normalized cleared determinant are
+    The search runs on a uniform u = gamma^2 grid, 2000 intervals on each
+    of [-gamma_max^2, 0] (imaginary gamma) and [0, gamma_max^2] (real
+    gamma).  Sign changes of the normalized cleared determinant are
     isolated by Brent bracketing and Newton-polished; the cleared form has
     no tangent poles, so a sign change is always a root.  Roots come back
     as +- pairs ordered from the most propagating downwards.
@@ -234,7 +234,7 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
     u_roots = []
     umax = gamma_max * gamma_max
     for lo, hi in ((-umax, 0.0), (0.0, umax)):
-        us = np.linspace(lo, hi, samples_per_segment + 1)
+        us = np.linspace(lo, hi, 2001)
         fs = np.array([f(u) for u in us])
         exact = np.where(fs == 0.0)[0]
         for i in exact:

@@ -136,19 +136,24 @@ def apply(pencil, gamma, v):
     return sum(weight * (op @ v) for weight, op in _terms(pencil, g))
 
 
+def coefficient_scale(pencil, gamma):
+    """|g|^4 ||C4||_F + |g|^2 ||C2||_F + |g| ||C1||_F + ||C0||_F at g."""
+    n0, n1, n2, n4 = pencil.coefficient_norms
+    a = abs(gamma)
+    return a ** 4 * n4 + a * a * n2 + a * n1 + n0
+
+
 def residual(pencil, gamma, v):
     """Scale-free backward-error surrogate for an eigenpair candidate.
 
-    ||L(g) v|| / (||v|| (|g|^4 ||C4||_F + |g|^2 ||C2||_F + |g| ||C1||_F
-    + ||C0||_F)); invariant under scaling of v.
+    ||L(g) v|| / (||v|| ``coefficient_scale(g)``); invariant under
+    scaling of v.
     """
     v = np.asarray(v)
     vnorm = np.linalg.norm(v)
     if vnorm == 0.0:
         raise PencilError("residual of the zero vector is undefined")
-    n0, n1, n2, n4 = pencil.coefficient_norms
-    a = abs(gamma)
-    denom = vnorm * (a ** 4 * n4 + a * a * n2 + a * n1 + n0)
+    denom = vnorm * coefficient_scale(pencil, gamma)
     return float(np.linalg.norm(apply(pencil, gamma, v)) / denom)
 
 

@@ -10,8 +10,9 @@ First-order nodal elements for both scalar fields:
   2..N of the Householder reflector H = I - beta v v^T that sends the
   per-node mean vector to a multiple of the first unit vector, which keeps
   every reduced matrix congruent to its nodal origin.  Products with Z
-  apply H as the identity minus a rank-one term, in O(N^2) work; the
-  stored basis is never a factor of an operator product.
+  apply H as the identity minus a rank-one term, in O(N^2) work for a
+  matrix and O(N) for a vector; the stored basis is never a factor of a
+  product.
 
 Product-space vectors and matrices are laid out electric block first,
 then magnetic (``FieldSpaces.blocks``); this module is the one place
@@ -53,9 +54,9 @@ class FieldSpaces:
     null_basis : (N, N-1) float array
         Orthonormal columns spanning the complement of ``mean_vector``;
         magnetic-field coordinate vectors y map to nodal values
-        ``null_basis @ y`` with exactly zero weighted mean.  Kept for
-        expanding coordinate vectors; operator products apply the
-        reflector (``reflector``) instead of multiplying by this array.
+        ``null_basis @ y`` with exactly zero weighted mean.  Every
+        product with Z in this package applies the reflector
+        (``reflector``) instead of multiplying by this array.
     gram_pi : (n_pi, n_pi) float array
         Electric block of the gradient Gram matrix.
     gram_psi : (n_psi, n_psi) float array
@@ -82,7 +83,7 @@ class FieldSpaces:
 
     @property
     def n_psi(self):
-        return self.null_basis.shape[1]
+        return len(self.mean_vector) - 1
 
     @property
     def n(self):
@@ -113,8 +114,13 @@ class FieldSpaces:
         return x[1:] - np.outer(beta * v[1:], v @ x)
 
     def psi_nodal(self, y):
-        """Nodal values of a magnetic-field coordinate vector."""
-        return self.null_basis @ y
+        """Nodal values Z y of a magnetic-field coordinate vector.
+
+        Applies the reflector as ``[0; y] - beta v (v[1:] . y)`` in O(N);
+        the stored basis is not multiplied.
+        """
+        v, beta = reflector(self.mean_vector)
+        return np.concatenate(([0.0], y)) - (beta * (v[1:] @ y)) * v
 
     def split(self, v):
         """Split a product-space vector into (electric, magnetic) parts."""
@@ -126,7 +132,7 @@ class FieldSpaces:
         pi_part, psi_part = self.split(v)
         pi_nodal = np.zeros(self.mesh.n_nodes, dtype=v.dtype)
         pi_nodal[self.pi_nodes] = pi_part
-        return pi_nodal, self.null_basis @ psi_part
+        return pi_nodal, self.psi_nodal(psi_part)
 
 
 def reflector(m):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_symmetry_pairing_on_synthetic_quadruples():
     rng = np.random.default_rng(0)
     noisy = full + 1e-12 * (rng.standard_normal(len(full))
                             + 1j * rng.standard_normal(len(full)))
-    rep = symmetry_pairing(noisy, tol=1e-8)
+    rep = symmetry_pairing(noisy)
     assert rep.ok
     assert rep.max_normalized <= 1e-10
     # the matching is a permutation per symmetry
@@ -61,13 +62,13 @@ def test_symmetry_pairing_on_synthetic_quadruples():
 
 def test_symmetry_pairing_flags_broken_symmetry():
     vals = np.array([1.0, -1.0, 2.0j, -2.0j, 0.5 + 0.5j], dtype=complex)
-    rep = symmetry_pairing(vals, tol=1e-8)
+    rep = symmetry_pairing(vals)
     assert not rep.ok
     assert len(rep.violations["neg"]) > 0
 
 
 def test_slab_spectrum_pairing(slab_eigenvalues):
-    rep = symmetry_pairing(slab_eigenvalues, tol=1e-8)
+    rep = symmetry_pairing(slab_eigenvalues)
     assert rep.ok
     idx, dist = rep.partners["conj"]
     scale = 1.0 + np.abs(slab_eigenvalues)
@@ -246,6 +247,41 @@ def test_verify_all_report_json_shape(slab_matrices):
                set(d.keys()) for d in data)
 
 
+def test_verify_all_working_memory_is_bounded():
+    # the four defects O - O^T are the largest set held at once
+    mats = wp.assemble_matrices(wp.build_spaces(
+        wp.generate_rect_slab(PI, PI, PI / 2, 12, 12)), 1.0, 4.0)
+    n = mats.n
+    assert n == 289
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        verify_all(mats, pencil=mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 5 * n * n * 8
+
+
+def test_symmetry_margins_read_the_pairing(slab_matrices, slab_eigenvalues):
+    spec = build_spectrum(slab_eigenvalues, EXC)
+    rep = verify_all(slab_matrices, spectrum=spec)
+    vals = spec.eigenvalues
+    scale = 1.0 + np.abs(vals)
+    partners = {"neg": -vals, "conj": vals.conj(), "negconj": -vals.conj()}
+    worst = {name: np.abs(vals[spec.pairing.partners[name][0]] - target)
+             / scale for name, target in partners.items()}
+    for name in partners:
+        assert rep[f"symmetry_{name}_closure"].margin == \
+            pytest.approx(worst[name].max(), rel=1e-15, abs=1e-30)
+    is_complex = np.array([e.cls is SpectrumClass.COMPLEX
+                           for e in spec.entries])
+    assert is_complex.any()
+    assert rep["complex_quadruples"].margin == pytest.approx(
+        max(w[is_complex].max() for w in worst.values()), rel=1e-15, abs=0)
+
+
 def test_verify_all_fails_on_flipped_interface_edge(slab_mesh):
     flipped = slab_mesh.interface_edges.copy()
     flipped[1] = flipped[1][::-1]
@@ -356,12 +392,14 @@ def _inject(mats, name, i, j, value, symmetric):
     return dataclasses.replace(mats, **{name: op})
 
 
-@pytest.mark.parametrize("defect", ["a1_asymmetric", "k_pi_psi", "s_diagonal"])
+@pytest.mark.parametrize("defect", ["a1_asymmetric", "a2_asymmetric",
+                                    "k_pi_psi", "s_diagonal"])
 def test_pencil_identity_gram_forms_match_the_evaluate_loop(defect,
                                                             slab_matrices):
     e = slab_matrices.spaces.n_pi
     bad = {
         "a1_asymmetric": lambda m: _inject(m, "a1", 0, 1, 1.0, False),
+        "a2_asymmetric": lambda m: _inject(m, "a2", 0, 1, 1.0, False),
         "k_pi_psi": lambda m: _inject(m, "k", 0, e, 1.0, True),
         "s_diagonal": lambda m: _inject(m, "s", 0, 1, 1.0, True),
     }[defect](slab_matrices)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ SMALL_HOMOG = """\
 kind = homogeneous_rect
 width = 3.141592653589793
 height = 3.141592653589793
-interface_x = 1.5707963267948966
+slab_x = 1.5707963267948966
 nx = 8
 ny = 8
 
@@ -102,6 +103,25 @@ def test_parse_config_rejects_removed_residual_tol():
     with pytest.raises(ConfigError, match=f"inline:{lineno}: unknown key "
                                           "'residual_tol' in \\[solver\\]"):
         parse_config(text, source="inline")
+
+
+def test_parse_config_rejects_removed_interface_x():
+    text = SMALL_SLAB.replace("[geometry]\n",
+                              "[geometry]\ninterface_x = 1.0\n")
+    lineno = text.splitlines().index("interface_x = 1.0") + 1
+    with pytest.raises(ConfigError, match=f"inline:{lineno}: unknown key "
+                                          "'interface_x' in \\[geometry\\]"):
+        parse_config(text, source="inline")
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("### Configuration", 1)[1]
+    example = section.split("```\n", 2)[1]
+    cfg = parse_config(example, source="README")
+    assert (cfg.kind, cfg.nx, cfg.eps2) == ("rect_slab", 16, 4.0)
+    assert cfg.oracle_families == ("lse", "lsm")
 
 
 def test_parse_config_rejects_duplicates_and_strays():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wavepencil.assembly import NORM_ROW_BLOCK, PencilMatrices
-from wavepencil.pencil import (PencilError, apply, coefficients,
-                               degeneration_points, evaluate,
+from wavepencil.pencil import (PencilError, apply, coefficient_scale,
+                               coefficients, degeneration_points, evaluate,
                                exclusion_interval, linearize, make_pencil,
                                residual)
 
@@ -161,6 +161,21 @@ def test_residual_contracts(slab_pencil):
     assert 1e-4 < r1 < 10.0
     with pytest.raises(PencilError):
         residual(slab_pencil, g, np.zeros(slab_pencil.n))
+
+
+def test_residual_is_relative_to_the_coefficient_scale(slab_pencil):
+    rng = np.random.default_rng(6)
+    v = rng.standard_normal(slab_pencil.n)
+    g = 0.4 + 1.3j
+    c0, c1, c2 = (np.linalg.norm(c, "fro") for c in coefficients(slab_pencil))
+    c4 = np.linalg.norm(slab_pencil.k, "fro")
+    a = abs(g)
+    scale = coefficient_scale(slab_pencil, g)
+    assert scale == pytest.approx(a ** 4 * c4 + a * a * c2 + a * c1 + c0,
+                                  rel=1e-13)
+    assert residual(slab_pencil, g, v) == pytest.approx(
+        np.linalg.norm(evaluate(slab_pencil, g) @ v)
+        / (np.linalg.norm(v) * scale), rel=1e-12)
 
 
 def test_apply_matches_evaluate(slab_pencil):

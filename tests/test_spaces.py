@@ -51,6 +51,8 @@ def test_psi_vectors_have_zero_weighted_mean(slab_spaces):
     y = rng.standard_normal(slab_spaces.n_psi)
     psi = slab_spaces.psi_nodal(y)
     assert abs(slab_spaces.mean_vector @ psi) <= 1e-14 * np.linalg.norm(psi)
+    # the reflector product is the stored basis applied to y
+    assert np.abs(psi - slab_spaces.null_basis @ y).max() <= 1e-13
 
 
 def test_constant_vector_outside_null_basis_range(slab_spaces):
