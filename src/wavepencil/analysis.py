@@ -105,8 +105,10 @@ def _match_multiset(values, targets):
 
     Both arrays are complex of equal length; returns (indices, distances)
     such that values[indices[k]] is the partner of targets[k] and every
-    value is used exactly once.
+    value is used exactly once.  Empty inputs give empty outputs.
     """
+    if len(values) == 0:
+        return np.zeros(0, dtype=int), np.zeros(0)
     pts = np.column_stack([values.real, values.imag])
     tree = cKDTree(pts)
     k = min(len(values), 8)

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import assembly_kernels as kernels
-from .pencil import exclusion_interval
+from .pencil import coefficients, exclusion_interval
 from .spaces import FieldSpaces, zero_mean_transform
 
 
@@ -67,18 +67,18 @@ class PencilMatrices:
     def coefficient_norms(self):
         """Frobenius norms of the pencil's (C0, C1, C2, C4), for residuals.
 
-        ||C0||^2 and ||C2||^2 are summed over blocks of ``NORM_ROW_BLOCK``
-        rows, so no n x n temporary is formed; ||C1|| = |eps1 - eps2| ||S||.
+        ||C0||^2 and ||C2||^2 are summed over ``NORM_ROW_BLOCK`` row
+        blocks of ``pencil.coefficients``, so no n x n temporary is formed;
+        ||C1|| = |eps1 - eps2| ||S||.
         """
-        e1, e2 = self.eps1, self.eps2
         sq0 = sq2 = 0.0
         for start in range(0, self.n, NORM_ROW_BLOCK):
-            rows = slice(start, start + NORM_ROW_BLOCK)
-            c0 = (e1 * e2 * (self.k[rows] - self.a2[rows])).ravel()
-            c2 = (self.a1[rows] - (e1 + e2) * self.k[rows]).ravel()
+            c0, _, c2 = (c.ravel() for c in coefficients(
+                self, slice(start, start + NORM_ROW_BLOCK)))
             sq0 += c0 @ c0
             sq2 += c2 @ c2
-        return (np.sqrt(sq0), abs(e1 - e2) * np.linalg.norm(self.s, "fro"),
+        return (np.sqrt(sq0),
+                abs(self.eps1 - self.eps2) * np.linalg.norm(self.s, "fro"),
                 np.sqrt(sq2), np.linalg.norm(self.k, "fro"))
 
 

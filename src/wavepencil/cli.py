@@ -51,7 +51,6 @@ def build_pencil(cfg):
 class RunResult:
     spectrum: analysis.Spectrum
     report: analysis.PropertyReport
-    oracle_matches: list
     oracle_mismatches: int
     exit_code: int
 
@@ -161,40 +160,39 @@ def run(cfg, out_dir):
     _write_plot_csv(out / cfg.plot_file, spectrum)
 
     exit_code = 0 if (report.all_passed and mismatches == 0) else 1
-    return RunResult(spectrum=spectrum, report=report, oracle_matches=matches,
+    return RunResult(spectrum=spectrum, report=report,
                      oracle_mismatches=mismatches, exit_code=exit_code)
 
 
-def _quadrant(g, tol=1e-9):
-    def sgn(x):
-        if abs(x) <= tol:
-            return 0
-        return 1 if x > 0 else -1
-    return sgn(g.real), sgn(g.imag)
+def _quadrant(values, tol=1e-9):
+    """Quadrant code 3 sgn(Re g) + sgn(Im g); a part within tol has sign 0."""
+    parts = np.stack((values.real, values.imag))
+    signs = np.where(np.abs(parts) <= tol, 0.0, np.sign(parts))
+    return 3.0 * signs[0] + signs[1]
 
 
 def _continue_branches(branches, entries, step, eps2):
-    """Nearest-neighbour continuation, never crossing a quadrant boundary."""
+    """Nearest-neighbour continuation, never crossing a quadrant boundary.
+
+    Live branches take, in creation order, the nearest unused value of
+    their own quadrant; a branch without one dies, and every value left
+    unused starts a branch.
+    """
     values = np.array([e.gamma for e in entries], dtype=complex)
-    by_quadrant = {}
-    for idx, g in enumerate(values):
-        by_quadrant.setdefault(_quadrant(g), []).append(idx)
-    used = np.zeros(len(values), dtype=bool)
-    for branch in branches:
-        if branch["dead"]:
-            continue
-        last = branch["points"][-1][2]
-        candidates = [i for i in by_quadrant.get(_quadrant(last), [])
-                      if not used[i]]
-        if not candidates:
+    quadrant = _quadrant(values)
+    free = np.ones(len(values), dtype=bool)
+    live = [b for b in branches if not b["dead"]]
+    lasts = np.array([b["points"][-1][2] for b in live], dtype=complex)
+    for branch, last, q in zip(live, lasts, _quadrant(lasts)):
+        cands = np.flatnonzero(free & (quadrant == q))
+        if len(cands) == 0:
             branch["dead"] = True
             continue
-        dists = [abs(values[i] - last) for i in candidates]
-        pick = candidates[int(np.argmin(dists))]
-        used[pick] = True
+        pick = cands[np.argmin(np.abs(values[cands] - last))]
+        free[pick] = False
         branch["points"].append((step, eps2, complex(values[pick]),
                                  entries[pick].cls.value))
-    for idx in np.where(~used)[0]:
+    for idx in np.flatnonzero(free):
         branches.append({"dead": False,
                          "points": [(step, eps2, complex(values[idx]),
                                      entries[idx].cls.value)]})

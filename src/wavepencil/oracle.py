@@ -12,6 +12,10 @@ Two oracles, independent of the finite-element path:
 The slab determinants are stated with tangents; root finding uses the
 equivalent product form with the tangents cleared, which is entire in
 gamma^2 (no poles on the search axes) and therefore safe to bracket.
+It is one branch-free array expression: sin(kx)/k and cos(kx) are even
+in k, so they are evaluated at the complex square root of k^2 on either
+sign of k^2.  Brent's method on each bracketing grid interval is the
+only root refinement.
 Both families reduce to k_x a = m pi when the permittivities coincide,
 which is the validation identity for the determinants.
 
@@ -102,25 +106,6 @@ def homogeneous_rect_spectrum(a, b, eps, max_lambda):
     return roots
 
 
-def _sin_over_k(ksq, x):
-    """sin(kx)/k as an entire function of k^2 (sinh branch for k^2 < 0)."""
-    if ksq > 0.0:
-        k = math.sqrt(ksq)
-        return math.sin(k * x) / k
-    if ksq < 0.0:
-        k = math.sqrt(-ksq)
-        return math.sinh(k * x) / k
-    return x
-
-
-def _cos_k(ksq, x):
-    if ksq > 0.0:
-        return math.cos(math.sqrt(ksq) * x)
-    if ksq < 0.0:
-        return math.cosh(math.sqrt(-ksq) * x)
-    return 1.0
-
-
 def _kxsq(u, eps, n, b):
     return eps - u - (n * math.pi / b) ** 2
 
@@ -131,8 +116,14 @@ def _slab_terms(family, u, a, b, d, eps1, eps2, n):
         raise OracleError(f"not a slab family: {family}")
     k1sq = _kxsq(u, eps1, n, b)
     k2sq = _kxsq(u, eps2, n, b)
-    t_left = _sin_over_k(k2sq, d) * _cos_k(k1sq, a - d)
-    t_right = _sin_over_k(k1sq, a - d) * _cos_k(k2sq, d)
+    k1 = np.sqrt(np.asarray(k1sq, dtype=complex))
+    k2 = np.sqrt(np.asarray(k2sq, dtype=complex))
+    # sin(kx)/k = x sinc(kx/pi) and cos(kx) are even in k, so both are
+    # real on either branch of the square root (x and 1 at k = 0)
+    t_left = (d * np.sinc(k2 * (d / math.pi))
+              * np.cos(k1 * (a - d))).real
+    t_right = ((a - d) * np.sinc(k1 * ((a - d) / math.pi))
+               * np.cos(k2 * d)).real
     if family is OracleFamily.LSM:
         t_left *= k2sq / eps2
         t_right *= k1sq / eps1
@@ -148,7 +139,8 @@ def cleared_determinant(family, u, a, b, d, eps1, eps2, n):
     with k_j^2 = eps_j - u - (n pi / b)^2 and region 2 on [0, d].  Both are
     entire in u and vanish exactly at the eigenvalues of the corresponding
     transverse-resonance problem, including points where the tangent form
-    degenerates into a pole-root coincidence.
+    degenerates into a pole-root coincidence.  ``u`` may be a scalar or an
+    array.
     """
     t_left, t_right = _slab_terms(family, u, a, b, d, eps1, eps2, n)
     return t_left + t_right
@@ -158,8 +150,9 @@ def normalized_determinant(family, u, a, b, d, eps1, eps2, n):
     """Cleared determinant scaled by its term magnitudes.
 
     Same sign and root set as the cleared form, but with values O(1), so
-    a polished root reaches residuals near machine precision even where
-    the hyperbolic branches make the raw terms large.
+    a Brent-bracketed root reaches residuals near machine precision even
+    where the hyperbolic branches make the raw terms large.  ``u`` may be
+    a scalar or an array.
     """
     t_left, t_right = _slab_terms(family, u, a, b, d, eps1, eps2, n)
     return (t_left + t_right) / (1.0 + abs(t_left) + abs(t_right))
@@ -183,32 +176,15 @@ def dispersion_determinant(family, gamma, a, b, d, eps1, eps2, n):
     raise OracleError(f"not a slab family: {family}")
 
 
-def _polish(f, u, fu, lo, hi):
-    """A few Newton steps with a numeric derivative, kept inside [lo, hi]."""
-    h0 = 1e-7 * (1.0 + abs(u))
-    for _ in range(8):
-        if abs(fu) <= 1e-14:
-            break
-        df = (f(u + h0) - f(u - h0)) / (2.0 * h0)
-        if df == 0.0:
-            break
-        step = fu / df
-        u_new = min(max(u - step, lo), hi)
-        fu_new = f(u_new)
-        if abs(fu_new) >= abs(fu):
-            break
-        u, fu = u_new, fu_new
-    return u, fu
-
-
 def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
                           gamma_max=4.0):
     """Real- and imaginary-axis slab eigenvalues by bracketing in gamma^2.
 
     The search runs on a uniform u = gamma^2 grid, 2000 intervals on each
     of [-gamma_max^2, 0] (imaginary gamma) and [0, gamma_max^2] (real
-    gamma).  Sign changes of the normalized cleared determinant are
-    isolated by Brent bracketing and Newton-polished; the cleared form has
+    gamma), each grid evaluated in one array call.  Each sign change of
+    the normalized cleared determinant is refined by Brent's method inside
+    its grid interval down to the rounding level of u; the cleared form has
     no tangent poles, so a sign change is always a root.  Roots come back
     as +- pairs ordered from the most propagating downwards.
 
@@ -235,16 +211,15 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
     umax = gamma_max * gamma_max
     for lo, hi in ((-umax, 0.0), (0.0, umax)):
         us = np.linspace(lo, hi, 2001)
-        fs = np.array([f(u) for u in us])
+        fs = f(us)
         exact = np.where(fs == 0.0)[0]
         for i in exact:
             u_roots.append((float(us[i]), 0.0, (float(us[i]), float(us[i]))))
         flips = np.where(fs[:-1] * fs[1:] < 0.0)[0]
         for i in flips:
             u0, u1 = float(us[i]), float(us[i + 1])
-            u_star = optimize.brentq(f, u0, u1, xtol=1e-13, maxiter=200)
-            u_star, f_star = _polish(f, u_star, f(u_star), u0, u1)
-            u_roots.append((u_star, abs(f_star), (u0, u1)))
+            u_star = optimize.brentq(f, u0, u1, xtol=1e-15, maxiter=200)
+            u_roots.append((u_star, abs(float(f(u_star))), (u0, u1)))
 
     u_roots.sort(key=lambda r: -r[0])
     deduped = []

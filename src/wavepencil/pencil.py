@@ -88,12 +88,16 @@ def make_pencil(matrices):
     return matrices
 
 
-def coefficients(pencil):
-    """C0, C1, C2 of the monomial form, formed one at a time (C4 is K)."""
+def coefficients(pencil, rows=slice(None)):
+    """C0, C1, C2 of the monomial form, formed one at a time (C4 is K).
+
+    ``rows`` selects a row block of each coefficient (default: all rows).
+    """
     e1, e2 = pencil.eps1, pencil.eps2
-    yield e1 * e2 * (pencil.k - pencil.a2)
-    yield (e1 - e2) * pencil.s
-    yield pencil.a1 - (e1 + e2) * pencil.k
+    k = pencil.k[rows]
+    yield e1 * e2 * (k - pencil.a2[rows])
+    yield (e1 - e2) * pencil.s[rows]
+    yield pencil.a1[rows] - (e1 + e2) * k
 
 
 def _terms(pencil, g):

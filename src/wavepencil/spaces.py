@@ -11,8 +11,8 @@ First-order nodal elements for both scalar fields:
   per-node mean vector to a multiple of the first unit vector, which keeps
   every reduced matrix congruent to its nodal origin.  Products with Z
   apply H as the identity minus a rank-one term, in O(N^2) work for a
-  matrix and O(N) for a vector; the stored basis is never a factor of a
-  product.
+  matrix and O(N) for a vector; the dense basis is not stored and is
+  formed only on request (``FieldSpaces.null_basis``).
 
 Product-space vectors and matrices are laid out electric block first,
 then magnetic (``FieldSpaces.blocks``); this module is the one place
@@ -51,12 +51,6 @@ class FieldSpaces:
         Node -> electric dof index, -1 for eliminated nodes.
     mean_vector : (N,) float array
         Integral of each nodal basis function over the cross-section.
-    null_basis : (N, N-1) float array
-        Orthonormal columns spanning the complement of ``mean_vector``;
-        magnetic-field coordinate vectors y map to nodal values
-        ``null_basis @ y`` with exactly zero weighted mean.  Every
-        product with Z in this package applies the reflector
-        (``reflector``) instead of multiplying by this array.
     gram_pi : (n_pi, n_pi) float array
         Electric block of the gradient Gram matrix.
     gram_psi : (n_psi, n_psi) float array
@@ -68,14 +62,24 @@ class FieldSpaces:
     pi_nodes: np.ndarray
     pi_index: np.ndarray
     mean_vector: np.ndarray
-    null_basis: np.ndarray
     gram_pi: np.ndarray
     gram_psi: np.ndarray
 
     def __post_init__(self):
         for arr in (self.pi_nodes, self.pi_index, self.mean_vector,
-                    self.null_basis, self.gram_pi, self.gram_psi):
+                    self.gram_pi, self.gram_psi):
             arr.setflags(write=False)
+
+    @property
+    def null_basis(self):
+        """Z as a dense (N, N-1) array, formed on each access.
+
+        Orthonormal columns spanning the complement of ``mean_vector``;
+        magnetic-field coordinate vectors y map to nodal values ``Z y``
+        with exactly zero weighted mean.  No product in this package
+        uses it: each applies the reflector (``reflector``) instead.
+        """
+        return _householder_complement(self.mean_vector)
 
     @property
     def n_pi(self):
@@ -108,7 +112,7 @@ class FieldSpaces:
         """Z^T X for a nodal row block X, as ``(X - beta v (v^T X))[1:]``.
 
         Applies the reflector H = I - beta v v^T of the mean vector; the
-        stored basis is not multiplied.
+        dense basis is not formed.
         """
         v, beta = reflector(self.mean_vector)
         return x[1:] - np.outer(beta * v[1:], v @ x)
@@ -117,7 +121,7 @@ class FieldSpaces:
         """Nodal values Z y of a magnetic-field coordinate vector.
 
         Applies the reflector as ``[0; y] - beta v (v[1:] . y)`` in O(N);
-        the stored basis is not multiplied.
+        the dense basis is not formed.
         """
         v, beta = reflector(self.mean_vector)
         return np.concatenate(([0.0], y)) - (beta * (v[1:] @ y)) * v
@@ -163,7 +167,7 @@ def _restrict(nodal, nodes):
 
 
 def build_spaces(mesh):
-    """Construct DOF maps, the zero-mean basis and the Gram blocks.
+    """Construct DOF maps, the mean vector and the Gram blocks.
 
     Raises
     ------
@@ -183,15 +187,12 @@ def build_spaces(mesh):
     for tri, area in zip(mesh.triangles, areas):
         mean[tri] += area / 3.0
 
-    null_basis = _householder_complement(mean)
-
     stiff = kernels.nodal_stiffness(mesh, 1.0, 1.0)
     return FieldSpaces(
         mesh=mesh,
         pi_nodes=pi_nodes,
         pi_index=pi_index,
         mean_vector=mean,
-        null_basis=null_basis,
         gram_pi=_restrict(stiff, pi_nodes),
         gram_psi=_reflect_congruence(mean, stiff),
     )
@@ -239,7 +240,7 @@ def zero_mean_transform(spaces, nodal_matrix):
 
     Returns ``Z^H M Z`` with Z the null basis, computed as
     ``(H M H)[1:, 1:]`` from the reflector H = I - beta v v^T (Z is real,
-    so Z^H = Z^T); the stored basis is not multiplied.  The input may be
+    so Z^H = Z^T); the dense basis is not formed.  The input may be
     sparse or dense.  Hermiticity of the input is preserved exactly: the
     congruence of a Hermitian matrix is Hermitian, and the update is
     formed so that rounding keeps it so.

@@ -67,6 +67,17 @@ def test_symmetry_pairing_flags_broken_symmetry():
     assert len(rep.violations["neg"]) > 0
 
 
+def test_empty_spectrum_has_no_partners_and_zero_counts():
+    rep = symmetry_pairing(np.array([], dtype=complex))
+    assert rep.ok and rep.max_normalized == 0.0
+    for idx, dist in rep.partners.values():
+        assert idx.shape == (0,) and dist.shape == (0,)
+    spec = build_spectrum(np.array([], dtype=complex), EXC)
+    assert spec.entries == []
+    assert all(c == 0 for c in spec.counts.values())
+    assert spec.pairing.max_normalized == 0.0
+
+
 def test_slab_spectrum_pairing(slab_eigenvalues):
     rep = symmetry_pairing(slab_eigenvalues)
     assert rep.ok

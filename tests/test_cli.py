@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import wavepencil as wp
-from wavepencil.cli import main, sweep
+from wavepencil.analysis import SpectrumClass, SpectrumEntry
+from wavepencil.cli import _continue_branches, main, sweep
 from wavepencil.config import ConfigError, parse_config
 
 PI = math.pi
@@ -307,6 +308,28 @@ def test_sweep_branches_stay_in_their_quadrant(tmp_path):
     for points in per_branch.values():
         quadrants = {(sgn(re), sgn(im)) for re, im in points}
         assert len(quadrants) == 1
+
+
+def test_continuation_serves_branches_in_creation_order():
+    def entry(g):
+        return SpectrumEntry(gamma=complex(g), cls=SpectrumClass.PROPAGATING,
+                             residual=None, partner_neg=0, partner_conj=0,
+                             partner_negconj=0)
+
+    def branch(g):
+        return {"dead": False, "points": [(0, 1.0, complex(g), "propagating")]}
+
+    # 1.25 is nearest to both real branches and closer to the younger one
+    # (at 1.2); the older one (at 1.0) still takes it, the younger takes
+    # 2.0, the imaginary branch finds no value in its quadrant and dies,
+    # and -1.0 is left over and starts a branch
+    branches = [branch(1.0), branch(1.2), branch(3.0j)]
+    _continue_branches(branches, [entry(2.0), entry(1.25), entry(-1.0)],
+                       1, 2.0)
+    assert [[p[2] for p in b["points"]] for b in branches] == [
+        [1.0, 1.25], [1.2, 2.0], [3.0j], [-1.0]]
+    assert [b["dead"] for b in branches] == [False, False, True, False]
+    assert branches[3]["points"] == [(1, 2.0, -1.0 + 0j, "propagating")]
 
 
 def test_sweep_subcommand_wiring(tmp_path):

@@ -109,6 +109,20 @@ def test_cleared_form_matches_tan_form_off_poles():
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
+@pytest.mark.parametrize("fam,n", [(OracleFamily.LSE, 0),
+                                   (OracleFamily.LSM, 1)])
+def test_normalized_determinant_on_the_root_grid_equals_the_scalar_calls(
+        fam, n):
+    # the 2001-point search grids of slab_dispersion_roots, in one call
+    for lo, hi in ((-16.0, 0.0), (0.0, 16.0)):
+        us = np.linspace(lo, hi, 2001)
+        whole = normalized_determinant(fam, us, PI, PI, PI / 2, 1.0, 4.0, n)
+        each = np.array([normalized_determinant(fam, u, PI, PI, PI / 2,
+                                                1.0, 4.0, n) for u in us])
+        assert whole.shape == us.shape
+        assert np.abs(whole - each).max() <= 1e-15
+
+
 def test_tan_form_vanishes_at_reported_roots():
     n = 1
     kn_sq = (n * PI / PI) ** 2  # (n pi / b)^2 with b = pi
