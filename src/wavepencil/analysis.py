@@ -38,6 +38,13 @@ from .pencil import ExclusionInterval, _terms, degeneration_points
 #: Bound on the normalized partner distance |partner - target| / (1 + |g|).
 SYMMETRY_TOL = 1e-8
 
+#: Relative axis and degeneration tolerance of ``classify``.
+CLASSIFICATION_TOL = 1e-6
+
+#: Dilation of the real exclusion band; eigenvalues and oracle roots this
+#: close to the band are left out of comparisons.
+EXCLUSION_MARGIN = 0.1
+
 
 class SpectrumClass(str, Enum):
     PROPAGATING = "propagating"
@@ -51,7 +58,7 @@ class DegenerationError(ValueError):
     """Field reconstruction requested at (or too close to) a degeneration value."""
 
 
-def classify(gamma, exclusion, tol=1e-6):
+def classify(gamma, exclusion, tol=CLASSIFICATION_TOL):
     """Classify one eigenvalue against the exclusion interval.
 
     Degeneration neighbourhoods take precedence, then the real exclusion
@@ -180,7 +187,8 @@ class Spectrum:
     max_abs_real: float
 
 
-def build_spectrum(eigenvalues, exclusion, tol=1e-6, residuals=None):
+def build_spectrum(eigenvalues, exclusion, tol=CLASSIFICATION_TOL,
+                   residuals=None):
     """Classify eigenvalues and resolve their symmetry partners."""
     vals = np.array(eigenvalues, dtype=complex)
     pairing = symmetry_pairing(vals)
@@ -207,7 +215,8 @@ def count_real_outside_exclusion(spectrum):
     return spectrum.counts[SpectrumClass.PROPAGATING]
 
 
-def count_in_disk(eigenvalues, radius, exclusion, band_margin=0.1):
+def count_in_disk(eigenvalues, radius, exclusion,
+                  band_margin=EXCLUSION_MARGIN):
     """Eigenvalues with |g| <= radius, excluding the dilated real band."""
     vals = np.asarray(eigenvalues, dtype=complex)
     lo, hi = exclusion.dilated(band_margin)

@@ -26,10 +26,8 @@ def triangle_geometry(mesh):
     grads : (M, 3, 2) array
         grads[t, a] is the gradient of the basis function of local node a.
     """
+    areas = mesh.triangle_areas()
     p = mesh.nodes[mesh.triangles]
-    v1 = p[:, 1] - p[:, 0]
-    v2 = p[:, 2] - p[:, 0]
-    areas = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
     grads = np.empty((len(areas), 3, 2))
     for a in range(3):
         opp1 = p[:, (a + 1) % 3]
@@ -79,11 +77,10 @@ def interface_line_matrix(mesh):
     independent of the edge length.
     """
     n = mesh.n_nodes
-    rows, cols, vals = [], [], []
-    for a, b in mesh.interface_edges:
-        rows.extend((a, a, b, b))
-        cols.extend((a, b, a, b))
-        vals.extend((-0.5, 0.5, -0.5, 0.5))
+    a, b = mesh.interface_edges.T
+    rows = np.stack((a, a, b, b), axis=1).ravel()
+    cols = np.stack((a, b, a, b), axis=1).ravel()
+    vals = np.tile([-0.5, 0.5, -0.5, 0.5], len(a))
     mat = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
     return mat.tocsr()
 

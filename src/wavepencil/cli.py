@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,7 @@ import numpy as np
 from . import analysis, eigensolver, oracle
 from .assembly import assemble_matrices
 from .config import ConfigError, load_config
-from .mesh import (MeshError, generate_homogeneous_rect, generate_rect_slab,
-                   load_mesh, save_mesh)
+from .mesh import MeshError, generate_rect_slab, load_mesh, save_mesh
 from .pencil import exclusion_interval, make_pencil
 from .spaces import build_spaces
 
@@ -35,10 +34,18 @@ def build_mesh(cfg):
     if cfg.kind == "file":
         with open(cfg.mesh_path, "r", encoding="utf-8") as fh:
             return load_mesh(fh.read())
-    nx, ny = cfg.grid()
-    if cfg.kind == "rect_slab":
-        return generate_rect_slab(cfg.width, cfg.height, cfg.slab_x, nx, ny)
-    return generate_homogeneous_rect(cfg.width, cfg.height, nx, ny, cfg.slab_x)
+    return generate_rect_slab(cfg.width, cfg.height, cfg.slab_x,
+                              cfg.nx, cfg.ny)
+
+
+def _refined(cfg, k):
+    """The configuration with the generated grid refined k times per axis."""
+    if k < 1:
+        raise ConfigError(f"--refine must be at least 1 (got {k})")
+    if cfg.kind == "file":
+        raise ConfigError("--refine applies to generated meshes; "
+                          "a mesh file cannot be refined")
+    return replace(cfg, nx=cfg.nx * k, ny=cfg.ny * k)
 
 
 def build_pencil(cfg):
@@ -60,7 +67,7 @@ def _spectrum_payload(cfg, spectrum):
     return {
         "eps1": cfg.eps1,
         "eps2": cfg.eps2,
-        "classification_tol": cfg.classification_tol,
+        "classification_tol": analysis.CLASSIFICATION_TOL,
         "exclusion": {"lower": exc.lower, "upper": exc.upper,
                       "delta": exc.delta, "p": exc.p},
         "max_abs_re": spectrum.max_abs_real,
@@ -125,7 +132,7 @@ def oracle_roots(cfg):
 def comparable_oracle_roots(cfg):
     """Oracle roots inside the search box and off the dilated exclusion band."""
     lo, hi = exclusion_interval(cfg.eps1, cfg.eps2).dilated(
-        cfg.oracle_exclusion_margin)
+        analysis.EXCLUSION_MARGIN)
     return [r for r in oracle_roots(cfg)
             if abs(r.gamma) <= cfg.oracle_gamma_max
             and not (abs(r.gamma.imag) <= 1e-12
@@ -142,7 +149,7 @@ def run(cfg, out_dir):
         pencil, compute_vectors=cfg.compute_vectors)
     spectrum = analysis.build_spectrum(
         report_input.eigenvalues, pencil.exclusion,
-        tol=cfg.classification_tol, residuals=report_input.residuals)
+        residuals=report_input.residuals)
     report = analysis.verify_all(
         pencil, pencil=pencil, spectrum=spectrum,
         include_decay_slope=cfg.verify_decay_slope)
@@ -198,9 +205,22 @@ def _continue_branches(branches, entries, step, eps2):
                                      entries[idx].cls.value)]})
 
 
-def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None):
-    """One solve per eps2 value; steps run as independent parallel jobs.
+def _workers_from_env():
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer "
+                          f"(got {raw!r})")
+    return workers
 
+
+def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None):
+    """One solve per eps2 value; steps run as independent jobs on a pool.
+
+    ``workers`` defaults to ``WAVEPENCIL_WORKERS`` (1 when unset).
     Results are gathered in step order, so the artifacts do not depend on
     the worker count.
     """
@@ -208,23 +228,21 @@ def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None):
         raise ConfigError("sweep needs at least 2 steps")
     if eps2_from < 1.0 or eps2_to < 1.0:
         raise ConfigError("sweep range must stay within eps2 >= 1")
+    if workers is None:
+        workers = _workers_from_env()
+    if workers < 1:
+        raise ConfigError(f"sweep needs at least 1 worker (got {workers})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     values = np.linspace(eps2_from, eps2_to, steps)
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
 
     def one(step_value):
         step, value = step_value
         step_cfg = cfg.with_eps2(value)
         return step, value, run(step_cfg, out / f"step_{step:03d}")
 
-    jobs = list(enumerate(values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(one, enumerate(values)))
 
     branches = []
     worst_exit = 0
@@ -308,8 +326,8 @@ def make_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--refine", type=int, default=None,
-                       help="override the refinement multiplier")
+        p.add_argument("--refine", type=int, default=None, metavar="k",
+                       help="multiply the generated grid's nx and ny by k")
         p.set_defaults(fn=fn)
     sp = sub.choices["sweep"]
     sp.add_argument("--eps2-from", type=float, required=True, dest="eps2_from")
@@ -323,7 +341,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.refine is not None:
-            cfg = cfg.with_refinement(args.refine)
+            cfg = _refined(cfg, args.refine)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

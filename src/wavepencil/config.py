@@ -7,7 +7,7 @@ source line it came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import math
 
@@ -21,7 +21,7 @@ class SolverConfig:
     """Pipeline configuration: geometry, materials, tolerances, outputs."""
 
     # geometry
-    kind: str = "rect_slab"            # rect_slab | homogeneous_rect | file
+    kind: str = "rect_slab"            # rect_slab | file
     width: float = math.pi
     height: float = math.pi
     slab_x: float = math.pi / 2.0
@@ -32,8 +32,6 @@ class SolverConfig:
     eps1: float = 1.0
     eps2: float = 1.0
     # solver
-    refinement: int = 1
-    classification_tol: float = 1e-6
     compute_vectors: bool = False
     verify_decay_slope: bool = True
     # oracle
@@ -41,7 +39,6 @@ class SolverConfig:
     oracle_families: tuple = ("lse", "lsm")
     oracle_transverse_index: int = 0
     oracle_gamma_max: float = 4.0
-    oracle_exclusion_margin: float = 0.1
     oracle_match_rel_tol: float = 0.02
     # output file names (relative to the output directory)
     spectrum_file: str = "spectrum.json"
@@ -49,15 +46,8 @@ class SolverConfig:
     oracle_file: str = "oracle_compare.csv"
     plot_file: str = "plot.csv"
 
-    def with_refinement(self, k):
-        return replace(self, refinement=int(k))
-
     def with_eps2(self, value):
         return replace(self, eps2=float(value))
-
-    def grid(self):
-        """Effective (nx, ny) after uniform refinement."""
-        return self.nx * self.refinement, self.ny * self.refinement
 
 
 _SCHEMA = {
@@ -75,8 +65,6 @@ _SCHEMA = {
         "eps2": ("eps2", float),
     },
     "solver": {
-        "refinement": ("refinement", int),
-        "classification_tol": ("classification_tol", float),
         "compute_vectors": ("compute_vectors", bool),
         "verify_decay_slope": ("verify_decay_slope", bool),
     },
@@ -85,7 +73,6 @@ _SCHEMA = {
         "families": ("oracle_families", "families"),
         "transverse_index": ("oracle_transverse_index", int),
         "gamma_max": ("oracle_gamma_max", float),
-        "exclusion_margin": ("oracle_exclusion_margin", float),
         "match_rel_tol": ("oracle_match_rel_tol", float),
     },
     "output": {
@@ -175,13 +162,11 @@ def _validate(cfg, source, lines_seen):
     def err(attr, message):
         raise ConfigError(f"{_where(source, lines_seen, attr)}: {message}")
 
-    if cfg.kind not in ("rect_slab", "homogeneous_rect", "file"):
+    if cfg.kind not in ("rect_slab", "file"):
         err("kind", f"unknown geometry kind {cfg.kind!r}")
     if cfg.kind == "file":
         if not cfg.mesh_path:
             err("mesh_path", "geometry kind 'file' requires path = <mesh file>")
-        if cfg.refinement != 1:
-            err("refinement", "file meshes cannot be refined; set refinement = 1")
     else:
         if cfg.width <= 0.0 or cfg.height <= 0.0:
             err("width", "width and height must be positive")
@@ -193,14 +178,9 @@ def _validate(cfg, source, lines_seen):
         err("eps1", f"eps1 must be >= 1 (got {cfg.eps1})")
     if cfg.eps2 < 1.0:
         err("eps2", f"eps2 must be >= 1 (got {cfg.eps2})")
-    if cfg.refinement < 1:
-        err("refinement", "refinement must be >= 1")
-    for attr in ("classification_tol", "oracle_gamma_max",
-                 "oracle_match_rel_tol"):
+    for attr in ("oracle_gamma_max", "oracle_match_rel_tol"):
         if getattr(cfg, attr) <= 0.0:
             err(attr, f"{attr} must be positive")
-    if cfg.oracle_exclusion_margin < 0.0:
-        err("oracle_exclusion_margin", "exclusion margin must be >= 0")
     if cfg.oracle_transverse_index < 0:
         err("oracle_transverse_index", "transverse_index must be >= 0")
 

@@ -81,18 +81,14 @@ class Mesh:
 
     def boundary_node_mask(self):
         """True for nodes lying on gamma0 or gammaprime edges."""
+        shielded = np.isin(self.edge_tags, (GAMMA0, GAMMA_PRIME))
         mask = np.zeros(self.n_nodes, dtype=bool)
-        for (i, j), tag in zip(self.edges, self.edge_tags):
-            if tag in (GAMMA0, GAMMA_PRIME):
-                mask[i] = True
-                mask[j] = True
+        mask[self.edges[shielded]] = True
         return mask
 
     def interface_node_mask(self):
         mask = np.zeros(self.n_nodes, dtype=bool)
-        for i, j in self.interface_edges:
-            mask[i] = True
-            mask[j] = True
+        mask[self.interface_edges] = True
         return mask
 
 
@@ -213,17 +209,6 @@ def _orientation_errors(mesh, adj):
     return bad
 
 
-def _grid(width, height, nx, ny):
-    xs = np.arange(nx + 1) * (width / nx)
-    ys = np.arange(ny + 1) * (height / ny)
-    nodes = np.empty(((nx + 1) * (ny + 1), 2))
-    for iy in range(ny + 1):
-        base = iy * (nx + 1)
-        nodes[base:base + nx + 1, 0] = xs
-        nodes[base:base + nx + 1, 1] = ys[iy]
-    return nodes
-
-
 def generate_rect_slab(width, height, slab_x, nx, ny):
     """Structured triangulation of [0,width]x[0,height] with a vertical slab.
 
@@ -248,48 +233,32 @@ def generate_rect_slab(width, height, slab_x, nx, ny):
     if js <= 0 or js >= nx:
         raise MeshError("slab_x snaps onto the outer boundary; refine the grid")
 
-    nodes = _grid(width, height, nx, ny)
-
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    triangles = []
-    regions = []
-    for iy in range(ny):
-        for ix in range(nx):
-            a = nid(ix, iy)
-            b = nid(ix + 1, iy)
-            c = nid(ix + 1, iy + 1)
-            d = nid(ix, iy + 1)
-            reg = 2 if ix < js else 1
-            triangles.append((a, b, c))
-            triangles.append((a, c, d))
-            regions.extend((reg, reg))
-
-    edges = []
-    tags = []
-    for ix in range(nx):
-        edges.append((nid(ix, 0), nid(ix + 1, 0)))
-        edges.append((nid(ix, ny), nid(ix + 1, ny)))
-        tags.extend((GAMMA0, GAMMA0))
-    for iy in range(ny):
-        edges.append((nid(0, iy), nid(0, iy + 1)))
-        edges.append((nid(nx, iy), nid(nx, iy + 1)))
-        tags.extend((GAMMA0, GAMMA0))
-
-    # Interface edges run top -> bottom so that region 1 (x > slab_x) lies
-    # on the left of the tangent.
-    interface = [(nid(js, iy + 1), nid(js, iy)) for iy in range(ny)]
-    edges.extend(interface)
-    tags.extend([GAMMA] * ny)
+    # Node (ix, iy) is nid[iy, ix]: rows of constant y, bottom to top.
+    nid = np.arange((ny + 1) * (nx + 1)).reshape(ny + 1, nx + 1)
+    xs = np.arange(nx + 1) * (width / nx)
+    ys = np.arange(ny + 1) * (height / ny)
+    nodes = np.column_stack((np.tile(xs, ny + 1), np.repeat(ys, nx + 1)))
+    # Cell corners a b c d counterclockwise from the lower left; the
+    # cell's two triangles (a, b, c) and (a, c, d) are stored in turn.
+    a, b, c, d = nid[:-1, :-1], nid[:-1, 1:], nid[1:, 1:], nid[1:, :-1]
+    triangles = np.stack((a, b, c, a, c, d), axis=-1).reshape(-1, 3)
+    regions = np.tile(np.repeat(np.where(np.arange(nx) < js, 2, 1), 2), ny)
+    # Bottom and top sides interleaved per column, then left and right per
+    # row; interface edges run top -> bottom so that region 1
+    # (x > slab_x) lies on the left of the tangent.
+    horizontal = np.stack((nid[[0, ny], :-1], nid[[0, ny], 1:]), axis=-1)
+    vertical = np.stack((nid[:-1, [0, nx]], nid[1:, [0, nx]]), axis=-1)
+    interface = np.column_stack((nid[1:, js], nid[:-1, js]))
+    edges = np.concatenate((horizontal.transpose(1, 0, 2).reshape(-1, 2),
+                            vertical.reshape(-1, 2), interface))
 
     mesh = Mesh(
         nodes=nodes,
-        triangles=np.array(triangles, dtype=int),
-        regions=np.array(regions, dtype=int),
-        edges=np.array(edges, dtype=int),
-        edge_tags=tuple(tags),
-        interface_edges=np.array(interface, dtype=int),
+        triangles=triangles,
+        regions=regions,
+        edges=edges,
+        edge_tags=(GAMMA0,) * (2 * nx + 2 * ny) + (GAMMA,) * ny,
+        interface_edges=interface,
     )
     return validate(mesh)
 
@@ -319,6 +288,13 @@ def save_mesh(mesh):
     return out.getvalue()
 
 
+def _edge_row(parts):
+    i, j = int(parts[0]), int(parts[1])
+    if parts[2] not in _KNOWN_TAGS:
+        raise MeshError(f"unknown edge tag {parts[2]!r}")
+    return i, j, parts[2]
+
+
 def load_mesh(text):
     """Parse the text format and validate every mesh invariant.
 
@@ -338,7 +314,8 @@ def load_mesh(text):
                 return pos, stripped
         return pos, None
 
-    def read_count(keyword):
+    def section(keyword, row, what, convert):
+        """The '<keyword> <count>' line, then count rows of fields ``row``."""
         lineno, line = next_line()
         parts = line.split() if line else []
         if len(parts) != 2 or parts[0] != keyword:
@@ -349,65 +326,40 @@ def load_mesh(text):
             raise MeshError(f"line {lineno}: malformed count {parts[1]!r}") from None
         if count < 0:
             raise MeshError(f"line {lineno}: negative count")
-        return count
+        rows = []
+        for _ in range(count):
+            lineno, line = next_line()
+            parts = line.split() if line else []
+            if len(parts) != len(row.split()):
+                raise MeshError(f"line {lineno}: expected '{row}'")
+            # MeshError is a ValueError: a row the converter rejects by
+            # name keeps its message, anything else is malformed.
+            try:
+                rows.append(convert(parts))
+            except MeshError as exc:
+                raise MeshError(f"line {lineno}: {exc}") from None
+            except ValueError:
+                raise MeshError(f"line {lineno}: malformed {what}") from None
+        return rows
 
-    n_nodes = read_count("nodes")
-    nodes = np.empty((n_nodes, 2))
-    for k in range(n_nodes):
-        lineno, line = next_line()
-        parts = line.split() if line else []
-        if len(parts) != 2:
-            raise MeshError(f"line {lineno}: expected 'x y'")
-        try:
-            nodes[k] = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise MeshError(f"line {lineno}: malformed coordinate") from None
-
-    n_tri = read_count("triangles")
-    triangles = np.empty((n_tri, 3), dtype=int)
-    regions = np.empty(n_tri, dtype=int)
-    for k in range(n_tri):
-        lineno, line = next_line()
-        parts = line.split() if line else []
-        if len(parts) != 4:
-            raise MeshError(f"line {lineno}: expected 'i j k region'")
-        try:
-            triangles[k] = [int(p) for p in parts[:3]]
-            regions[k] = int(parts[3])
-        except ValueError:
-            raise MeshError(f"line {lineno}: malformed triangle") from None
-
-    n_edges = read_count("edges")
-    edges = np.empty((n_edges, 2), dtype=int)
-    tags = []
-    interface = []
-    for k in range(n_edges):
-        lineno, line = next_line()
-        parts = line.split() if line else []
-        if len(parts) != 3:
-            raise MeshError(f"line {lineno}: expected 'i j tag'")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MeshError(f"line {lineno}: malformed edge") from None
-        tag = parts[2]
-        if tag not in _KNOWN_TAGS:
-            raise MeshError(f"line {lineno}: unknown edge tag {tag!r}")
-        edges[k] = (i, j)
-        tags.append(tag)
-        if tag == GAMMA:
-            interface.append((i, j))
-
+    nodes = section("nodes", "x y", "coordinate",
+                    lambda p: [float(v) for v in p])
+    cells = section("triangles", "i j k region", "triangle",
+                    lambda p: [int(v) for v in p])
+    edge_rows = section("edges", "i j tag", "edge", _edge_row)
     _, extra = next_line()
     if extra is not None:
         raise MeshError("trailing content after edge list")
 
+    cells = np.array(cells, dtype=int).reshape(-1, 4)
+    edges = np.array([r[:2] for r in edge_rows], dtype=int).reshape(-1, 2)
+    tags = tuple(r[2] for r in edge_rows)
     mesh = Mesh(
-        nodes=nodes,
-        triangles=triangles,
-        regions=regions,
+        nodes=np.array(nodes, dtype=float).reshape(-1, 2),
+        triangles=cells[:, :3].copy(),
+        regions=cells[:, 3].copy(),
         edges=edges,
-        edge_tags=tuple(tags),
-        interface_edges=np.array(interface, dtype=int).reshape(-1, 2),
+        edge_tags=tags,
+        interface_edges=edges[np.isin(tags, GAMMA)],
     )
     return validate(mesh)

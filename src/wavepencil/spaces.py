@@ -182,10 +182,10 @@ def build_spaces(mesh):
     pi_index = np.full(mesh.n_nodes, -1, dtype=int)
     pi_index[pi_nodes] = np.arange(len(pi_nodes))
 
-    areas = mesh.triangle_areas()
-    mean = np.zeros(mesh.n_nodes)
-    for tri, area in zip(mesh.triangles, areas):
-        mean[tri] += area / 3.0
+    # Each triangle adds a third of its area to its nodes, in triangle order.
+    mean = np.bincount(mesh.triangles.ravel(),
+                       weights=np.repeat(mesh.triangle_areas() / 3.0, 3),
+                       minlength=mesh.n_nodes)
 
     stiff = kernels.nodal_stiffness(mesh, 1.0, 1.0)
     return FieldSpaces(

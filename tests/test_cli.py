@@ -37,7 +37,7 @@ match_rel_tol = 0.2
 
 SMALL_HOMOG = """\
 [geometry]
-kind = homogeneous_rect
+kind = rect_slab
 width = 3.141592653589793
 height = 3.141592653589793
 slab_x = 1.5707963267948966
@@ -66,7 +66,7 @@ def test_parse_config_round_trip():
     cfg = parse_config(SMALL_SLAB, source="inline")
     assert cfg.kind == "rect_slab"
     assert cfg.eps2 == 4.0
-    assert cfg.grid() == (6, 6)
+    assert (cfg.nx, cfg.ny) == (6, 6)
     assert cfg.oracle_families == ("lse",)
 
 
@@ -115,6 +115,25 @@ def test_parse_config_rejects_removed_interface_x():
         parse_config(text, source="inline")
 
 
+@pytest.mark.parametrize("section,line", [
+    ("[solver]", "refinement = 2"),
+    ("[solver]", "classification_tol = 1e-6"),
+    ("[oracle]", "exclusion_margin = 0.1"),
+    ("[geometry]", "kind = homogeneous_rect"),
+])
+def test_parse_config_rejects_removed_keys_and_kind(section, line):
+    text = SMALL_SLAB.replace(f"{section}\n", f"{section}\n{line}\n")
+    if line.startswith("kind"):
+        text = text.replace("kind = rect_slab\n", "")
+        message = "unknown geometry kind 'homogeneous_rect'"
+    else:
+        key = line.split(" =")[0]
+        message = f"unknown key '{key}' in \\[{section[1:-1]}\\]"
+    lineno = text.splitlines().index(line) + 1
+    with pytest.raises(ConfigError, match=f"inline:{lineno}: {message}"):
+        parse_config(text, source="inline")
+
+
 def test_readme_config_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
@@ -150,6 +169,32 @@ def test_refine_flag_scales_grid(tmp_path):
     assert code == 0
     mesh = wp.load_mesh((tmp_path / "mesh.txt").read_text())
     assert mesh.n_nodes == 13 * 13
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_refine_below_one_is_a_usage_error(tmp_path, capsys, k):
+    cfg = write(tmp_path, "cfg.ini", SMALL_SLAB)
+    code = main(["mesh", "--config", str(cfg), "--out", str(tmp_path),
+                 "--refine", k])
+    assert code == 2
+    assert f"--refine must be at least 1 (got {k})" in capsys.readouterr().err
+    assert not (tmp_path / "mesh.txt").exists()
+
+
+def test_refine_on_a_mesh_file_is_a_usage_error(tmp_path, capsys):
+    mesh_path = write(tmp_path, "in.txt", wp.save_mesh(
+        wp.generate_rect_slab(PI, PI, PI / 2, 2, 2)))
+    cfg = write(tmp_path, "cfg.ini",
+                f"[geometry]\nkind = file\npath = {mesh_path}\n")
+    out = tmp_path / "out"
+    assert main(["mesh", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "mesh.txt").exists()
+    out = tmp_path / "refined"
+    code = main(["mesh", "--config", str(cfg), "--out", str(out),
+                 "--refine", "2"])
+    assert code == 2
+    assert "--refine applies to generated meshes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_produces_artifacts_and_zero_exit(tmp_path):
@@ -361,9 +406,25 @@ def test_sweep_artifacts_do_not_depend_on_worker_count(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_sweep_rejects_a_bad_worker_variable(tmp_path, capsys, monkeypatch,
+                                             value):
+    monkeypatch.setenv("WAVEPENCIL_WORKERS", value)
+    cfg = write(tmp_path, "cfg.ini", SMALL_HOMOG)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--eps2-from", "2.0", "--eps2-to", "2.5", "--steps", "2"])
+    assert code == 2
+    assert (f"WAVEPENCIL_WORKERS must be a positive integer (got {value!r})"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_sweep_validates_range(tmp_path):
     cfg = parse_config(SMALL_HOMOG)
     with pytest.raises(ConfigError):
         sweep(cfg, tmp_path, 0.5, 2.0, 3)
     with pytest.raises(ConfigError):
         sweep(cfg, tmp_path, 2.0, 3.0, 1)
+    with pytest.raises(ConfigError, match="at least 1 worker"):
+        sweep(cfg, tmp_path, 2.0, 3.0, 3, workers=0)

@@ -38,6 +38,24 @@ def test_generator_minimal_grid():
     m = wp.generate_rect_slab(PI, PI, PI / 2, 2, 2)
     assert len(m.interface_edges) == 2
     assert m.n_nodes == 9
+    # nodes row by row from the bottom, x fastest
+    h = PI / 2
+    assert m.nodes.tolist() == [[0, 0], [h, 0], [PI, 0], [0, h], [h, h],
+                                [PI, h], [0, PI], [h, PI], [PI, PI]]
+    # cells row by row; each split as (a, b, c), (a, c, d) from the lower
+    # left corner a, counterclockwise
+    assert m.triangles.tolist() == [[0, 1, 4], [0, 4, 3], [1, 2, 5],
+                                    [1, 5, 4], [3, 4, 7], [3, 7, 6],
+                                    [4, 5, 8], [4, 8, 7]]
+    assert m.regions.tolist() == [2, 2, 1, 1, 2, 2, 1, 1]
+    # bottom/top sides interleaved per column, left/right per row, then
+    # the interface column top -> bottom
+    assert m.edges.tolist() == [[0, 1], [6, 7], [1, 2], [7, 8], [0, 3],
+                                [2, 5], [3, 6], [5, 8], [4, 1], [7, 4]]
+    assert m.edge_tags == (GAMMA0,) * 8 + (GAMMA,) * 2
+    assert m.interface_edges.tolist() == [[4, 1], [7, 4]]
+    assert (m.nodes.dtype, m.triangles.dtype, m.regions.dtype,
+            m.edges.dtype) == (np.float64, np.int64, np.int64, np.int64)
 
 
 @pytest.mark.parametrize("bad", [
@@ -106,6 +124,50 @@ def test_load_rejects_malformed_counts():
     broken = text.replace("nodes 9", "nodes nine", 1)
     with pytest.raises(MeshError, match="line 1"):
         load_mesh(broken)
+
+
+def _slab_text_with(line, new):
+    """The 2x2 slab text with 1-based ``line`` replaced (None: dropped)."""
+    lines = save_mesh(wp.generate_rect_slab(PI, PI, PI / 2, 2, 2)).splitlines()
+    lines[line - 1:line] = [] if new is None else [new]
+    return "\n".join(lines) + "\n"
+
+
+# The 2x2 slab text: "nodes 9" on line 1, nodes on 2-10, "triangles 8" on
+# 11, triangles on 12-19, "edges 10" on 20, edges on 21-30.
+@pytest.mark.parametrize("line,new,message", [
+    (3, "1.5707963267948966", "line 3: expected 'x y'"),
+    (3, "1.5707963267948966 0 0", "line 3: expected 'x y'"),
+    (3, "1.5707963267948966 zero", "line 3: malformed coordinate"),
+    (12, "0 1 4", "line 12: expected 'i j k region'"),
+    (12, "0 1 4 2 2", "line 12: expected 'i j k region'"),
+    (12, "0 1 4 1.5", "line 12: malformed triangle"),
+    (12, "0 one 4 2", "line 12: malformed triangle"),
+    (21, "0 1", "line 21: expected 'i j tag'"),
+    (21, "0 1 gamma0 gamma0", "line 21: expected 'i j tag'"),
+    (21, "0 x gamma0", "line 21: malformed edge"),
+    (21, "0 1 wall", "line 21: unknown edge tag 'wall'"),
+    (21, "x 1 wall", "line 21: malformed edge"),
+    (1, "nodes", "line 1: expected 'nodes <count>'"),
+    (11, "tris 8", "line 11: expected 'triangles <count>'"),
+    (20, "edges ten", "line 20: malformed count 'ten'"),
+    (11, "triangles -1", "line 11: negative count"),
+    (30, None, "line 29: expected 'i j tag'"),
+    (20, None, "line 20: expected 'edges <count>'"),
+    (11, "triangles 9", "line 20: expected 'i j k region'"),
+    (30, "7 4 gamma\n0 0", "trailing content after edge list"),
+])
+def test_load_error_names_the_line(line, new, message):
+    with pytest.raises(MeshError) as err:
+        load_mesh(_slab_text_with(line, new))
+    assert str(err.value) == message
+
+
+def test_load_error_line_numbers_count_comments_and_blanks():
+    text = "# header\n\n" + _slab_text_with(21, "0 1 wall")
+    with pytest.raises(MeshError) as err:
+        load_mesh(text)
+    assert str(err.value) == "line 23: unknown edge tag 'wall'"
 
 
 def test_load_rejects_dangling_index():
@@ -177,3 +239,17 @@ def test_slit_text_is_loadable_repeatedly():
     text = build_slit_mesh_text()
     m = load_mesh(text)
     assert meshes_equal(m, load_mesh(save_mesh(m)))
+
+
+def test_node_masks_match_a_per_edge_loop(slit_mesh):
+    boundary = np.zeros(slit_mesh.n_nodes, dtype=bool)
+    for (i, j), tag in zip(slit_mesh.edges, slit_mesh.edge_tags):
+        if tag in (GAMMA0, GAMMA_PRIME):
+            boundary[[i, j]] = True
+    interface = np.zeros(slit_mesh.n_nodes, dtype=bool)
+    for i, j in slit_mesh.interface_edges:
+        interface[[i, j]] = True
+    assert np.array_equal(slit_mesh.boundary_node_mask(), boundary)
+    assert np.array_equal(slit_mesh.interface_node_mask(), interface)
+    # the slit's four nodes are shielded; the open interface half is not
+    assert boundary.sum() == 16 + 3 and interface.sum() == 3

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import linalg
+from scipy import linalg, sparse
 
 import wavepencil as wp
 from wavepencil import assembly_kernels as kernels
@@ -170,3 +170,36 @@ def test_slit_dof_counts(slit_mesh):
     assert sp.n_pi == 7
     # the magnetic space gains exactly the duplicated node
     assert sp.n_psi == plain.n_psi + 1
+
+
+def _jittered_slab():
+    """6x6 slab with interior nodes moved, so triangle areas differ."""
+    m = wp.generate_rect_slab(PI, PI, PI / 2, 6, 6)
+    inner = ~(m.boundary_node_mask() | m.interface_node_mask())
+    nodes = m.nodes.copy()
+    nodes[inner] += np.random.default_rng(0).uniform(-0.1, 0.1,
+                                                     (inner.sum(), 2))
+    return wp.mesh.validate(wp.Mesh(
+        nodes=nodes, triangles=m.triangles.copy(), regions=m.regions.copy(),
+        edges=m.edges.copy(), edge_tags=m.edge_tags,
+        interface_edges=m.interface_edges.copy()))
+
+
+@pytest.mark.parametrize("name", ["jittered", "slit_mesh"])
+def test_mean_vector_and_line_matrix_equal_per_element_loops(request, name):
+    mesh = (_jittered_slab() if name == "jittered"
+            else request.getfixturevalue(name))
+    mean = np.zeros(mesh.n_nodes)
+    for tri, area in zip(mesh.triangles, mesh.triangle_areas()):
+        mean[tri] += area / 3.0
+    assert np.array_equal(build_spaces(mesh).mean_vector, mean)
+    rows, cols, vals = [], [], []
+    for a, b in mesh.interface_edges:
+        rows.extend((a, a, b, b))
+        cols.extend((a, b, a, b))
+        vals.extend((-0.5, 0.5, -0.5, 0.5))
+    d = kernels.interface_line_matrix(mesh)
+    loop = sparse.coo_matrix((vals, (rows, cols)), shape=d.shape).tocsr()
+    assert np.array_equal(d.indptr, loop.indptr)
+    assert np.array_equal(d.indices, loop.indices)
+    assert np.array_equal(d.data, loop.data)
