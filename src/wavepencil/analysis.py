@@ -58,24 +58,22 @@ class DegenerationError(ValueError):
     """Field reconstruction requested at (or too close to) a degeneration value."""
 
 
-def classify(gamma, exclusion, tol=CLASSIFICATION_TOL):
+def classify(gamma, exclusion):
     """Classify one eigenvalue against the exclusion interval.
 
     Degeneration neighbourhoods take precedence, then the real exclusion
     band; remaining values are real (propagating), pure imaginary
-    (evanescent/decaying) or fully complex, with |.| <= tol * (1 + |gamma|)
-    as the axis test.
+    (evanescent/decaying) or fully complex, with
+    |.| <= CLASSIFICATION_TOL * (1 + |gamma|) as the axis test.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     g = complex(gamma)
     scale = 1.0 + abs(g)
     for eps in (exclusion.eps1, exclusion.eps2):
         root = math.sqrt(eps)
-        if min(abs(g - root), abs(g + root)) <= tol * (1.0 + root):
+        if min(abs(g - root), abs(g + root)) <= CLASSIFICATION_TOL * (1.0 + root):
             return SpectrumClass.DEGENERATION_ADJACENT
-    is_real = abs(g.imag) <= tol * scale
-    is_imag = abs(g.real) <= tol * scale
+    is_real = abs(g.imag) <= CLASSIFICATION_TOL * scale
+    is_imag = abs(g.real) <= CLASSIFICATION_TOL * scale
     if is_real and exclusion.contains(abs(g.real)):
         return SpectrumClass.IN_EXCLUSION
     if is_real:
@@ -187,15 +185,14 @@ class Spectrum:
     max_abs_real: float
 
 
-def build_spectrum(eigenvalues, exclusion, tol=CLASSIFICATION_TOL,
-                   residuals=None):
+def build_spectrum(eigenvalues, exclusion, residuals=None):
     """Classify eigenvalues and resolve their symmetry partners."""
     vals = np.array(eigenvalues, dtype=complex)
     pairing = symmetry_pairing(vals)
     entries = []
     counts = {cls: 0 for cls in SpectrumClass}
     for i, g in enumerate(vals):
-        cls = classify(g, exclusion, tol=tol)
+        cls = classify(g, exclusion)
         counts[cls] += 1
         entries.append(SpectrumEntry(
             gamma=complex(g),

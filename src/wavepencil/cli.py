@@ -2,9 +2,11 @@
 
 The pipeline is mesh -> spaces -> assembly -> pencil -> companion solve
 -> classification -> property report -> oracle comparison, with every
-artifact written to the output directory.  Exit status is nonzero when
-any property check fails or the oracle comparison exceeds its tolerance,
-so CI can consume the tool directly.
+artifact written to the output directory.  Exit status is 1 when any
+property check fails or the oracle comparison exceeds its tolerance, and
+2 when the input cannot be solved as given (a bad configuration or mesh,
+or a companion over the dense-path cap), so CI can consume the tool
+directly.
 """
 
 from __future__ import annotations
@@ -20,13 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, eigensolver, oracle
-from .assembly import assemble_matrices
+from .assembly import AssemblyError, assemble_matrices
 from .config import ConfigError, load_config
 from .mesh import MeshError, generate_rect_slab, load_mesh, save_mesh
-from .pencil import exclusion_interval, make_pencil
-from .spaces import build_spaces
+from .pencil import PencilError, exclusion_interval, make_pencil
+from .spaces import SpaceError, build_spaces
 
 WORKERS_ENV = "WAVEPENCIL_WORKERS"
+
+#: Errors that mean the input cannot be solved as given: exit status 2.
+INPUT_ERRORS = (ConfigError, OSError, MeshError, SpaceError, AssemblyError,
+                PencilError, eigensolver.EigensolverError, oracle.OracleError)
 
 
 def build_mesh(cfg):
@@ -130,21 +136,29 @@ def oracle_roots(cfg):
 
 
 def comparable_oracle_roots(cfg):
-    """Oracle roots inside the search box and off the dilated exclusion band."""
+    """Oracle roots off the dilated exclusion band.
+
+    The root search already keeps every root within |gamma| <= gamma_max.
+    """
     lo, hi = exclusion_interval(cfg.eps1, cfg.eps2).dilated(
         analysis.EXCLUSION_MARGIN)
     return [r for r in oracle_roots(cfg)
-            if abs(r.gamma) <= cfg.oracle_gamma_max
-            and not (abs(r.gamma.imag) <= 1e-12
-                     and lo <= abs(r.gamma.real) <= hi)]
+            if not (abs(r.gamma.imag) <= 1e-12
+                    and lo <= abs(r.gamma.real) <= hi)]
 
 
 def run(cfg, out_dir):
-    """Full pipeline; writes all artifacts and returns a RunResult."""
+    """Full pipeline; writes all artifacts and returns a RunResult.
+
+    The companion size 4n is known once the spaces exist, so the dense
+    cap is checked before the four n x n operators are assembled.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    pencil = build_pencil(cfg)
+    spaces = build_spaces(build_mesh(cfg))
+    eigensolver._check_companion_dim(4 * spaces.n)
+    pencil = make_pencil(assemble_matrices(spaces, cfg.eps1, cfg.eps2))
     report_input = eigensolver.solve_pencil(
         pencil, compute_vectors=cfg.compute_vectors)
     spectrum = analysis.build_spectrum(
@@ -342,12 +356,8 @@ def main(argv=None):
         cfg = load_config(args.config)
         if args.refine is not None:
             cfg = _refined(cfg, args.refine)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return args.fn(cfg, args)
-    except (MeshError, ConfigError, oracle.OracleError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,11 +41,6 @@ class EigenReport:
     vectors: np.ndarray | None = None
     residuals: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.vectors is not None:
-            if self.vectors.shape[1] != len(self.eigenvalues):
-                raise EigensolverError("one vector per eigenvalue required")
-
 
 def balance(matrix):
     """Diagonal similarity scaling equalising row/column norms.
@@ -99,19 +94,17 @@ def solve_companion(matrix, compute_vectors=False):
 
 
 def solve_pencil(pencil, compute_vectors=False):
-    """Full spectrum of the quartic pencil via the scaled companion.
+    """Full spectrum of the quartic pencil via the block companion.
 
-    The companion is formed for g = p * mu with p the characteristic
-    magnitude from the exclusion interval, which keeps the coefficient
-    scales comparable before the QR stage; eigenvalues are mapped back
-    exactly.  The dimension cap is checked before the companion is
-    allocated.
+    The companion's eigenvalues are the pencil eigenvalues g, and its
+    eigenvectors are [v; g v; g^2 v; g^3 v].  Each pencil vector is the
+    largest-norm block, normalised: a vector is defined only up to scale,
+    and ``pencil.residual`` does not depend on it.  The dimension cap is
+    checked before the companion is allocated.
     """
     _check_companion_dim(4 * pencil.n)
-    p = pencil.exclusion.p
-    comp = pencil_mod.linearize(pencil, scale=p)
-    mu, comp_vecs = solve_companion(comp, compute_vectors=compute_vectors)
-    gammas = p * mu
+    comp = pencil_mod.linearize(pencil)
+    gammas, comp_vecs = solve_companion(comp, compute_vectors=compute_vectors)
 
     vectors = None
     residuals = None
@@ -119,18 +112,11 @@ def solve_pencil(pencil, compute_vectors=False):
         n = pencil.n
         vectors = np.empty((n, len(gammas)), dtype=complex)
         residuals = np.empty(len(gammas))
-        for idx, (m, g) in enumerate(zip(mu, gammas)):
+        for idx, g in enumerate(gammas):
             blocks = comp_vecs[:, idx].reshape(4, n)
-            norms = np.linalg.norm(blocks, axis=1)
-            k = int(np.argmax(norms))
-            v = blocks[k] / (m ** k if k and m != 0 else 1.0)
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                v = blocks[0]
-                nv = np.linalg.norm(v)
-            v = v / nv
-            vectors[:, idx] = v
-            residuals[idx] = pencil_mod.residual(pencil, g, v)
+            v = blocks[np.argmax(np.linalg.norm(blocks, axis=1))]
+            vectors[:, idx] = v / np.linalg.norm(v)
+            residuals[idx] = pencil_mod.residual(pencil, g, vectors[:, idx])
     return EigenReport(eigenvalues=gammas, vectors=vectors,
                        residuals=residuals)
 

@@ -109,15 +109,19 @@ def _edge_triangle_map(mesh):
 def validate(mesh):
     """Check all structural mesh invariants; raise MeshError on violation.
 
-    Checked: index ranges, every node belonging to a triangle (a node in
-    none would carry no basis function and a zero mean-vector entry),
-    counterclockwise orientation (positive areas),
+    Checked: finite node coordinates, index ranges, every node belonging
+    to a triangle (a node in none would carry no basis function and a zero
+    mean-vector entry), counterclockwise orientation (positive areas),
     every boundary edge tagged, gamma0/gammaprime edges on the boundary,
     gamma edges separating exactly one region-1 from one region-2 triangle,
     every interior region-change edge being tagged gamma, and every gamma
     edge stored with region 1 on its left (``interface_orientation_errors``).
     """
     n = mesh.n_nodes
+    finite = np.isfinite(mesh.nodes).all(axis=1)
+    if not finite.all():
+        raise MeshError(f"node {int(np.argmin(finite))} has a non-finite "
+                        "coordinate")
     if mesh.triangles.size and (mesh.triangles.min() < 0 or mesh.triangles.max() >= n):
         raise MeshError("triangle refers to a nonexistent node")
     if mesh.edges.size and (mesh.edges.min() < 0 or mesh.edges.max() >= n):
@@ -289,7 +293,7 @@ def save_mesh(mesh):
 
 
 def _edge_row(parts):
-    i, j = int(parts[0]), int(parts[1])
+    i, j = np.int64(parts[0]), np.int64(parts[1])
     if parts[2] not in _KNOWN_TAGS:
         raise MeshError(f"unknown edge tag {parts[2]!r}")
     return i, j, parts[2]
@@ -333,19 +337,20 @@ def load_mesh(text):
             if len(parts) != len(row.split()):
                 raise MeshError(f"line {lineno}: expected '{row}'")
             # MeshError is a ValueError: a row the converter rejects by
-            # name keeps its message, anything else is malformed.
+            # name keeps its message, anything else is malformed (an
+            # index beyond int64 overflows).
             try:
                 rows.append(convert(parts))
             except MeshError as exc:
                 raise MeshError(f"line {lineno}: {exc}") from None
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise MeshError(f"line {lineno}: malformed {what}") from None
         return rows
 
     nodes = section("nodes", "x y", "coordinate",
                     lambda p: [float(v) for v in p])
     cells = section("triangles", "i j k region", "triangle",
-                    lambda p: [int(v) for v in p])
+                    lambda p: [np.int64(v) for v in p])
     edge_rows = section("edges", "i j tag", "edge", _edge_row)
     _, extra = next_line()
     if extra is not None:

@@ -54,8 +54,7 @@ class OracleRoot:
 
     ``residual`` is the absolute value of the defining equation at the
     root: zero for the closed-form rectangle families, the normalized
-    cleared determinant for the slab families.  ``bracket`` records the
-    gamma^2 interval the root was isolated in (None for closed forms).
+    cleared determinant for the slab families.
     """
 
     gamma: complex
@@ -63,7 +62,6 @@ class OracleRoot:
     m: int
     n: int
     residual: float
-    bracket: tuple | None = None
 
 
 def _gamma_from_usq(u):
@@ -214,16 +212,16 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
         fs = f(us)
         exact = np.where(fs == 0.0)[0]
         for i in exact:
-            u_roots.append((float(us[i]), 0.0, (float(us[i]), float(us[i]))))
+            u_roots.append((float(us[i]), 0.0))
         flips = np.where(fs[:-1] * fs[1:] < 0.0)[0]
         for i in flips:
             u0, u1 = float(us[i]), float(us[i + 1])
             u_star = optimize.brentq(f, u0, u1, xtol=1e-15, maxiter=200)
-            u_roots.append((u_star, abs(float(f(u_star))), (u0, u1)))
+            u_roots.append((u_star, abs(float(f(u_star)))))
 
     u_roots.sort(key=lambda r: -r[0])
     deduped = []
-    for u, res, br in u_roots:
+    for u, res in u_roots:
         if deduped and abs(u - deduped[-1][0]) <= 1e-10 * (1.0 + abs(u)):
             continue
         if family is OracleFamily.LSM:
@@ -233,16 +231,16 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
             tol = 1e-9 * (1.0 + abs(u))
             if abs(_kxsq(u, eps1, n, b)) < tol and abs(_kxsq(u, eps2, n, b)) < tol:
                 continue
-        deduped.append((u, res, br))
+        deduped.append((u, res))
 
     roots = []
-    for m, (u, res, br) in enumerate(deduped, start=1):
+    for m, (u, res) in enumerate(deduped, start=1):
         gamma = _gamma_from_usq(u)
         roots.append(OracleRoot(gamma=gamma, family=family, m=m, n=n,
-                                residual=res, bracket=br))
+                                residual=res))
         if gamma != 0:
             roots.append(OracleRoot(gamma=-gamma, family=family, m=m, n=n,
-                                    residual=res, bracket=br))
+                                    residual=res))
     return roots
 
 

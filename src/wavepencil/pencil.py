@@ -161,11 +161,11 @@ def residual(pencil, gamma, v):
     return float(np.linalg.norm(apply(pencil, gamma, v)) / denom)
 
 
-def linearize(pencil, scale=1.0):
-    """Monic block-companion matrix of the (scaled) pencil.
+def linearize(pencil):
+    """Monic block-companion matrix of the pencil.
 
-    With ``scale`` s the returned 4n matrix has eigenvalues g / s for the
-    pencil eigenvalues g (s = 1 gives them directly).  The leading
+    The returned 4n matrix has the pencil eigenvalues g as its
+    eigenvalues, with eigenvectors [v; g v; g^2 v; g^3 v].  The leading
     coefficient is factored by Cholesky, which doubles as the positivity
     check on the L2 operator: factorization failure signals broken
     assembly.
@@ -177,14 +177,11 @@ def linearize(pencil, scale=1.0):
         raise PencilError(
             "leading coefficient is not positive definite; assembly is broken"
         ) from exc
-    s = float(scale)
 
     comp = np.zeros((4 * n, 4 * n))
-    eye = np.eye(n)
-    comp[0 * n:1 * n, 1 * n:2 * n] = eye
-    comp[1 * n:2 * n, 2 * n:3 * n] = eye
-    comp[2 * n:3 * n, 3 * n:4 * n] = eye
+    # the three identity blocks sit on the diagonal of the upper-right
+    # 3n x 3n part; writing them in place makes no n x n temporary
+    np.fill_diagonal(comp[:3 * n, n:], 1.0)
     for j, c in enumerate(coefficients(pencil)):
-        comp[3 * n:, j * n:(j + 1) * n] = -(linalg.cho_solve(cho, c)
-                                            / s ** (4 - j))
+        comp[3 * n:, j * n:(j + 1) * n] = -linalg.cho_solve(cho, c)
     return comp

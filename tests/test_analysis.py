@@ -33,17 +33,12 @@ EXC = wp.exclusion_interval(1.0, 4.0)
     (0.45, SpectrumClass.PROPAGATING),
 ])
 def test_classify_cases(gamma, expected):
-    assert classify(gamma, EXC, tol=1e-6) is expected
-
-
-def test_classify_requires_positive_tolerance():
-    with pytest.raises(ValueError):
-        classify(1.0, EXC, tol=0.0)
+    assert classify(gamma, EXC) is expected
 
 
 def test_classify_tolerance_scales_with_magnitude():
-    assert classify(3.5 + 1e-7j, EXC, tol=1e-6) is SpectrumClass.PROPAGATING
-    assert classify(3.5 + 1e-3j, EXC, tol=1e-6) is SpectrumClass.COMPLEX
+    assert classify(3.5 + 1e-7j, EXC) is SpectrumClass.PROPAGATING
+    assert classify(3.5 + 1e-3j, EXC) is SpectrumClass.COMPLEX
 
 
 def test_symmetry_pairing_on_synthetic_quadruples():

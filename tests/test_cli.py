@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import wavepencil as wp
+from wavepencil import cli, eigensolver
 from wavepencil.analysis import SpectrumClass, SpectrumEntry
 from wavepencil.cli import _continue_branches, main, sweep
 from wavepencil.config import ConfigError, parse_config
@@ -280,6 +281,33 @@ def test_verify_subcommand_fails_on_corrupted_mesh_file(tmp_path, capsys):
     assert code == 2
     assert f"gamma edge {j} -> {i} is misoriented" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_verify_without_interior_nodes_is_a_usage_error(tmp_path, capsys):
+    # a valid one-triangle mesh whose three sides are all shielded leaves
+    # no node for the electric field
+    mesh_path = write(tmp_path, "mesh.txt",
+                      "nodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2 1\n"
+                      "edges 3\n0 1 gamma0\n1 2 gamma0\n2 0 gamma0\n")
+    cfg = write(tmp_path, "cfg.ini",
+                f"[geometry]\nkind = file\npath = {mesh_path}\n")
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert "no interior nodes" in capsys.readouterr().err
+
+
+def test_solve_over_the_companion_cap_exits_before_assembly(
+        tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("operators assembled past the companion cap")
+
+    monkeypatch.setattr(eigensolver, "MAX_COMPANION_DIM", 40)
+    monkeypatch.setattr(cli, "assemble_matrices", never)
+    cfg = write(tmp_path, "cfg.ini", SMALL_SLAB)
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert "exceeds the dense-path cap 40" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.json").exists()
 
 
 def test_oracle_subcommand_writes_csv(tmp_path):

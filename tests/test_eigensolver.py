@@ -84,7 +84,7 @@ def test_spectrum_invariant_under_unitary_similarity():
 
 
 def test_companion_pairs_backward_stable(homog_pencil):
-    comp = linearize(homog_pencil, scale=homog_pencil.exclusion.p)
+    comp = linearize(homog_pencil)
     vals, vecs = solve_companion(comp, compute_vectors=True)
     norm_a = np.linalg.norm(comp, "fro")
     worst = 0.0
@@ -137,6 +137,17 @@ def test_solve_pencil_vector_residuals(homog_matrices):
     deg = np.abs(np.abs(report.eigenvalues) - math.sqrt(2.0)) < 1e-6
     assert np.all(report.residuals[~deg] <= 1e-8)
     assert np.median(report.residuals) <= 1e-10
+
+
+def test_solve_pencil_vectors_are_unit_and_carry_their_residuals(
+        homog_pencil):
+    report = solve_pencil(homog_pencil, compute_vectors=True)
+    assert report.vectors.shape == (homog_pencil.n, 4 * homog_pencil.n)
+    assert np.allclose(np.linalg.norm(report.vectors, axis=0), 1.0,
+                       rtol=0, atol=1e-12)
+    expected = [residual(homog_pencil, g, v)
+                for g, v in zip(report.eigenvalues, report.vectors.T)]
+    assert report.residuals == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_recover_eigenvector_matches_analytic_mode(homog_spaces,

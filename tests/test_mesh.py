@@ -143,11 +143,13 @@ def _slab_text_with(line, new):
     (12, "0 1 4 2 2", "line 12: expected 'i j k region'"),
     (12, "0 1 4 1.5", "line 12: malformed triangle"),
     (12, "0 one 4 2", "line 12: malformed triangle"),
+    (12, "0 1 99999999999999999999 2", "line 12: malformed triangle"),
     (21, "0 1", "line 21: expected 'i j tag'"),
     (21, "0 1 gamma0 gamma0", "line 21: expected 'i j tag'"),
     (21, "0 x gamma0", "line 21: malformed edge"),
     (21, "0 1 wall", "line 21: unknown edge tag 'wall'"),
     (21, "x 1 wall", "line 21: malformed edge"),
+    (21, "0 99999999999999999999 gamma0", "line 21: malformed edge"),
     (1, "nodes", "line 1: expected 'nodes <count>'"),
     (11, "tris 8", "line 11: expected 'triangles <count>'"),
     (20, "edges ten", "line 20: malformed count 'ten'"),
@@ -161,6 +163,14 @@ def test_load_error_names_the_line(line, new, message):
     with pytest.raises(MeshError) as err:
         load_mesh(_slab_text_with(line, new))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_load_rejects_non_finite_coordinate(value):
+    # line 3 holds node 1; float() accepts each value
+    with pytest.raises(MeshError) as err:
+        load_mesh(_slab_text_with(3, f"{value} 0"))
+    assert str(err.value) == "node 1 has a non-finite coordinate"
 
 
 def test_load_error_line_numbers_count_comments_and_blanks():

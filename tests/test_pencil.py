@@ -222,14 +222,6 @@ def test_linearize_toy_quartic():
     assert np.allclose(ev, expected, atol=1e-10)
 
 
-def test_linearize_scaled_has_scaled_eigenvalues():
-    comp = linearize(toy_pencil(), scale=2.0)
-    ev = np.sort(np.abs(np.linalg.eigvals(comp)))
-    assert np.allclose(ev, np.sort(np.abs([0.5, 0.5 / math.sqrt(2),
-                                           -0.5, -0.5 / math.sqrt(2)])),
-                       atol=1e-10)
-
-
 def test_linearize_requires_positive_definite_leading():
     bad = operator_pencil(-np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
     with pytest.raises(PencilError):
@@ -238,14 +230,14 @@ def test_linearize_requires_positive_definite_leading():
 
 def test_companion_spectrum_even_for_equal_permittivities(homog_pencil):
     # odd coefficient absent: spectrum symmetric under sign flip exactly
-    comp = linearize(homog_pencil, scale=homog_pencil.exclusion.p)
+    comp = linearize(homog_pencil)
     ev = np.linalg.eigvals(comp)
     d = np.abs(np.sort_complex(ev) + np.sort_complex(-ev)[::-1])
     assert d.max() <= 1e-8
 
 
 def test_companion_spectrum_conjugation_closed(slab_pencil):
-    comp = linearize(slab_pencil, scale=slab_pencil.exclusion.p)
+    comp = linearize(slab_pencil)
     ev = np.linalg.eigvals(comp)
     a = np.lexsort((ev.imag, ev.real))
     b = np.lexsort(((-ev.imag), ev.real))
