@@ -27,11 +27,10 @@ from enum import Enum
 
 import numpy as np
 from scipy import linalg
-from scipy.spatial import cKDTree
 
 from . import assembly_kernels as kernels
 from .assembly import assemble_s_line, assemble_s_volume
-from .eigensolver import numerical_nullity
+from .eigensolver import degeneration_null_nodes, numerical_nullity
 from .pencil import ExclusionInterval, _terms, degeneration_points
 
 
@@ -112,6 +111,8 @@ def _match_multiset(values, targets):
     such that values[indices[k]] is the partner of targets[k] and every
     value is used exactly once.  Empty inputs give empty outputs.
     """
+    from scipy.spatial import cKDTree
+
     if len(values) == 0:
         return np.zeros(0, dtype=int), np.zeros(0)
     pts = np.column_stack([values.real, values.imag])
@@ -221,6 +222,23 @@ def count_in_disk(eigenvalues, radius, exclusion,
     in_band = (np.abs(vals.imag) <= band_margin) \
         & (np.abs(vals.real) >= lo) & (np.abs(vals.real) <= hi)
     return int(np.sum(in_disk & ~in_band))
+
+
+def degeneration_count(spaces, eps1, eps2):
+    """Nullity of L at each degeneration point, counted from the mesh in O(N).
+
+    Returns {g: count} over ``degeneration_points``.  At g = +-sqrt(eps_j)
+    the null nodes (``degeneration_null_nodes``) give one electric null
+    field each when off the shield, and their unit magnetic fields with
+    the constant, less the zero-mean constraint, give as many magnetic
+    ones, or all N - 1 when every node is null.
+    """
+    counts = {}
+    for g in degeneration_points(eps1, eps2):
+        null = degeneration_null_nodes(spaces.mesh, eps1, eps2, g)
+        counts[g] = int(np.count_nonzero(null[spaces.pi_nodes])) \
+            + min(int(np.count_nonzero(null)), spaces.n_psi)
+    return counts
 
 
 def degeneration_scan(pencils):

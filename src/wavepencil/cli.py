@@ -150,14 +150,18 @@ def comparable_oracle_roots(cfg):
 def run(cfg, out_dir):
     """Full pipeline; writes all artifacts and returns a RunResult.
 
-    The companion size 4n is known once the spaces exist, so the dense
-    cap is checked before the four n x n operators are assembled.
+    The companion size 4n is known from the mesh: n counts one electric
+    unknown per node off the shield and N - 1 magnetic ones.  So the dense
+    cap is checked before the spaces are built and before the output
+    directory is made.
     """
+    mesh = build_mesh(cfg)
+    n = int(np.count_nonzero(~mesh.boundary_node_mask())) + mesh.n_nodes - 1
+    eigensolver._check_companion_dim(4 * n)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    spaces = build_spaces(build_mesh(cfg))
-    eigensolver._check_companion_dim(4 * spaces.n)
+    spaces = build_spaces(mesh)
     pencil = make_pencil(assemble_matrices(spaces, cfg.eps1, cfg.eps2))
     report_input = eigensolver.solve_pencil(
         pencil, compute_vectors=cfg.compute_vectors)

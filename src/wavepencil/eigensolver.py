@@ -6,11 +6,13 @@ exposed here behind the balance and QR stage functions so each stage
 contract stays independently testable.  Eigenvectors of the original pencil are
 recovered by inverse iteration on the pencil evaluated at a slightly
 shifted eigenvalue; at a degeneration point the numerical nullity of the
-pencil is counted instead.
+pencil is counted instead, with the fields the mesh makes null taken out
+before the symmetric eigensolve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +156,64 @@ def recover_eigenvector(pencil, gamma, tol=1e-8, max_iter=40, seed=0):
     return best, best_res, bool(best_res <= tol), its
 
 
+def degeneration_null_nodes(mesh, eps1, eps2, gamma):
+    """Nodes whose every triangle drops out of L(gamma) at g = +-sqrt(eps_j).
+
+    At g^2 = eps_j the K term of the pencil vanishes and a triangle of
+    permittivity eps_t adds (eps_j eps_t - eps1 eps2) times its gradient
+    form to both field blocks, which is zero where eps_t eps_j = eps1 eps2:
+    in the other region, or everywhere when eps1 = eps2.  gamma is real.
+    Returns the (N,) boolean mask of the nodes all of whose triangles are
+    such, or None when gamma is not a degeneration point.
+    """
+    eps_j = [e for e in (eps1, eps2) if math.sqrt(e) == abs(gamma)]
+    if not eps_j:
+        return None
+    eps_t = np.where(mesh.regions == 1, eps1, eps2)
+    touched = np.zeros(mesh.n_nodes, dtype=bool)
+    touched[mesh.triangles[eps_t * eps_j[0] != eps1 * eps2]] = True
+    return ~touched
+
+
+def _deflate(pencil, gamma, mat, null, cutoff):
+    """L(gamma) without its explicit null fields, and how many were dropped.
+
+    A null node off the shield has a zero electric column.  A null node
+    q >= 1 has the magnetic coordinate q - 1, whose column is m_q w for
+    one vector w (``spaces.psi_nodal``: the coordinate is e_q minus
+    beta m_q v, and L kills e_q), so over those coordinates J only the
+    direction r = m_J / |m_J| carries L; the orthogonal complement of r
+    in J (columns 2.. of the reflector that sends m_J to e_1) is null.
+    Both kinds of field are dropped, after one product checks that their
+    columns of L are below ``cutoff``; the returned block keeps every
+    other coordinate and r.  L(gamma) must be real symmetric.
+    """
+    sp = pencil.spaces
+    nodes = np.flatnonzero(null[1:]) + 1
+    pi_drop = sp.pi_index[null & (sp.pi_index >= 0)]
+    psi = sp.n_pi + nodes - 1
+    keep = np.ones(sp.n, dtype=bool)
+    keep[pi_drop] = keep[psi] = False
+    idx = np.flatnonzero(keep)
+    res = np.linalg.norm(mat[:, pi_drop])
+    if len(psi):
+        r = sp.mean_vector[nodes] / np.linalg.norm(sp.mean_vector[nodes])
+        cols = mat[:, psi]
+        lr = cols @ r
+        cols -= np.outer(lr, r)
+        res = math.hypot(res, np.linalg.norm(cols))
+        idx = np.append(idx, psi[0])
+    if res > cutoff:
+        raise ValueError(
+            f"L({gamma:g}): the fields the mesh makes null leave a residual "
+            f"{res:.3e} above the nullity cutoff {cutoff:.3e}")
+    block = mat[np.ix_(idx, idx)]
+    if len(psi):
+        block[-1, :-1] = block[:-1, -1] = lr[idx[:-1]]
+        block[-1, -1] = r @ lr[psi]
+    return block, sp.n - len(idx)
+
+
 def numerical_nullity(pencil, gamma):
     """Count of singular values of L(gamma) below NULLITY_REL_TOL * scale.
 
@@ -161,12 +221,20 @@ def numerical_nullity(pencil, gamma):
     does not collapse when the pencil degenerates.  Where L(gamma) is real
     symmetric (real gamma on symmetric operators) its singular values are
     the |eigenvalues| from the symmetric eigensolver; any other L(gamma),
-    complex or asymmetric, takes the SVD.
+    complex or asymmetric, takes the SVD.  At a degeneration point a real
+    symmetric L(gamma) first loses the fields the mesh makes null
+    (``degeneration_null_nodes``, ``_deflate``): they count as null, and
+    the eigensolve runs on the rest, about half of L.  A dropped field
+    whose column is above the cutoff raises ValueError.
     """
     mat = pencil_mod.evaluate(pencil, gamma)
-    if np.isrealobj(mat) and np.array_equal(mat, mat.T):
-        svals = np.abs(np.linalg.eigvalsh(mat))
-    else:
-        svals = np.linalg.svd(mat, compute_uv=False)
     cutoff = NULLITY_REL_TOL * pencil_mod.coefficient_scale(pencil, gamma)
-    return int(np.sum(svals <= cutoff))
+    if not (np.isrealobj(mat) and np.array_equal(mat, mat.T)):
+        svals = np.linalg.svd(mat, compute_uv=False)
+        return int(np.sum(svals <= cutoff))
+    dropped = 0
+    null = degeneration_null_nodes(pencil.spaces.mesh, pencil.eps1,
+                                   pencil.eps2, gamma)
+    if null is not None:
+        mat, dropped = _deflate(pencil, gamma, mat, null, cutoff)
+    return dropped + int(np.sum(np.abs(np.linalg.eigvalsh(mat)) <= cutoff))

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import optimize
 
 
 class OracleFamily(str, Enum):
@@ -190,6 +189,8 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
     sin(n pi y / b), so that family is empty and the roots of its
     determinant are not eigenvalues.
     """
+    from scipy.optimize import brentq
+
     family = OracleFamily(family)
     if family not in (OracleFamily.LSE, OracleFamily.LSM):
         raise OracleError("slab families are LSE and LSM")
@@ -216,7 +217,7 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
         flips = np.where(fs[:-1] * fs[1:] < 0.0)[0]
         for i in flips:
             u0, u1 = float(us[i]), float(us[i + 1])
-            u_star = optimize.brentq(f, u0, u1, xtol=1e-15, maxiter=200)
+            u_star = brentq(f, u0, u1, xtol=1e-15, maxiter=200)
             u_roots.append((u_star, abs(float(f(u_star)))))
 
     u_roots.sort(key=lambda r: -r[0])

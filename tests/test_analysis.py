@@ -8,11 +8,12 @@ from scipy import linalg
 
 import wavepencil as wp
 from wavepencil import analysis
-from wavepencil.eigensolver import solve_pencil
+from wavepencil.eigensolver import NULLITY_REL_TOL, solve_pencil
 from wavepencil.analysis import (DegenerationError, SpectrumClass,
                                  build_spectrum, classify, count_in_disk,
                                  count_real_outside_exclusion,
-                                 degeneration_scan, k_decay_slope,
+                                 degeneration_count, degeneration_scan,
+                                 k_decay_slope,
                                  symmetry_pairing, transverse_fields,
                                  verify_all)
 
@@ -146,6 +147,47 @@ def test_degeneration_scan_slab_nondecreasing(slab_pencil):
 def test_degeneration_scan_needs_two_levels(slab_pencil):
     with pytest.raises(ValueError):
         degeneration_scan([slab_pencil])
+
+
+def _eigvalsh_nullity(pencil, gamma):
+    """|eigenvalues| of the whole L(gamma) under the nullity cutoff."""
+    cutoff = NULLITY_REL_TOL * wp.pencil.coefficient_scale(pencil, gamma)
+    vals = np.linalg.eigvalsh(wp.evaluate(pencil, gamma))
+    return int(np.sum(np.abs(vals) <= cutoff))
+
+
+@pytest.mark.parametrize("case,eps", [
+    ("slab12_col3", (1.0, 4.0)), ("slab12_col6", (1.0, 4.0)),
+    ("slab12_col9", (1.0, 4.0)), ("slab16_col5", (1.0, 4.0)),
+    ("slab20", (1.0, 4.0)), ("box8x6", (2.0, 3.5)),
+    ("slab12", (2.3, 1.7)), ("slit", (1.0, 4.0)), ("homog", (2.0, 2.0)),
+])
+def test_degeneration_count_is_the_numerical_nullity(case, eps, slit_mesh,
+                                                     homog_mesh):
+    meshes = {
+        "slab12_col3": lambda: wp.generate_rect_slab(PI, PI, PI / 4, 12, 12),
+        "slab12_col6": lambda: wp.generate_rect_slab(PI, PI, PI / 2, 12, 12),
+        "slab12_col9": lambda: wp.generate_rect_slab(PI, PI, 3 * PI / 4,
+                                                     12, 12),
+        "slab16_col5": lambda: wp.generate_rect_slab(PI, PI, 5 * PI / 16,
+                                                     16, 16),
+        "slab20": lambda: wp.generate_rect_slab(PI, PI, PI / 2, 20, 20),
+        "box8x6": lambda: wp.generate_rect_slab(2 * PI, PI, PI, 8, 6),
+        "slab12": lambda: wp.generate_rect_slab(PI, PI, PI / 2, 12, 12),
+        "slit": lambda: slit_mesh,
+        "homog": lambda: homog_mesh,
+    }
+    spaces = wp.build_spaces(meshes[case]())
+    pencil = wp.make_pencil(wp.assemble_matrices(spaces, *eps))
+    counts = degeneration_count(spaces, *eps)
+    assert sorted(counts) == wp.pencil.degeneration_points(*eps)
+    for g, count in counts.items():
+        assert count == analysis.numerical_nullity(pencil, g) \
+            == _eigvalsh_nullity(pencil, g)
+        if case == "homog":
+            assert count == pencil.n
+        else:
+            assert 0 < count < pencil.n
 
 
 def test_transverse_fields_zero_inputs(slab_mesh):

@@ -299,15 +299,19 @@ def test_verify_without_interior_nodes_is_a_usage_error(tmp_path, capsys):
 def test_solve_over_the_companion_cap_exits_before_assembly(
         tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
-        raise AssertionError("operators assembled past the companion cap")
+        raise AssertionError("built past the companion cap")
 
     monkeypatch.setattr(eigensolver, "MAX_COMPANION_DIM", 40)
     monkeypatch.setattr(cli, "assemble_matrices", never)
+    monkeypatch.setattr(cli, "build_spaces", never)
     cfg = write(tmp_path, "cfg.ini", SMALL_SLAB)
-    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(cfg), "--out", str(out)])
     assert code == 2
-    assert "exceeds the dense-path cap 40" in capsys.readouterr().err
-    assert not (tmp_path / "spectrum.json").exists()
+    # n = 5 * 5 nodes off the shield + 7 * 7 - 1 magnetic unknowns = 73
+    assert "companion dimension 292 exceeds the dense-path cap 40" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oracle_subcommand_writes_csv(tmp_path):

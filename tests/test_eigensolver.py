@@ -9,7 +9,8 @@ import wavepencil as wp
 from wavepencil import pencil as pencil_mod
 from wavepencil.assembly import PencilMatrices
 from wavepencil.eigensolver import (EigensolverError, MAX_COMPANION_DIM,
-                                    balance, numerical_nullity,
+                                    balance, degeneration_null_nodes,
+                                    numerical_nullity,
                                     qr_eigenvalues,
                                     recover_eigenvector, solve_companion,
                                     solve_pencil)
@@ -261,6 +262,22 @@ def test_numerical_nullity_of_an_asymmetric_pencil_is_the_svd_count(
     bad = wp.make_pencil(dataclasses.replace(slab_matrices, a1=a1))
     assert numerical_nullity(bad, 1.0) == _svd_nullity(bad, 1.0) \
         < numerical_nullity(slab_pencil, 1.0)
+
+
+@pytest.mark.parametrize("field", ["electric", "magnetic"])
+def test_numerical_nullity_refuses_a_null_field_that_is_not(field,
+                                                            slab_matrices):
+    # one diagonal entry of A1 at a node the mesh makes null at gamma = 1:
+    # L(1) stays symmetric, but that field is no longer in its kernel
+    sp = slab_matrices.spaces
+    null = degeneration_null_nodes(sp.mesh, 1.0, 4.0, 1.0)
+    node = np.flatnonzero(null & (sp.pi_index >= 0))[0]
+    i = sp.pi_index[node] if field == "electric" else sp.n_pi + node - 1
+    a1 = slab_matrices.a1.copy()
+    a1[i, i] += 1e-3
+    bad = wp.make_pencil(dataclasses.replace(slab_matrices, a1=a1))
+    with pytest.raises(ValueError, match=r"L\(1\): .* residual .*e-0[34]"):
+        numerical_nullity(bad, 1.0)
 
 
 def test_null_space_basis_at_a_complex_eigenvalue(slab_pencil, slab_eigenvalues):
