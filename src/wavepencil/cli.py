@@ -147,17 +147,24 @@ def comparable_oracle_roots(cfg):
                     and lo <= abs(r.gamma.real) <= hi)]
 
 
+def _check_companion_cap(mesh):
+    """Refuse a mesh whose 4n companion is over the dense-path cap.
+
+    n counts one electric unknown per node off the shield and N - 1
+    magnetic ones, so the check needs the mesh alone.
+    """
+    n = int(np.count_nonzero(~mesh.boundary_node_mask())) + mesh.n_nodes - 1
+    eigensolver._check_companion_dim(4 * n)
+
+
 def run(cfg, out_dir):
     """Full pipeline; writes all artifacts and returns a RunResult.
 
-    The companion size 4n is known from the mesh: n counts one electric
-    unknown per node off the shield and N - 1 magnetic ones.  So the dense
-    cap is checked before the spaces are built and before the output
-    directory is made.
+    The dense cap is checked from the mesh (``_check_companion_cap``),
+    before the spaces are built and before the output directory is made.
     """
     mesh = build_mesh(cfg)
-    n = int(np.count_nonzero(~mesh.boundary_node_mask())) + mesh.n_nodes - 1
-    eigensolver._check_companion_dim(4 * n)
+    _check_companion_cap(mesh)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -240,7 +247,9 @@ def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None):
 
     ``workers`` defaults to ``WAVEPENCIL_WORKERS`` (1 when unset).
     Results are gathered in step order, so the artifacts do not depend on
-    the worker count.
+    the worker count.  Every step shares the mesh, and n does not depend
+    on eps2, so the dense cap is checked once, before the output
+    directory is made.
     """
     if steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
@@ -250,6 +259,7 @@ def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None):
         workers = _workers_from_env()
     if workers < 1:
         raise ConfigError(f"sweep needs at least 1 worker (got {workers})")
+    _check_companion_cap(build_mesh(cfg))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     values = np.linspace(eps2_from, eps2_to, steps)

@@ -89,9 +89,12 @@ def _convert(raw, kind, where):
         return raw
     if kind is float:
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{where}: not a number: {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: not a finite number: {raw!r}")
+        return value
     if kind is int:
         try:
             return int(raw)

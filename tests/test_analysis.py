@@ -375,14 +375,68 @@ def _dense_bound_margins(mats):
     }
 
 
-@pytest.mark.parametrize("case", ["slab", "slit"])
+@pytest.mark.parametrize("case", ["slab", "slit", "homog"])
 def test_block_bounds_equal_the_full_size_eigenproblems(case, slab_matrices,
+                                                        homog_matrices,
                                                         slit_mesh):
-    mats = slab_matrices if case == "slab" else wp.assemble_matrices(
-        wp.build_spaces(slit_mesh), 1.0, 4.0)
+    if case == "slit":
+        mats = wp.assemble_matrices(wp.build_spaces(slit_mesh), 1.0, 4.0)
+    else:
+        mats = {"slab": slab_matrices, "homog": homog_matrices}[case]
     rep = verify_all(mats, include_decay_slope=True)
     for name, ref in _dense_bound_margins(mats).items():
         assert rep[name].margin == pytest.approx(ref, rel=1e-12, abs=0), name
+
+
+@pytest.mark.parametrize("name,block,scale", [("a1", 1, 0.5), ("a2", 0, 0.1)])
+def test_a_gram_block_changed_off_the_gram_is_eigensolved(name, block, scale,
+                                                          slab_matrices):
+    # A1's magnetic and A2's electric block are the Gram blocks and take no
+    # eigensolve; one lowered diagonal entry keeps the block symmetric, and
+    # its Rayleigh quotient at that unit field is ``scale`` < the bound
+    j = slab_matrices.spaces.blocks[block].start
+    op = getattr(slab_matrices, name).copy()
+    op[j, j] *= scale
+    bad = dataclasses.replace(slab_matrices, **{name: op})
+    rep = verify_all(bad)
+    check = rep[f"{name}_bound_lower"]
+    assert rep[f"hermiticity_{name}"].passed
+    assert not check.passed
+    assert check.margin <= scale
+    assert check.margin == pytest.approx(
+        _dense_bound_margins(bad)[check.name], rel=1e-12, abs=0)
+
+
+def _svdvals_s_bound(mats):
+    """sigma_max(L_pi^-1 F L_psi^-T) from full triangular solves."""
+    e, m = mats.spaces.blocks
+    f = 0.5 * (mats.s[e, m] + mats.s[m, e].T)
+    l_pi = linalg.cholesky(mats.spaces.gram_pi, lower=True)
+    l_psi = linalg.cholesky(mats.spaces.gram_psi, lower=True)
+    x = linalg.solve_triangular(l_pi, f, lower=True)
+    x = linalg.solve_triangular(l_psi, x.T, lower=True)
+    return float(linalg.svdvals(x)[0])
+
+
+@pytest.mark.parametrize("case", ["row_off_interface", "zero"])
+def test_s_bound_equals_the_full_svd(case, slab_matrices):
+    e, m = slab_matrices.spaces.blocks
+    s = slab_matrices.s.copy()
+    rows = np.flatnonzero(np.any(s[e, m] != 0.0, axis=1))
+    if case == "zero":
+        s[:] = 0.0
+    else:
+        # F's rows are those of the interface nodes; add one more
+        assert 0 < len(rows) < slab_matrices.spaces.n_pi
+        i = e.start + next(k for k in range(e.stop) if k not in rows)
+        s[i, m.start] = s[m.start, i] = 0.3
+    mats = dataclasses.replace(slab_matrices, s=s)
+    got = verify_all(mats)["s_bound"].margin
+    ref = _svdvals_s_bound(mats)
+    if case == "zero":
+        assert got == ref == 0.0
+    else:
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_electric_magnetic_entry_in_a1_fails_parity(slab_matrices):

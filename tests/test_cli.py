@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import wavepencil as wp
-from wavepencil import cli, eigensolver
+from wavepencil import cli, config, eigensolver
 from wavepencil.analysis import SpectrumClass, SpectrumEntry
 from wavepencil.cli import _continue_branches, main, sweep
 from wavepencil.config import ConfigError, parse_config
@@ -143,6 +143,33 @@ def test_readme_config_example_parses():
     cfg = parse_config(example, source="README")
     assert (cfg.kind, cfg.nx, cfg.eps2) == ("rect_slab", 16, 4.0)
     assert cfg.oracle_families == ("lse", "lsm")
+
+
+FLOAT_KEYS = [(section, key) for section, keys in config._SCHEMA.items()
+              for key, (_, kind) in keys.items() if kind is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS)
+def test_parse_config_rejects_non_finite_floats(section, key, value):
+    text = f"[{section}]\n# a comment line\n{key} = {value}\n"
+    with pytest.raises(ConfigError,
+                       match=f"inline:3: not a finite number: '{value}'"):
+        parse_config(text, source="inline")
+
+
+def test_solve_with_a_nan_tolerance_is_a_usage_error(tmp_path, capsys):
+    # every comparison with nan is False, so a nan tolerance would pass
+    # every oracle match
+    text = SMALL_SLAB.replace("match_rel_tol = 0.2", "match_rel_tol = nan")
+    lineno = text.splitlines().index("match_rel_tol = nan") + 1
+    cfg = write(tmp_path, "cfg.ini", text)
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert f"cfg.ini:{lineno}: not a finite number: 'nan'" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_config_rejects_duplicates_and_strays():
@@ -309,6 +336,23 @@ def test_solve_over_the_companion_cap_exits_before_assembly(
     code = main(["solve", "--config", str(cfg), "--out", str(out)])
     assert code == 2
     # n = 5 * 5 nodes off the shield + 7 * 7 - 1 magnetic unknowns = 73
+    assert "companion dimension 292 exceeds the dense-path cap 40" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_over_the_companion_cap_makes_no_directory(
+        tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("solved past the companion cap")
+
+    monkeypatch.setattr(eigensolver, "MAX_COMPANION_DIM", 40)
+    monkeypatch.setattr(cli, "run", never)
+    cfg = write(tmp_path, "cfg.ini", SMALL_SLAB)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--eps2-from", "2.0", "--eps2-to", "4.0", "--steps", "3"])
+    assert code == 2
     assert "companion dimension 292 exceeds the dense-path cap 40" in \
         capsys.readouterr().err
     assert not out.exists()
