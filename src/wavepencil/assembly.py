@@ -20,7 +20,7 @@ import numpy as np
 
 from . import assembly_kernels as kernels
 from .pencil import coefficients, exclusion_interval
-from .spaces import FieldSpaces, zero_mean_transform
+from .spaces import FieldSpaces, write_reduced
 
 
 #: Rows of the operators taken at a time when summing coefficient norms.
@@ -87,14 +87,6 @@ def _check_eps(eps1, eps2):
         raise AssemblyError("relative permittivities must be real and >= 1")
 
 
-def _block_diag(spaces, pi_block, psi_block):
-    e, m = spaces.blocks
-    out = np.zeros((spaces.n, spaces.n))
-    out[e, e] = pi_block
-    out[m, m] = psi_block
-    return out
-
-
 def assemble_a1(spaces, eps1, eps2):
     """Gradient form weighted by the permittivity on the electric block.
 
@@ -102,7 +94,11 @@ def assemble_a1(spaces, eps1, eps2):
     """
     _check_eps(eps1, eps2)
     weighted = kernels.nodal_stiffness(spaces.mesh, eps1, eps2)
-    return _block_diag(spaces, spaces.pi_block(weighted), spaces.gram_psi)
+    e, m = spaces.blocks
+    out = np.zeros((spaces.n, spaces.n))
+    spaces.scatter_pi(out[e, e], weighted)
+    out[m, m] = spaces.gram_psi
+    return out
 
 
 def assemble_a2(spaces, eps1, eps2):
@@ -112,18 +108,23 @@ def assemble_a2(spaces, eps1, eps2):
     """
     _check_eps(eps1, eps2)
     weighted = kernels.nodal_stiffness(spaces.mesh, 1.0 / eps1, 1.0 / eps2)
-    return _block_diag(spaces, spaces.gram_pi,
-                       zero_mean_transform(spaces, weighted))
+    e, m = spaces.blocks
+    out = np.zeros((spaces.n, spaces.n))
+    out[e, e] = spaces.gram_pi
+    write_reduced(out[m, m], spaces.mean_vector, weighted, congruence=True)
+    return out
 
 
 def assemble_k(spaces, eps1, eps2):
     """L2 form, permittivity-weighted on the electric block.  Positive definite."""
     _check_eps(eps1, eps2)
     mesh = spaces.mesh
-    weighted = kernels.nodal_mass(mesh, eps1, eps2)
-    plain = kernels.nodal_mass(mesh, 1.0, 1.0)
-    return _block_diag(spaces, spaces.pi_block(weighted),
-                       zero_mean_transform(spaces, plain))
+    e, m = spaces.blocks
+    out = np.zeros((spaces.n, spaces.n))
+    spaces.scatter_pi(out[e, e], kernels.nodal_mass(mesh, eps1, eps2))
+    write_reduced(out[m, m], spaces.mean_vector,
+                  kernels.nodal_mass(mesh, 1.0, 1.0), congruence=True)
+    return out
 
 
 def _check_interface(spaces):
@@ -142,14 +143,18 @@ def _couple(spaces, bottom_nodal, top_nodal):
     trial node j; ``top_nodal`` the electric test with the magnetic trial.
     Both blocks are assembled from the form itself, so an orientation
     fault in the mesh surfaces as a Hermiticity violation instead of being
-    silently symmetrised away.  Z^T X is applied through the reflector
-    (``spaces.reduce_rows``).
+    silently symmetrised away.  Each block is Z^T X of a sparse nodal
+    column block X, written in place by ``spaces.write_reduced`` (the
+    top-right one through a transposed view): the reflector's low-rank
+    term, then the stored entries of X.  No dense N x n_pi copy of X is
+    formed.
     """
     e, m = spaces.blocks
     out = np.zeros((spaces.n, spaces.n))
-    out[m, e] = spaces.reduce_rows(bottom_nodal[:, spaces.pi_nodes].toarray())
-    out[e, m] = spaces.reduce_rows(
-        top_nodal[spaces.pi_nodes, :].T.toarray()).T
+    write_reduced(out[m, e], spaces.mean_vector,
+                  bottom_nodal[:, spaces.pi_nodes])
+    write_reduced(out[e, m].T, spaces.mean_vector,
+                  top_nodal[spaces.pi_nodes, :].T)
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -147,24 +148,35 @@ def comparable_oracle_roots(cfg):
                     and lo <= abs(r.gamma.real) <= hi)]
 
 
-def _check_companion_cap(mesh):
-    """Refuse a mesh whose 4n companion is over the dense-path cap.
+def _check_companion_cap(cfg):
+    """Refuse a configuration whose 4n companion is over the dense-path cap.
 
     n counts one electric unknown per node off the shield and N - 1
-    magnetic ones, so the check needs the mesh alone.
+    magnetic ones.  A generated grid has (nx + 1)(ny + 1) nodes, of which
+    (nx - 1)(ny - 1) lie off the shield, so it is checked from the
+    configuration before it is built.  A mesh file is checked once loaded,
+    and that mesh is returned (None for a generated grid).
     """
-    n = int(np.count_nonzero(~mesh.boundary_node_mask())) + mesh.n_nodes - 1
+    if cfg.kind == "file":
+        mesh = build_mesh(cfg)
+        n = int(np.count_nonzero(~mesh.boundary_node_mask())) \
+            + mesh.n_nodes - 1
+    else:
+        mesh = None
+        n = (cfg.nx - 1) * (cfg.ny - 1) + (cfg.nx + 1) * (cfg.ny + 1) - 1
     eigensolver._check_companion_dim(4 * n)
+    return mesh
 
 
 def run(cfg, out_dir):
     """Full pipeline; writes all artifacts and returns a RunResult.
 
-    The dense cap is checked from the mesh (``_check_companion_cap``),
-    before the spaces are built and before the output directory is made.
+    The dense cap is checked (``_check_companion_cap``) before the mesh
+    of a generated grid, the spaces and the output directory are made.
     """
-    mesh = build_mesh(cfg)
-    _check_companion_cap(mesh)
+    mesh = _check_companion_cap(cfg)
+    if mesh is None:
+        mesh = build_mesh(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -249,17 +261,20 @@ def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None):
     Results are gathered in step order, so the artifacts do not depend on
     the worker count.  Every step shares the mesh, and n does not depend
     on eps2, so the dense cap is checked once, before the output
-    directory is made.
+    directory is made; so are the eps2 bounds, which must be finite.
     """
     if steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
+    for flag, value in (("--eps2-from", eps2_from), ("--eps2-to", eps2_to)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number (got {value})")
     if eps2_from < 1.0 or eps2_to < 1.0:
         raise ConfigError("sweep range must stay within eps2 >= 1")
     if workers is None:
         workers = _workers_from_env()
     if workers < 1:
         raise ConfigError(f"sweep needs at least 1 worker (got {workers})")
-    _check_companion_cap(build_mesh(cfg))
+    _check_companion_cap(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     values = np.linspace(eps2_from, eps2_to, steps)

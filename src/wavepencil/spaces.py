@@ -12,7 +12,10 @@ First-order nodal elements for both scalar fields:
   every reduced matrix congruent to its nodal origin.  Products with Z
   apply H as the identity minus a rank-one term, in O(N^2) work for a
   matrix and O(N) for a vector; the dense basis is not stored and is
-  formed only on request (``FieldSpaces.null_basis``).
+  formed only on request (``FieldSpaces.null_basis``).  A reduced block
+  is written in place into its block of an operator (``write_reduced``):
+  the reflector's dense low-rank term first, then the stored entries of
+  the sparse nodal matrix.
 
 Product-space vectors and matrices are laid out electric block first,
 then magnetic (``FieldSpaces.blocks``); this module is the one place
@@ -31,6 +34,10 @@ from scipy import sparse
 
 from . import assembly_kernels as kernels
 from .mesh import Mesh
+
+
+#: Rows of the reflector's second rank-one term formed at a time.
+ROW_BLOCK = 64
 
 
 class SpaceError(ValueError):
@@ -104,18 +111,13 @@ class FieldSpaces:
         signs[self.blocks[0]] = -1.0
         return signs
 
-    def pi_block(self, nodal):
-        """Dense electric block ``M[pi, pi]`` of a sparse nodal matrix."""
-        return _restrict(nodal, self.pi_nodes)
+    def scatter_pi(self, dst, nodal):
+        """Write the stored entries of ``M[pi, pi]`` into a zeroed dst.
 
-    def reduce_rows(self, x):
-        """Z^T X for a nodal row block X, as ``(X - beta v (v^T X))[1:]``.
-
-        Applies the reflector H = I - beta v v^T of the mean vector; the
-        dense basis is not formed.
+        dst is the (n_pi, n_pi) electric block of an operator, typically a
+        view; entries M does not store are left as they are.
         """
-        v, beta = reflector(self.mean_vector)
-        return x[1:] - np.outer(beta * v[1:], v @ x)
+        _add_stored(dst, nodal[np.ix_(self.pi_nodes, self.pi_nodes)])
 
     def psi_nodal(self, y):
         """Nodal values Z y of a magnetic-field coordinate vector.
@@ -188,13 +190,15 @@ def build_spaces(mesh):
                        minlength=mesh.n_nodes)
 
     stiff = kernels.nodal_stiffness(mesh, 1.0, 1.0)
+    gram_psi = np.empty((mesh.n_nodes - 1, mesh.n_nodes - 1))
+    write_reduced(gram_psi, mean, stiff, congruence=True)
     return FieldSpaces(
         mesh=mesh,
         pi_nodes=pi_nodes,
         pi_index=pi_index,
         mean_vector=mean,
         gram_pi=_restrict(stiff, pi_nodes),
-        gram_psi=_reflect_congruence(mean, stiff),
+        gram_psi=gram_psi,
     )
 
 
@@ -206,33 +210,61 @@ def _is_hermitian(m):
     return np.array_equal(m, m.conj().T)
 
 
-def _reflect_congruence(m, nodal_matrix):
-    """(H M H)[1:, 1:] for the reflector H = I - beta v v^T of m.
+def _add_stored(dst, matrix):
+    """dst += matrix, over the stored entries alone when matrix is sparse."""
+    if sparse.issparse(matrix):
+        coo = matrix.tocoo()
+        np.add.at(dst, (coo.row, coo.col), coo.data)
+    else:
+        dst += matrix
 
-    With p = M v and c = v^T p, H M H = M - (w v^T + v u^T), a rank-two
-    update, where w = beta p - (beta^2 c / 2) v and u is formed the same
-    way from M^T v.  For a Hermitian M, u = conj(w) and the update is
-    summed entrywise, so the result is exactly Hermitian without a
-    symmetrisation pass.
+
+def write_reduced(dst, m, nodal, congruence=False):
+    """Write ``Z^T X`` (rows) or ``Z^T M Z`` (congruence) into dst in place.
+
+    Z is the null basis of m: columns 2..N of the reflector
+    H = I - beta v v^T.  Both products are the dense low-rank term of the
+    reflector plus the nodal matrix with its first row (and column)
+    dropped, and they are written in that order:
+
+    1. dst is set to the low-rank term: ``-beta v[1:] (v^T X)`` for rows,
+       ``-(w v^T + v u^T)[1:, 1:]`` for the congruence, with p = M v,
+       c = v^T p, w = beta p - (beta^2 c / 2) v, and u formed the same way
+       from M^T v (u = conj(w) for a Hermitian M, so the result is exactly
+       Hermitian).  Its second product is added ``ROW_BLOCK`` rows at a
+       time, so no temporary of the size of dst is formed.
+    2. ``X[1:]`` or ``M[1:, 1:]`` is added: only its stored entries when it
+       is sparse, all of it when it is dense.
+
+    In IEEE arithmetic -u + x equals x - u, so the result is bit for bit
+    ``M[1:, 1:]`` (or ``X[1:]``) minus the update.  dst is typically a view of one block of an
+    operator (a transposed view included), of shape (N - 1, k) for an
+    (N, k) X, or (N - 1, N - 1) for an (N, N) M; its dtype must hold the
+    result.
     """
     n = len(m)
-    if nodal_matrix.shape != (n, n):
-        raise ValueError(
-            f"nodal matrix must be {n}x{n}, got {nodal_matrix.shape}")
+    k = n if congruence else nodal.shape[1]
+    if nodal.shape != (n, k) or dst.shape != (n - 1, k - congruence):
+        raise ValueError(f"cannot reduce a {nodal.shape} nodal matrix "
+                         f"into {dst.shape} over {n} nodes")
     v, beta = reflector(m)
-    p = nodal_matrix @ v
+    if not congruence:
+        np.multiply.outer(-beta * v[1:], nodal.T @ v, out=dst)
+        _add_stored(dst, nodal[1:])
+        return
+    p = nodal @ v
     shift = (0.5 * beta * beta * np.dot(v, p)) * v
     w = beta * p - shift
-    if _is_hermitian(nodal_matrix):
+    if _is_hermitian(nodal):
         u = w.conj()
     else:
-        u = beta * (nodal_matrix.T @ v) - shift
-    update = np.outer(w[1:], v[1:])
-    update += np.outer(v[1:], u[1:])
-    lower = nodal_matrix[1:, 1:]
-    if sparse.issparse(lower):
-        lower = lower.toarray()
-    return lower - update
+        u = beta * (nodal.T @ v) - shift
+    np.multiply.outer(-w[1:], v[1:], out=dst)
+    neg_v, u = -v[1:], u[1:]
+    for start in range(0, n - 1, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        dst[rows] += np.multiply.outer(neg_v[rows], u)
+    _add_stored(dst, nodal[1:, 1:])
 
 
 def zero_mean_transform(spaces, nodal_matrix):
@@ -240,9 +272,13 @@ def zero_mean_transform(spaces, nodal_matrix):
 
     Returns ``Z^H M Z`` with Z the null basis, computed as
     ``(H M H)[1:, 1:]`` from the reflector H = I - beta v v^T (Z is real,
-    so Z^H = Z^T); the dense basis is not formed.  The input may be
-    sparse or dense.  Hermiticity of the input is preserved exactly: the
-    congruence of a Hermitian matrix is Hermitian, and the update is
-    formed so that rounding keeps it so.
+    so Z^H = Z^T) by ``write_reduced``; the dense basis is not formed.
+    The input may be sparse or dense, real or complex, Hermitian or not,
+    and the result takes its dtype from the input.  Hermiticity of the
+    input is preserved exactly: the congruence of a Hermitian matrix is
+    Hermitian, and the update is formed so that rounding keeps it so.
     """
-    return _reflect_congruence(spaces.mean_vector, nodal_matrix)
+    out = np.empty((spaces.n_psi, spaces.n_psi),
+                   dtype=np.result_type(nodal_matrix.dtype, float))
+    write_reduced(out, spaces.mean_vector, nodal_matrix, congruence=True)
+    return out

@@ -331,6 +331,7 @@ def test_solve_over_the_companion_cap_exits_before_assembly(
     monkeypatch.setattr(eigensolver, "MAX_COMPANION_DIM", 40)
     monkeypatch.setattr(cli, "assemble_matrices", never)
     monkeypatch.setattr(cli, "build_spaces", never)
+    monkeypatch.setattr(cli, "generate_rect_slab", never)
     cfg = write(tmp_path, "cfg.ini", SMALL_SLAB)
     out = tmp_path / "out"
     code = main(["solve", "--config", str(cfg), "--out", str(out)])
@@ -348,12 +349,63 @@ def test_sweep_over_the_companion_cap_makes_no_directory(
 
     monkeypatch.setattr(eigensolver, "MAX_COMPANION_DIM", 40)
     monkeypatch.setattr(cli, "run", never)
+    monkeypatch.setattr(cli, "generate_rect_slab", never)
     cfg = write(tmp_path, "cfg.ini", SMALL_SLAB)
     out = tmp_path / "out"
     code = main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--eps2-from", "2.0", "--eps2-to", "4.0", "--steps", "3"])
     assert code == 2
     assert "companion dimension 292 exceeds the dense-path cap 40" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("nx,ny", [(4, 4), (12, 7), (16, 16), (5, 9)])
+def test_companion_cap_counts_a_generated_grid_from_the_config(
+        monkeypatch, nx, ny):
+    monkeypatch.setattr(eigensolver, "MAX_COMPANION_DIM", 3)
+    cfg = parse_config(SMALL_SLAB.replace("nx = 6", f"nx = {nx}")
+                       .replace("ny = 6", f"ny = {ny}"), source="inline")
+    n = wp.build_spaces(cli.build_mesh(cfg)).n
+    with pytest.raises(eigensolver.EigensolverError,
+                       match=f"companion dimension {4 * n} exceeds"):
+        cli._check_companion_cap(cfg)
+
+
+def test_mesh_file_over_the_companion_cap_exits_before_assembly(
+        tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("built past the companion cap")
+
+    mesh_path = write(tmp_path, "mesh.txt", wp.save_mesh(
+        wp.generate_rect_slab(PI, PI, PI / 2, 6, 6)))
+    cfg = write(tmp_path, "cfg.ini", SMALL_SLAB.replace(
+        "kind = rect_slab", f"kind = file\npath = {mesh_path}"))
+    monkeypatch.setattr(eigensolver, "MAX_COMPANION_DIM", 40)
+    monkeypatch.setattr(cli, "build_spaces", never)
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "companion dimension 292 exceeds the dense-path cap 40" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--eps2-from", "--eps2-to"])
+def test_sweep_refuses_a_non_finite_eps2_bound(tmp_path, capsys, monkeypatch,
+                                               flag, value):
+    def never(*args, **kwargs):
+        raise AssertionError("swept a non-finite eps2 range")
+
+    monkeypatch.setattr(cli, "run", never)
+    bounds = {"--eps2-from": "2.0", "--eps2-to": "4.0", flag: value}
+    cfg = write(tmp_path, "cfg.ini", SMALL_SLAB)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--steps", "2", *(f"{k}={v}" for k, v in bounds.items())])
+    assert code == 2
+    assert f"{flag} must be a finite number (got {value})" in \
         capsys.readouterr().err
     assert not out.exists()
 
