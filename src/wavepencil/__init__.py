@@ -22,7 +22,7 @@ from .oracle import (OracleFamily, OracleRoot, homogeneous_rect_spectrum,
                      slab_dispersion_roots)
 from .pencil import (ExclusionInterval, evaluate, exclusion_interval,
                      linearize, make_pencil, residual)
-from .spaces import FieldSpaces, build_spaces, zero_mean_transform
+from .spaces import FieldSpaces, build_spaces
 
 __version__ = "0.1.0"
 
@@ -38,5 +38,4 @@ __all__ = [
     "load_mesh", "make_pencil", "parse_config", "qr_eigenvalues",
     "recover_eigenvector", "residual", "save_mesh", "slab_dispersion_roots",
     "solve_pencil", "symmetry_pairing", "transverse_fields", "verify_all",
-    "zero_mean_transform",
 ]

@@ -109,9 +109,11 @@ def _convert(raw, kind, where):
         raise ConfigError(f"{where}: not a boolean: {raw!r}")
     if kind == "families":
         fams = tuple(p.strip().lower() for p in raw.split(",") if p.strip())
-        for f in fams:
+        for i, f in enumerate(fams):
             if f not in ("lse", "lsm"):
                 raise ConfigError(f"{where}: unknown family {f!r}")
+            if f in fams[:i]:
+                raise ConfigError(f"{where}: repeated family {f!r}")
         if not fams:
             raise ConfigError(f"{where}: empty family list")
         return fams

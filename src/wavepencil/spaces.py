@@ -13,9 +13,10 @@ First-order nodal elements for both scalar fields:
   apply H as the identity minus a rank-one term, in O(N^2) work for a
   matrix and O(N) for a vector; the dense basis is not stored and is
   formed only on request (``FieldSpaces.null_basis``).  A reduced block
-  is written in place into its block of an operator (``write_reduced``):
-  the reflector's dense low-rank term first, then the stored entries of
-  the sparse nodal matrix.
+  is written in place into its block of an operator (``write_reduced``)
+  from a real sparse nodal matrix, symmetric for the congruence: the
+  reflector's dense low-rank term first, then the stored entries of the
+  nodal matrix.
 
 Product-space vectors and matrices are laid out electric block first,
 then magnetic (``FieldSpaces.blocks``); this module is the one place
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import assembly_kernels as kernels
 from .mesh import Mesh
@@ -164,10 +164,6 @@ def _householder_complement(m):
     return z
 
 
-def _restrict(nodal, nodes):
-    return nodal[np.ix_(nodes, nodes)].toarray()
-
-
 def build_spaces(mesh):
     """Construct DOF maps, the mean vector and the Gram blocks.
 
@@ -190,6 +186,8 @@ def build_spaces(mesh):
                        minlength=mesh.n_nodes)
 
     stiff = kernels.nodal_stiffness(mesh, 1.0, 1.0)
+    gram_pi = np.zeros((len(pi_nodes), len(pi_nodes)))
+    _add_stored(gram_pi, stiff[np.ix_(pi_nodes, pi_nodes)])
     gram_psi = np.empty((mesh.n_nodes - 1, mesh.n_nodes - 1))
     write_reduced(gram_psi, mean, stiff, congruence=True)
     return FieldSpaces(
@@ -197,50 +195,38 @@ def build_spaces(mesh):
         pi_nodes=pi_nodes,
         pi_index=pi_index,
         mean_vector=mean,
-        gram_pi=_restrict(stiff, pi_nodes),
+        gram_pi=gram_pi,
         gram_psi=gram_psi,
     )
 
 
-def _is_hermitian(m):
-    if sparse.issparse(m):
-        diff = (m - m.conjugate().T).tocoo()
-        return diff.nnz == 0 or bool(np.all(diff.data == 0))
-    m = np.asarray(m)
-    return np.array_equal(m, m.conj().T)
-
-
 def _add_stored(dst, matrix):
-    """dst += matrix, over the stored entries alone when matrix is sparse."""
-    if sparse.issparse(matrix):
-        coo = matrix.tocoo()
-        np.add.at(dst, (coo.row, coo.col), coo.data)
-    else:
-        dst += matrix
+    """dst += the stored entries of a sparse matrix."""
+    coo = matrix.tocoo()
+    np.add.at(dst, (coo.row, coo.col), coo.data)
 
 
 def write_reduced(dst, m, nodal, congruence=False):
     """Write ``Z^T X`` (rows) or ``Z^T M Z`` (congruence) into dst in place.
 
-    Z is the null basis of m: columns 2..N of the reflector
-    H = I - beta v v^T.  Both products are the dense low-rank term of the
-    reflector plus the nodal matrix with its first row (and column)
-    dropped, and they are written in that order:
+    X is a real sparse (CSR or CSC) matrix; for the congruence M is also
+    symmetric, as the ``assembly_kernels`` forms are bit for bit.  Z is
+    the null basis of m: columns 2..N of the reflector H = I - beta v v^T.
+    Both products are the dense low-rank term of the reflector plus the
+    nodal matrix with its first row (and column) dropped, and they are
+    written in that order:
 
     1. dst is set to the low-rank term: ``-beta v[1:] (v^T X)`` for rows,
-       ``-(w v^T + v u^T)[1:, 1:]`` for the congruence, with p = M v,
-       c = v^T p, w = beta p - (beta^2 c / 2) v, and u formed the same way
-       from M^T v (u = conj(w) for a Hermitian M, so the result is exactly
-       Hermitian).  Its second product is added ``ROW_BLOCK`` rows at a
-       time, so no temporary of the size of dst is formed.
-    2. ``X[1:]`` or ``M[1:, 1:]`` is added: only its stored entries when it
-       is sparse, all of it when it is dense.
+       ``-(w v^T + v w^T)[1:, 1:]`` for the congruence, with p = M v,
+       c = v^T p and w = beta p - (beta^2 c / 2) v, so the result is
+       exactly symmetric.  Its second product is added ``ROW_BLOCK`` rows
+       at a time, so no temporary of the size of dst is formed.
+    2. The stored entries of ``X[1:]`` or ``M[1:, 1:]`` are added.
 
-    In IEEE arithmetic -u + x equals x - u, so the result is bit for bit
-    ``M[1:, 1:]`` (or ``X[1:]``) minus the update.  dst is typically a view of one block of an
-    operator (a transposed view included), of shape (N - 1, k) for an
-    (N, k) X, or (N - 1, N - 1) for an (N, N) M; its dtype must hold the
-    result.
+    In IEEE arithmetic -d + x equals x - d, so the result is bit for bit
+    ``M[1:, 1:]`` (or ``X[1:]``) minus the update d.  dst is a float view
+    of one block of an operator (a transposed view included), of shape
+    (N - 1, k) for an (N, k) X, or (N - 1, N - 1) for an (N, N) M.
     """
     n = len(m)
     k = n if congruence else nodal.shape[1]
@@ -253,32 +239,10 @@ def write_reduced(dst, m, nodal, congruence=False):
         _add_stored(dst, nodal[1:])
         return
     p = nodal @ v
-    shift = (0.5 * beta * beta * np.dot(v, p)) * v
-    w = beta * p - shift
-    if _is_hermitian(nodal):
-        u = w.conj()
-    else:
-        u = beta * (nodal.T @ v) - shift
+    w = beta * p - (0.5 * beta * beta * np.dot(v, p)) * v
     np.multiply.outer(-w[1:], v[1:], out=dst)
-    neg_v, u = -v[1:], u[1:]
+    neg_v, w = -v[1:], w[1:]
     for start in range(0, n - 1, ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
-        dst[rows] += np.multiply.outer(neg_v[rows], u)
+        dst[rows] += np.multiply.outer(neg_v[rows], w)
     _add_stored(dst, nodal[1:, 1:])
-
-
-def zero_mean_transform(spaces, nodal_matrix):
-    """Reduce a full nodal matrix onto the zero-mean coordinates.
-
-    Returns ``Z^H M Z`` with Z the null basis, computed as
-    ``(H M H)[1:, 1:]`` from the reflector H = I - beta v v^T (Z is real,
-    so Z^H = Z^T) by ``write_reduced``; the dense basis is not formed.
-    The input may be sparse or dense, real or complex, Hermitian or not,
-    and the result takes its dtype from the input.  Hermiticity of the
-    input is preserved exactly: the congruence of a Hermitian matrix is
-    Hermitian, and the update is formed so that rounding keeps it so.
-    """
-    out = np.empty((spaces.n_psi, spaces.n_psi),
-                   dtype=np.result_type(nodal_matrix.dtype, float))
-    write_reduced(out, spaces.mean_vector, nodal_matrix, congruence=True)
-    return out

@@ -172,6 +172,22 @@ def test_solve_with_a_nan_tolerance_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("families,name", [("lse, lse", "lse"),
+                                           ("lsm, lse, lsm", "lsm")])
+def test_solve_with_a_repeated_family_is_a_usage_error(tmp_path, capsys,
+                                                       families, name):
+    # a repeated family would match each of its roots twice
+    text = SMALL_SLAB.replace("families = lse", f"families = {families}")
+    lineno = text.splitlines().index(f"families = {families}") + 1
+    cfg = write(tmp_path, "cfg.ini", text)
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert f"cfg.ini:{lineno}: repeated family '{name}'" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_config_rejects_duplicates_and_strays():
     with pytest.raises(ConfigError, match="already set"):
         parse_config("[material]\neps1 = 1\neps1 = 2\n")
