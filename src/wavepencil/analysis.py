@@ -10,16 +10,17 @@ are data, not exceptions; the report carries one named check per
 property with its measured margin.
 
 The pencil identities are linear in the four real operators, so they are
-read as 4x4 Gram forms (Frobenius inner products) of the operator
-defects, in O(n^2) real arithmetic without forming L(g).  The parity
-defects are the electric-magnetic blocks of K, A1 and A2 and the diagonal
-blocks of S, read as block slices.  Parity also makes the nullity at -g
-that at g, so the degeneration scan counts it once per |g|.
+read as 4x4 Gram forms (Frobenius inner products) of the operators and
+of their defects O - O^T, without forming L(g).  Those forms and the
+Hermiticity margins are accumulated in one pass over square tiles of the
+operators, which allocates no n x n array.  The parity defects are the
+electric-magnetic blocks of K, A1 and A2 and the diagonal blocks of S,
+read as block slices.  Parity also makes the nullity at -g that at g, so
+the degeneration scan counts it once per |g|.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,6 +44,10 @@ CLASSIFICATION_TOL = 1e-6
 #: Dilation of the real exclusion band; eigenvalues and oracle roots this
 #: close to the band are left out of comparisons.
 EXCLUSION_MARGIN = 0.1
+
+#: Edge of the square operator tiles, and the rows of an S difference,
+#: that ``verify_all`` forms at a time.
+TILE = 128
 
 
 class SpectrumClass(str, Enum):
@@ -439,13 +444,48 @@ def _parity_defects(matrices):
                                      ("S", matrices.s, diag))}
 
 
-def _gram(ops, blocks):
-    """Frobenius inner products of the operators restricted to ``blocks``."""
-    g = np.empty((len(ops), len(ops)))
-    for i, j in itertools.combinations_with_replacement(range(len(ops)), 2):
-        g[i, j] = g[j, i] = sum(np.einsum("ij,ij->", ops[i][b], ops[j][b])
-                                for b in blocks)
-    return g
+def _operator_tiles(ops, n_pi):
+    """Hermiticity defects and Gram forms of the operators in one tiled pass.
+
+    Tile edges fall every ``TILE`` rows within each field block, so each
+    tile lies in one block.  For each tile pair (I, J) with I <= J the pass
+    reads O[I, J] and O[J, I] of every operator into one buffer and forms
+    the tile defect D = O[I, J] - O[J, I]^T.  Returns the largest |D| per
+    operator, the Frobenius Gram forms of the operators over the diagonal
+    blocks (``g_diag``) and the electric-magnetic blocks (``g_off``), and
+    that of the defects O - O^T (``g_asym``), where an off-diagonal tile
+    pair stands for both its tiles.  Only tile buffers are allocated.
+    """
+    n, k = len(ops[0]), len(ops)
+    edges = [*range(0, n_pi, TILE), *range(n_pi, n, TILE), n]
+    tiles = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    pair, defect = np.empty(2 * k * TILE * TILE), np.empty(k * TILE * TILE)
+    top = np.zeros(k)
+    g_diag, g_off, g_asym = (np.zeros((k, k)) for _ in range(3))
+    for a, rows in enumerate(tiles):
+        for cols in tiles[a:]:
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
+            size = shape[0] * shape[1]
+            both = pair[:2 * k * size].reshape(k, 2 * size)
+            for op, x in zip(ops, both):
+                np.copyto(x[:size].reshape(shape), op[rows, cols])
+                np.copyto(x[size:].reshape(shape), op[cols, rows].T)
+            d = np.subtract(both[:, :size], both[:, size:],
+                            out=defect[:k * size].reshape(k, size))
+            np.maximum(top, np.abs(d.max(axis=1)), out=top)
+            np.maximum(top, np.abs(d.min(axis=1)), out=top)
+            # a diagonal tile's second half is the same tile, transposed
+            tile = both[:, :size] if rows is cols else both
+            g = g_diag if (rows.start < n_pi) == (cols.start < n_pi) else g_off
+            g += tile @ tile.T
+            g_asym += (1.0 if rows is cols else 2.0) * (d @ d.T)
+    return top, g_diag, g_off, g_asym
+
+
+def _max_abs_diff(a, b):
+    """Largest |entry| of a - b, formed ``TILE`` rows at a time."""
+    return max(_max_abs(a[r:r + TILE] - b[r:r + TILE])
+               for r in range(0, len(a), TILE))
 
 
 def _form(g, w):
@@ -453,7 +493,7 @@ def _form(g, w):
     return max(float((w.conj() @ g @ w).real), 0.0)
 
 
-def _identity_margins(matrices, asym, n_random):
+def _identity_margins(matrices, g_diag, g_off, g_asym, n_random):
     """Worst self-adjointness and parity defects of L at seeded points.
 
     With L(g) = sum_i w_i(g) O_i over real operators (``pencil._terms``):
@@ -463,15 +503,10 @@ def _identity_margins(matrices, asym, n_random):
     sum_i (w_i(g) - w_i(-g)) over the diagonal blocks of O_i minus
     sum_i (w_i(g) + w_i(-g)) over its electric-magnetic blocks.  Each
     squared Frobenius norm is a 4x4 Gram form, relative to
-    ||L(g)||_F^2 = w^H (G_diag + G_off) w.  ``asym`` lists the defects
-    O - O^T in the operator order of ``_terms`` (the sign cancels in the
-    form).
+    ||L(g)||_F^2 = w^H (G_diag + G_off) w.  The Gram forms are those of
+    ``_operator_tiles`` over the operators in the order of ``_terms``
+    (the sign of the defects cancels in the form).
     """
-    e, m = matrices.spaces.blocks
-    ops = [op for _, op in _terms(matrices, 0.0)]
-    g_diag = _gram(ops, ((e, e), (m, m)))
-    g_off = _gram(ops, ((e, m), (m, e)))
-    g_asym = _gram(asym, ((slice(None), slice(None)),))
     rng = np.random.default_rng(0)
     p_scale = matrices.exclusion.p
     worst_sa = worst_par = 0.0
@@ -498,29 +533,31 @@ def verify_all(matrices, pencil=None, spectrum=None,
     The operators are the pencil (``make_pencil`` returns them), so
     ``pencil`` only switches on the self-adjointness and parity identities
     at ``n_random`` seeded points; both are Gram forms of the operators of
-    ``matrices`` (``_identity_margins``), with no L(g) formed.  Each
-    defect O - O^T is formed once: the ``hermiticity_*`` checks and the
-    self-adjointness form read it, and it is dropped before the bound
-    eigensolves.  The symmetry checks read the normalized partner
-    distances of ``spectrum.pairing``.  The bound eigensolves run only
-    where the result is not known in advance (``_block_eigvals``): the
-    Gram-identical blocks of A1 and A2 have every eigenvalue exactly 1,
-    so A1's electric and A2's magnetic block are solved, and ||S|| is an
-    r x r problem on the coupling rows (``_s_bound``).
+    ``matrices`` (``_identity_margins``), with no L(g) formed.  The
+    ``hermiticity_*`` margins and those Gram forms come from one pass over
+    square tiles of the operators (``_operator_tiles``), and the S checks
+    take their differences ``TILE`` rows at a time, so the only n x n
+    arrays allocated are the two reassembled S matrices, which are dropped
+    before the decay-slope eigensolves.  The symmetry checks read the
+    normalized partner distances of ``spectrum.pairing``.  The bound
+    eigensolves run only where the result is not known in advance
+    (``_block_eigvals``): the Gram-identical blocks of A1 and A2 have
+    every eigenvalue exactly 1, so A1's electric and A2's magnetic block
+    are solved, and ||S|| is an r x r problem on the coupling rows
+    (``_s_bound``).
     """
     rep = PropertyReport()
     eps_max = matrices.eps_max
 
-    asym = {name: getattr(matrices, name) - getattr(matrices, name).T
-            for name in ("k", "a1", "a2", "s")}
-    for name, defect in asym.items():
-        rep.add(f"hermiticity_{name}", _max_abs(defect), 1e-14, "<=")
+    # K, A1, S, A2: the operator order of ``_terms``
+    ops = [op for _, op in _terms(matrices, 0.0)]
+    top, g_diag, g_off, g_asym = _operator_tiles(ops, matrices.spaces.n_pi)
+    defect = dict(zip(("k", "a1", "s", "a2"), top))
+    for name in ("k", "a1", "a2", "s"):
+        rep.add(f"hermiticity_{name}", defect[name], 1e-14, "<=")
     if pencil is not None:
-        # K, A1, S, A2: the operator order of ``_terms``
-        selfadjoint, parity = _identity_margins(
-            matrices, [asym[name] for name in ("k", "a1", "s", "a2")],
-            n_random)
-    del asym
+        selfadjoint, parity = _identity_margins(matrices, g_diag, g_off,
+                                                g_asym, n_random)
 
     k_min = min(float(linalg.eigh(matrices.k[b, b], eigvals_only=True,
                                   subset_by_index=(0, 0))[0])
@@ -543,10 +580,12 @@ def verify_all(matrices, pencil=None, spectrum=None,
 
     s_line = assemble_s_line(matrices.spaces)
     s_vol = assemble_s_volume(matrices.spaces)
-    rep.add("s_line_volume_agreement", _max_abs(s_line - s_vol), 1e-12, "<=")
+    rep.add("s_line_volume_agreement", _max_abs_diff(s_line, s_vol), 1e-12,
+            "<=")
     rep.add("s_matches_reassembly",
-            min(_max_abs(matrices.s - s_line), _max_abs(matrices.s - s_vol)),
-            1e-12, "<=")
+            min(_max_abs_diff(matrices.s, s_line),
+                _max_abs_diff(matrices.s, s_vol)), 1e-12, "<=")
+    del s_line, s_vol
 
     if pencil is not None:
         rep.add("pencil_selfadjoint", selfadjoint, 1e-13, "<=")

@@ -115,7 +115,7 @@ def validate(mesh):
     every boundary edge tagged, gamma0/gammaprime edges on the boundary,
     gamma edges separating exactly one region-1 from one region-2 triangle,
     every interior region-change edge being tagged gamma, and every gamma
-    edge stored with region 1 on its left (``interface_orientation_errors``).
+    edge stored with region 1 on its left (``_orientation_errors``).
     """
     n = mesh.n_nodes
     finite = np.isfinite(mesh.nodes).all(axis=1)
@@ -185,17 +185,14 @@ def validate(mesh):
     return mesh
 
 
-def interface_orientation_errors(mesh):
+def _orientation_errors(mesh, adj):
     """Return gamma edges whose stored orientation breaks the convention.
 
     For an edge stored as ``i -> j`` the normal n = rot90(tangent) must
     point from the region-2 triangle into the region-1 triangle; this is
-    checked against the adjacent triangle centroids.
+    checked against the adjacent triangle centroids, read through the
+    edge -> triangle map ``adj``.
     """
-    return _orientation_errors(mesh, _edge_triangle_map(mesh))
-
-
-def _orientation_errors(mesh, adj):
     bad = []
     for i, j in mesh.interface_edges:
         key = _edge_key(int(i), int(j))

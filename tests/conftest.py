@@ -11,6 +11,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ.setdefault(_var, "1")
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,18 @@ import wavepencil as wp
 from wavepencil.eigensolver import solve_pencil
 
 PI = math.pi
+
+
+def traced_peak(fn):
+    """Peak bytes that Python allocations reach above entry while fn runs."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from wavepencil.analysis import (DegenerationError, SpectrumClass,
                                  k_decay_slope,
                                  symmetry_pairing, transverse_fields,
                                  verify_all)
+from conftest import traced_peak
 
 PI = math.pi
 EXC = wp.exclusion_interval(1.0, 4.0)
@@ -296,20 +296,16 @@ def test_verify_all_report_json_shape(slab_matrices):
 
 
 def test_verify_all_working_memory_is_bounded():
-    # the four defects O - O^T are the largest set held at once
-    mats = wp.assemble_matrices(wp.build_spaces(
-        wp.generate_rect_slab(PI, PI, PI / 2, 12, 12)), 1.0, 4.0)
-    n = mats.n
-    assert n == 289
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        verify_all(mats, pencil=mats)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - entry <= 5 * n * n * 8
+    # Beyond the operators, verify_all holds the two reassembled S matrices
+    # and its tile buffers: 2.16 n^2 doubles measured at nx = 20, where
+    # holding the four defects O - O^T at once would take 4.01.  At
+    # nx = 12 the tile buffers are comparable with n^2.
+    for nx, n, bound in ((12, 289, 5.0), (20, 801, 2.25)):
+        mats = wp.assemble_matrices(wp.build_spaces(
+            wp.generate_rect_slab(PI, PI, PI / 2, nx, nx)), 1.0, 4.0)
+        assert mats.n == n
+        peak = traced_peak(lambda: verify_all(mats, pencil=mats))
+        assert peak <= bound * n * n * 8, nx
 
 
 def test_symmetry_margins_read_the_pairing(slab_matrices, slab_eigenvalues):
@@ -515,22 +511,63 @@ def test_pencil_identity_gram_forms_match_the_evaluate_loop(defect,
         assert rep[name].passed == (margin <= rep[name].threshold), name
 
 
+def _full_size_margins(mats):
+    """``hermiticity_*`` and ``parity_block_structure`` from whole matrices."""
+    out = {}
+    for name in ("k", "a1", "a2", "s"):
+        m = getattr(mats, name)
+        out[f"hermiticity_{name}"] = float(np.abs(m - m.conj().T).max())
+    p = mats.spaces.parity_signs()
+    out["parity_block_structure"] = max(
+        float(np.abs(p[:, None] * op * p[None, :] - sign * op).max())
+        for op, sign in ((mats.a1, 1.0), (mats.a2, 1.0), (mats.k, 1.0),
+                         (mats.s, -1.0)))
+    return out
+
+
 @pytest.mark.parametrize("case", ["slab", "slit"])
 def test_block_slice_margins_equal_the_full_size_formulas(case, slab_matrices,
                                                           slit_mesh):
     mats = slab_matrices if case == "slab" else wp.assemble_matrices(
         wp.build_spaces(slit_mesh), 1.0, 4.0)
     rep = verify_all(mats)
-    for name in ("k", "a1", "a2", "s"):
-        m = getattr(mats, name)
-        assert rep[f"hermiticity_{name}"].margin == \
-            float(np.abs(m - m.conj().T).max())
-    p = mats.spaces.parity_signs()
-    parity = max(
-        float(np.abs(p[:, None] * op * p[None, :] - sign * op).max())
-        for op, sign in ((mats.a1, 1.0), (mats.a2, 1.0), (mats.k, 1.0),
-                         (mats.s, -1.0)))
-    assert rep["parity_block_structure"].margin == parity
+    for name, margin in _full_size_margins(mats).items():
+        assert rep[name].margin == margin, name
+
+
+@pytest.fixture(scope="module")
+def slab20_matrices():
+    return wp.assemble_matrices(wp.build_spaces(
+        wp.generate_rect_slab(PI, PI, PI / 2, 20, 20)), 1.0, 4.0)
+
+
+@pytest.mark.parametrize("place", ["first", "last", "last_row", "split",
+                                   "below"])
+def test_tile_boundary_defects_equal_the_full_size_formulas(place,
+                                                            slab20_matrices):
+    # n and n_pi are not tile multiples and each field block spans several
+    # tiles, so the last tile of each block is partial
+    mats = slab20_matrices
+    n, e, t = mats.n, mats.spaces.n_pi, analysis.TILE
+    assert n % t and e % t and min(e, n - e) > 2 * t
+    name, i, j = {
+        "first": ("s", 0, 0),
+        "last": ("k", n - 2, n - 1),
+        "last_row": ("a1", n - 1, 0),
+        "split": ("a2", e - 1, e),
+        "below": ("s", e + t + 3, t + 1),
+    }[place]
+    bad = _inject(mats, name, i, j, 0.5, False)
+    rep = verify_all(bad, pencil=bad)
+    assert not rep.all_passed
+    for check, margin in _full_size_margins(bad).items():
+        assert rep[check].margin == margin, check
+    ref = dict(zip(("pencil_selfadjoint", "pencil_parity"),
+                   _loop_identity_margins(bad)))
+    assert max(ref.values()) > 1e-3
+    for check, margin in ref.items():
+        assert rep[check].margin == pytest.approx(margin, rel=1e-10,
+                                                  abs=0), check
 
 
 @pytest.mark.parametrize("case", ["slab", "homog"])

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ import wavepencil as wp
 from wavepencil import assembly_kernels as kernels
 from wavepencil.assembly import (AssemblyError, assemble_s_line,
                                  assemble_s_volume)
+from conftest import traced_peak
 
 PI = math.pi
 
@@ -189,15 +189,8 @@ def test_assembly_working_memory_is_the_four_operators():
     spaces = wp.build_spaces(wp.generate_rect_slab(PI, PI, PI / 2, 28, 28))
     n = spaces.n
     assert n == 1569
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        wp.assemble_matrices(spaces, 1.0, 4.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - entry <= 4.25 * n * n * 8
+    peak = traced_peak(lambda: wp.assemble_matrices(spaces, 1.0, 4.0))
+    assert peak <= 4.25 * n * n * 8
 
 
 def test_minimal_interface_agreement_to_machine():

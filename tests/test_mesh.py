@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 import wavepencil as wp
-from wavepencil.mesh import (GAMMA, GAMMA0, GAMMA_PRIME, MeshError,
-                             interface_orientation_errors, load_mesh,
+from wavepencil.mesh import (GAMMA, GAMMA0, GAMMA_PRIME, MeshError, load_mesh,
                              save_mesh)
 
 from conftest import build_slit_mesh_text
 
 PI = math.pi
+
+
+def interface_orientation_errors(mesh):
+    """Gamma edges stored against the region-1-on-the-left convention."""
+    return wp.mesh._orientation_errors(mesh, wp.mesh._edge_triangle_map(mesh))
 
 
 def meshes_equal(a, b):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from scipy import linalg, sparse
 import wavepencil as wp
 from wavepencil import assembly_kernels as kernels
 from wavepencil.spaces import SpaceError, build_spaces, write_reduced
+from conftest import traced_peak
 
 PI = math.pi
 
@@ -168,15 +168,8 @@ def test_build_spaces_working_memory_is_the_gram_blocks():
     mesh = wp.generate_rect_slab(PI, PI, PI / 2, 28, 28)
     n_nodes = mesh.n_nodes
     assert n_nodes == 841
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        build_spaces(mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - entry <= 2.5 * n_nodes * n_nodes * 8
+    peak = traced_peak(lambda: build_spaces(mesh))
+    assert peak <= 2.5 * n_nodes * n_nodes * 8
 
 
 def test_under_resolved_mesh_rejected():
