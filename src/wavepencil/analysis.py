@@ -29,7 +29,6 @@ from enum import Enum
 import numpy as np
 from scipy import linalg
 
-from . import assembly_kernels as kernels
 from .assembly import assemble_s_line, assemble_s_volume
 from .eigensolver import degeneration_null_nodes, numerical_nullity
 from .pencil import ExclusionInterval, _terms, degeneration_points
@@ -56,10 +55,6 @@ class SpectrumClass(str, Enum):
     COMPLEX = "complex"
     DEGENERATION_ADJACENT = "degeneration_adjacent"
     IN_EXCLUSION = "in_exclusion"
-
-
-class DegenerationError(ValueError):
-    """Field reconstruction requested at (or too close to) a degeneration value."""
 
 
 def classify(gamma, exclusion):
@@ -274,43 +269,6 @@ def degeneration_scan(pencils):
         nullity = {g: numerical_nullity(p, g) for g in gammas if g > 0.0}
         table.append({g: nullity[abs(g)] for g in gammas})
     return gammas, table
-
-
-@dataclass
-class TransverseFields:
-    """Per-triangle constant transverse field components."""
-
-    e1: np.ndarray
-    e2: np.ndarray
-    h1: np.ndarray
-    h2: np.ndarray
-
-
-def transverse_fields(pi_nodal, psi_nodal, gamma, mesh, eps1, eps2):
-    """Reconstruct the transverse fields from the longitudinal pair.
-
-    Uses the per-region scalar ktilde^2 = eps - gamma^2 and the constant
-    element gradients; refuses when gamma^2 comes within tolerance of a
-    permittivity, where the longitudinal reduction is not valid.
-    """
-    g = complex(gamma)
-    g2 = g * g
-    eps = np.where(mesh.regions == 1, eps1, eps2)
-    k2 = eps - g2
-    if np.min(np.abs(k2)) <= 1e-9 * (1.0 + abs(g2)):
-        raise DegenerationError(
-            "gamma^2 is numerically at a permittivity value; the transverse "
-            "reconstruction is not defined there")
-    _, grads = kernels.triangle_geometry(mesh)
-    tri = mesh.triangles
-    dpi = np.einsum("ta,tad->td", np.asarray(pi_nodal)[tri], grads)
-    dpsi = np.einsum("ta,tad->td", np.asarray(psi_nodal)[tri], grads)
-    coeff = 1j / k2
-    e1 = coeff * (g * dpi[:, 0] - dpsi[:, 1])
-    e2 = coeff * (g * dpi[:, 1] + dpsi[:, 0])
-    h1 = coeff * (eps * dpi[:, 1] + g * dpsi[:, 0])
-    h2 = coeff * (-eps * dpi[:, 0] + g * dpsi[:, 1])
-    return TransverseFields(e1=e1, e2=e2, h1=h1, h2=h2)
 
 
 def _block_eigvals(op, matrices):

@@ -5,8 +5,8 @@ The pipeline is mesh -> spaces -> assembly -> pencil -> companion solve
 artifact written to the output directory.  Exit status is 1 when any
 property check fails or the oracle comparison exceeds its tolerance, and
 2 when the input cannot be solved as given (a bad configuration or mesh,
-or a companion over the dense-path cap), so CI can consume the tool
-directly.
+a companion over the dense-path cap, or operators that `verify` could
+not hold in physical memory), so CI can consume the tool directly.
 """
 
 from __future__ import annotations
@@ -53,12 +53,6 @@ def _refined(cfg, k):
         raise ConfigError("--refine applies to generated meshes; "
                           "a mesh file cannot be refined")
     return replace(cfg, nx=cfg.nx * k, ny=cfg.ny * k)
-
-
-def build_pencil(cfg):
-    """Mesh -> spaces -> assembly: the operator set, which is the pencil."""
-    spaces = build_spaces(build_mesh(cfg))
-    return make_pencil(assemble_matrices(spaces, cfg.eps1, cfg.eps2))
 
 
 @dataclass
@@ -148,22 +142,27 @@ def comparable_oracle_roots(cfg):
                     and lo <= abs(r.gamma.real) <= hi)]
 
 
-def _check_companion_cap(cfg):
-    """Refuse a configuration whose 4n companion is over the dense-path cap.
+def _unknowns(cfg):
+    """(mesh, n) of a configuration, without building a generated grid.
 
     n counts one electric unknown per node off the shield and N - 1
     magnetic ones.  A generated grid has (nx + 1)(ny + 1) nodes, of which
-    (nx - 1)(ny - 1) lie off the shield, so it is checked from the
-    configuration before it is built.  A mesh file is checked once loaded,
-    and that mesh is returned (None for a generated grid).
+    (nx - 1)(ny - 1) lie off the shield, so its n comes from the
+    configuration and its mesh is None.  A mesh file is loaded.
     """
     if cfg.kind == "file":
         mesh = build_mesh(cfg)
-        n = int(np.count_nonzero(~mesh.boundary_node_mask())) \
+        return mesh, int(np.count_nonzero(~mesh.boundary_node_mask())) \
             + mesh.n_nodes - 1
-    else:
-        mesh = None
-        n = (cfg.nx - 1) * (cfg.ny - 1) + (cfg.nx + 1) * (cfg.ny + 1) - 1
+    return None, (cfg.nx - 1) * (cfg.ny - 1) + (cfg.nx + 1) * (cfg.ny + 1) - 1
+
+
+def _check_companion_cap(cfg):
+    """Refuse a 4n companion over the dense-path cap, n from ``_unknowns``.
+
+    Returns the loaded mesh of a mesh file, None for a generated grid.
+    """
+    mesh, n = _unknowns(cfg)
     eigensolver._check_companion_dim(4 * n)
     return mesh
 
@@ -326,7 +325,18 @@ def cmd_solve(cfg, args):
     return result.exit_code
 
 def cmd_verify(cfg, args):
-    pencil = build_pencil(cfg)
+    # the four dense n x n operators are refused before the mesh is built
+    mesh, n = _unknowns(cfg)
+    need = 4 * n * n * 8
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise AssemblyError(
+            f"the four dense operators of n = {n} unknowns need {need} "
+            f"bytes, more than the {memory} bytes of physical memory")
+    if mesh is None:
+        mesh = build_mesh(cfg)
+    pencil = make_pencil(assemble_matrices(build_spaces(mesh), cfg.eps1,
+                                           cfg.eps2))
     report = analysis.verify_all(pencil, pencil=pencil,
                                  include_decay_slope=cfg.verify_decay_slope)
     out = Path(args.out)

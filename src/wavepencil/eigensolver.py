@@ -1,11 +1,11 @@
-"""Dense eigensolver for the companion problem and eigenvector recovery.
+"""Dense eigensolver for the companion problem and the numerical nullity.
 
 The companion matrix is real and dense; its eigenvalues come from the
 balanced Hessenberg + shifted-QR path of LAPACK (through numpy/scipy),
 exposed here behind the balance and QR stage functions so each stage
-contract stays independently testable.  Eigenvectors of the original pencil are
-recovered by inverse iteration on the pencil evaluated at a slightly
-shifted eigenvalue; at a degeneration point the numerical nullity of the
+contract stays independently testable.  Eigenvectors of the original
+pencil are read off the companion's eigenvectors [v; g v; g^2 v; g^3 v]
+(``solve_pencil``); at a degeneration point the numerical nullity of the
 pencil is counted instead, with the fields the mesh makes null taken out
 before the symmetric eigensolve.
 """
@@ -121,39 +121,6 @@ def solve_pencil(pencil, compute_vectors=False):
             residuals[idx] = pencil_mod.residual(pencil, g, vectors[:, idx])
     return EigenReport(eigenvalues=gammas, vectors=vectors,
                        residuals=residuals)
-
-
-def recover_eigenvector(pencil, gamma, tol=1e-8, max_iter=40, seed=0):
-    """Inverse iteration on the pencil at a tiny complex shift off gamma.
-
-    Returns (unit vector, pencil residual, converged flag, iterations).
-    Stagnation over three iterations without reaching ``tol`` gives
-    converged=False instead of hanging.
-    """
-    n = pencil.n
-    shift = 1e-9 * (1.0 + abs(gamma)) * (1.0 + 1.0j) / np.sqrt(2.0)
-    mat = pencil_mod.evaluate(pencil, complex(gamma) + shift)
-    lu = linalg.lu_factor(mat)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    best = None
-    best_res = np.inf
-    stale = 0
-    its = 0
-    for its in range(1, max_iter + 1):
-        v = linalg.lu_solve(lu, v)
-        v /= np.linalg.norm(v)
-        res = pencil_mod.residual(pencil, gamma, v)
-        if res < best_res * 0.5:
-            stale = 0
-        else:
-            stale += 1
-        if res < best_res:
-            best, best_res = v.copy(), res
-        if best_res <= tol or stale >= 3:
-            break
-    return best, best_res, bool(best_res <= tol), its
 
 
 def degeneration_null_nodes(mesh, eps1, eps2, gamma):

@@ -1,13 +1,8 @@
-"""Analytic ground truth for rectangular cross-sections.
+"""Analytic ground truth for the dielectric slab.
 
-Two oracles, independent of the finite-element path:
-
-* separation of variables for a homogeneously filled rectangle
-  (Dirichlet modes for the electric longitudinal field, nonzero Neumann
-  modes for the magnetic one), giving gamma^2 = eps - lambda exactly;
-* transverse resonance across a full-height dielectric slab terminated
-  by the conducting walls, as one transcendental dispersion equation per
-  (family, transverse index).
+Transverse resonance across a full-height dielectric slab terminated by
+the conducting walls, as one transcendental dispersion equation per
+(family, transverse index), independent of the finite-element path.
 
 The slab determinants are stated with tangents; root finding uses the
 equivalent product form with the tangents cleared, which is entire in
@@ -37,8 +32,6 @@ import numpy as np
 
 
 class OracleFamily(str, Enum):
-    DIRICHLET_DERIVED = "dirichlet_derived"
-    NEUMANN_DERIVED = "neumann_derived"
     LSE = "lse"
     LSM = "lsm"
 
@@ -51,9 +44,8 @@ class OracleError(ValueError):
 class OracleRoot:
     """One analytic eigenvalue candidate.
 
-    ``residual`` is the absolute value of the defining equation at the
-    root: zero for the closed-form rectangle families, the normalized
-    cleared determinant for the slab families.
+    ``residual`` is the absolute value of the normalized cleared
+    determinant at the root.
     """
 
     gamma: complex
@@ -70,37 +62,12 @@ def _gamma_from_usq(u):
     return complex(0.0, math.sqrt(-u))
 
 
-def homogeneous_rect_spectrum(a, b, eps, max_lambda):
-    """All separated eigenvalues with transverse eigenvalue <= max_lambda.
-
-    Dirichlet modes need both half-wave counts >= 1; Neumann modes exclude
-    only the constant, which the zero-mean space removes.  Each transverse
-    eigenvalue contributes gamma = +-sqrt(eps - lambda), listed once when
-    gamma = 0.
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise OracleError("rectangle sides must be positive")
-    if eps < 1.0:
-        raise OracleError("permittivity must be >= 1")
-    roots = []
-    m_max = int(math.ceil(a * math.sqrt(max_lambda) / math.pi)) + 1
-    n_max = int(math.ceil(b * math.sqrt(max_lambda) / math.pi)) + 1
-    for family, m_lo, n_lo in ((OracleFamily.DIRICHLET_DERIVED, 1, 1),
-                               (OracleFamily.NEUMANN_DERIVED, 0, 0)):
-        for m in range(m_lo, m_max + 1):
-            for n in range(n_lo, n_max + 1):
-                if family is OracleFamily.NEUMANN_DERIVED and m == 0 and n == 0:
-                    continue
-                lam = (m * math.pi / a) ** 2 + (n * math.pi / b) ** 2
-                if lam > max_lambda:
-                    continue
-                gamma = _gamma_from_usq(eps - lam)
-                roots.append(OracleRoot(gamma=gamma, family=family, m=m, n=n,
-                                        residual=0.0))
-                if gamma != 0:
-                    roots.append(OracleRoot(gamma=-gamma, family=family,
-                                            m=m, n=n, residual=0.0))
-    return roots
+def _family(family):
+    """The slab family named by an OracleFamily or its string value."""
+    try:
+        return OracleFamily(family)
+    except ValueError:
+        raise OracleError(f"not a slab family: {family!r}") from None
 
 
 def _kxsq(u, eps, n, b):
@@ -109,8 +76,7 @@ def _kxsq(u, eps, n, b):
 
 def _slab_terms(family, u, a, b, d, eps1, eps2, n):
     """The two terms of the cleared slab determinant (region 2, region 1)."""
-    if family not in (OracleFamily.LSE, OracleFamily.LSM):
-        raise OracleError(f"not a slab family: {family}")
+    family = _family(family)
     k1sq = _kxsq(u, eps1, n, b)
     k2sq = _kxsq(u, eps2, n, b)
     k1 = np.sqrt(np.asarray(k1sq, dtype=complex))
@@ -155,24 +121,6 @@ def normalized_determinant(family, u, a, b, d, eps1, eps2, n):
     return (t_left + t_right) / (1.0 + abs(t_left) + abs(t_right))
 
 
-def dispersion_determinant(family, gamma, a, b, d, eps1, eps2, n):
-    """Literal tangent-form determinant (complex-valued off its poles).
-
-    LSE:  k1 tan(k2 d) + k2 tan(k1 (a-d))
-    LSM:  (k2/eps2) tan(k2 d) + (k1/eps1) tan(k1 (a-d))
-
-    Exposed for validation; the root finder uses the cleared form.
-    """
-    u = complex(gamma) ** 2
-    k1 = np.sqrt(complex(eps1 - u - (n * math.pi / b) ** 2))
-    k2 = np.sqrt(complex(eps2 - u - (n * math.pi / b) ** 2))
-    if family is OracleFamily.LSE:
-        return k1 * np.tan(k2 * d) + k2 * np.tan(k1 * (a - d))
-    if family is OracleFamily.LSM:
-        return (k2 / eps2) * np.tan(k2 * d) + (k1 / eps1) * np.tan(k1 * (a - d))
-    raise OracleError(f"not a slab family: {family}")
-
-
 def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
                           gamma_max=4.0):
     """Real- and imaginary-axis slab eigenvalues by bracketing in gamma^2.
@@ -191,9 +139,7 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
     """
     from scipy.optimize import brentq
 
-    family = OracleFamily(family)
-    if family not in (OracleFamily.LSE, OracleFamily.LSM):
-        raise OracleError("slab families are LSE and LSM")
+    family = _family(family)
     if not 0.0 < d < a:
         raise OracleError("slab boundary must satisfy 0 < d < a")
     if eps1 < 1.0 or eps2 < 1.0:

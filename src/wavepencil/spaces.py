@@ -128,17 +128,12 @@ class FieldSpaces:
         v, beta = reflector(self.mean_vector)
         return np.concatenate(([0.0], y)) - (beta * (v[1:] @ y)) * v
 
-    def split(self, v):
-        """Split a product-space vector into (electric, magnetic) parts."""
-        e, m = self.blocks
-        return v[e], v[m]
-
     def nodal_fields(self, v):
         """Expand a product-space vector to two full nodal vectors."""
-        pi_part, psi_part = self.split(v)
+        e, m = self.blocks
         pi_nodal = np.zeros(self.mesh.n_nodes, dtype=v.dtype)
-        pi_nodal[self.pi_nodes] = pi_part
-        return pi_nodal, self.psi_nodal(psi_part)
+        pi_nodal[self.pi_nodes] = v[e]
+        return pi_nodal, self.psi_nodal(v[m])
 
 
 def reflector(m):

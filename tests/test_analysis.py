@@ -8,13 +8,11 @@ from scipy import linalg
 import wavepencil as wp
 from wavepencil import analysis
 from wavepencil.eigensolver import NULLITY_REL_TOL, solve_pencil
-from wavepencil.analysis import (DegenerationError, SpectrumClass,
-                                 build_spectrum, classify, count_in_disk,
+from wavepencil.analysis import (SpectrumClass, build_spectrum, classify,
+                                 count_in_disk,
                                  count_real_outside_exclusion,
                                  degeneration_count, degeneration_scan,
-                                 k_decay_slope,
-                                 symmetry_pairing, transverse_fields,
-                                 verify_all)
+                                 k_decay_slope, symmetry_pairing, verify_all)
 from conftest import traced_peak
 
 PI = math.pi
@@ -188,65 +186,6 @@ def test_degeneration_count_is_the_numerical_nullity(case, eps, slit_mesh,
             assert count == pencil.n
         else:
             assert 0 < count < pencil.n
-
-
-def test_transverse_fields_zero_inputs(slab_mesh):
-    z = np.zeros(slab_mesh.n_nodes)
-    fields = transverse_fields(z, z, 0.5j, slab_mesh, 1.0, 4.0)
-    for comp in (fields.e1, fields.e2, fields.h1, fields.h2):
-        assert np.abs(comp).max() == 0.0
-
-
-def test_transverse_fields_linear_fields_closed_form(slab_mesh):
-    # nodal interpolants of x and y have constant unit gradients
-    pi_nodal = slab_mesh.nodes[:, 0].copy()
-    psi_nodal = slab_mesh.nodes[:, 1].copy()
-    g = 0.7
-    fields = transverse_fields(pi_nodal, psi_nodal, g, slab_mesh, 1.0, 4.0)
-    eps = np.where(slab_mesh.regions == 1, 1.0, 4.0)
-    k2 = eps - g * g
-    assert np.allclose(fields.e1, 1j / k2 * (g * 1.0 - 1.0), atol=1e-13)
-    assert np.allclose(fields.e2, 1j / k2 * (g * 0.0 + 0.0), atol=1e-13)
-    assert np.allclose(fields.h1, 1j / k2 * (eps * 0.0 + g * 0.0), atol=1e-13)
-    assert np.allclose(fields.h2, 1j / k2 * (-eps * 1.0 + g * 1.0), atol=1e-13)
-
-
-def test_transverse_fields_gamma_zero_reduction(slab_mesh):
-    rng = np.random.default_rng(4)
-    pi_nodal = rng.standard_normal(slab_mesh.n_nodes)
-    psi_nodal = rng.standard_normal(slab_mesh.n_nodes)
-    fields = transverse_fields(pi_nodal, psi_nodal, 0.0, slab_mesh, 1.0, 4.0)
-    ref = transverse_fields(np.zeros_like(pi_nodal), psi_nodal, 0.0,
-                            slab_mesh, 1.0, 4.0)
-    # with gamma = 0 the electric transverse field uses only the magnetic part
-    assert np.allclose(fields.e1, ref.e1, atol=0)
-    assert np.allclose(fields.e2, ref.e2, atol=0)
-    ref_h = transverse_fields(pi_nodal, np.zeros_like(psi_nodal), 0.0,
-                              slab_mesh, 1.0, 4.0)
-    assert np.allclose(fields.h1, ref_h.h1, atol=0)
-    assert np.allclose(fields.h2, ref_h.h2, atol=0)
-
-
-def test_transverse_fields_refuse_degeneration(slab_mesh):
-    z = np.ones(slab_mesh.n_nodes)
-    with pytest.raises(DegenerationError):
-        transverse_fields(z, z, 1.0, slab_mesh, 1.0, 4.0)
-    with pytest.raises(DegenerationError):
-        transverse_fields(z, z, 2.0 + 1e-12j, slab_mesh, 1.0, 4.0)
-
-
-def test_transverse_fields_finite_at_homogeneous_eigenpair(homog_spaces,
-                                                           homog_pencil,
-                                                           homog_eigenvalues):
-    from wavepencil.eigensolver import recover_eigenvector
-    gamma = homog_eigenvalues[np.argmin(np.abs(homog_eigenvalues - 1.0))]
-    v, _, converged, _ = recover_eigenvector(homog_pencil, gamma)
-    assert converged
-    pi_nodal, psi_nodal = homog_spaces.nodal_fields(v)
-    fields = transverse_fields(pi_nodal, psi_nodal, gamma,
-                               homog_spaces.mesh, 2.0, 2.0)
-    for comp in (fields.e1, fields.e2, fields.h1, fields.h2):
-        assert np.all(np.isfinite(comp))
 
 
 @pytest.mark.parametrize("nx", [8, 12])

@@ -376,6 +376,23 @@ def test_sweep_over_the_companion_cap_makes_no_directory(
     assert not out.exists()
 
 
+def test_verify_over_physical_memory_exits_before_the_mesh(
+        tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("built past the memory check")
+
+    monkeypatch.setattr(cli, "generate_rect_slab", never)
+    cfg = write(tmp_path, "cfg.ini", SMALL_SLAB.replace("nx = 6", "nx = 20000")
+                .replace("ny = 6", "ny = 20000"))
+    out = tmp_path / "out"
+    code = main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    n = 19999 ** 2 + 20001 ** 2 - 1
+    assert f"operators of n = {n} unknowns need {4 * n * n * 8} bytes" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("nx,ny", [(4, 4), (12, 7), (16, 16), (5, 9)])
 def test_companion_cap_counts_a_generated_grid_from_the_config(
         monkeypatch, nx, ny):

@@ -11,8 +11,7 @@ from wavepencil.assembly import PencilMatrices
 from wavepencil.eigensolver import (EigensolverError, MAX_COMPANION_DIM,
                                     balance, degeneration_null_nodes,
                                     numerical_nullity,
-                                    qr_eigenvalues,
-                                    recover_eigenvector, solve_companion,
+                                    qr_eigenvalues, solve_companion,
                                     solve_pencil)
 from wavepencil.pencil import linearize, residual
 
@@ -151,12 +150,27 @@ def test_solve_pencil_vectors_are_unit_and_carry_their_residuals(
     assert report.residuals == pytest.approx(expected, rel=1e-12, abs=0)
 
 
-def test_recover_eigenvector_matches_analytic_mode(homog_spaces,
-                                                   homog_pencil,
-                                                   homog_eigenvalues):
-    gamma = homog_eigenvalues[np.argmin(np.abs(homog_eigenvalues - 1.0))]
-    v, res, converged, _ = recover_eigenvector(homog_pencil, gamma)
-    assert converged and res <= 1e-8
+@pytest.fixture(scope="module")
+def homog_pairs(homog_pencil):
+    return solve_pencil(homog_pencil, compute_vectors=True)
+
+
+@pytest.fixture(scope="module")
+def slab_pairs(slab_pencil):
+    return solve_pencil(slab_pencil, compute_vectors=True)
+
+
+def _pair_near(report, target):
+    """(gamma, unit vector, residual) of the eigenpair nearest target."""
+    idx = np.argmin(np.abs(report.eigenvalues - target))
+    return (report.eigenvalues[idx], report.vectors[:, idx],
+            report.residuals[idx])
+
+
+def test_recover_eigenvector_matches_analytic_mode(homog_spaces, homog_pairs):
+    # the companion eigenvector at gamma = 1 is a mode (1, 0) or (0, 1)
+    _, v, res = _pair_near(homog_pairs, 1.0)
+    assert res <= 1e-8
     _, psi_nodal = homog_spaces.nodal_fields(v)
     nodes = homog_spaces.mesh.nodes
     span = np.column_stack([np.cos(nodes[:, 0]), np.cos(nodes[:, 1])])
@@ -165,13 +179,10 @@ def test_recover_eigenvector_matches_analytic_mode(homog_spaces,
     assert coeff >= 0.99
 
 
-def test_recovered_pair_residual_contract(slab_pencil, slab_eigenvalues):
+def test_recovered_pair_residual_contract(slab_pairs):
     # a handful of well-separated eigenvalues recover to tight residuals
-    ev = slab_eigenvalues
-    picks = [np.argmin(np.abs(ev - t)) for t in (1.4j, 2.5j, 3.6j)]
-    for idx in picks:
-        v, res, converged, _ = recover_eigenvector(slab_pencil, ev[idx])
-        assert converged
+    for target in (1.4j, 2.5j, 3.6j):
+        _, _, res = _pair_near(slab_pairs, target)
         assert res <= 1e-8
 
 
@@ -185,11 +196,9 @@ def test_phase_invariance_of_residual(slab_pencil):
 
 
 def test_parity_maps_eigenvectors_across_sign(slab_spaces, slab_pencil,
-                                              slab_eigenvalues):
-    ev = slab_eigenvalues
-    gamma = ev[np.argmin(np.abs(ev - 1.4j))]
-    v, res, converged, _ = recover_eigenvector(slab_pencil, gamma)
-    assert converged
+                                              slab_pairs):
+    gamma, v, res = _pair_near(slab_pairs, 1.4j)
+    assert res <= 1e-8
     flipped = slab_spaces.parity_signs() * v
     assert residual(slab_pencil, -gamma, flipped) <= 10.0 * res
 

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wavepencil.oracle import (OracleError, OracleFamily,
-                               cleared_determinant, dispersion_determinant,
-                               homogeneous_rect_spectrum, match_roots,
+from wavepencil.oracle import (OracleError, OracleFamily, OracleRoot,
+                               cleared_determinant, match_roots,
                                normalized_determinant,
                                slab_dispersion_roots, write_roots_csv)
 
@@ -18,27 +17,20 @@ def gammas_of(roots, family=None):
                   key=lambda g: (g.real, g.imag))
 
 
-def test_homogeneous_square_examples():
-    roots = homogeneous_rect_spectrum(PI, PI, 2.0, max_lambda=5.5)
-    neumann_unit = [r for r in roots if r.family is OracleFamily.NEUMANN_DERIVED
-                    and abs(abs(r.gamma) - 1.0) < 1e-14]
-    # modes (1,0) and (0,1), both signs: multiplicity 2 at +1 and at -1
-    assert sum(1 for r in neumann_unit if r.gamma.real > 0) == 2
-    assert sum(1 for r in neumann_unit if r.gamma.real < 0) == 2
-    zero = [r for r in roots if r.gamma == 0
-            and r.family is OracleFamily.DIRICHLET_DERIVED]
-    assert [(r.m, r.n) for r in zero] == [(1, 1)]
-    sqrt3 = [r for r in roots if r.family is OracleFamily.DIRICHLET_DERIVED
-             and abs(r.gamma - 1j * math.sqrt(3)) < 1e-14]
-    assert sorted((r.m, r.n) for r in sqrt3) == [(1, 2), (2, 1)]
-    assert all(r.residual <= 1e-12 for r in roots)
+def dispersion_determinant(family, gamma, a, b, d, eps1, eps2, n):
+    """Literal tangent-form determinant (complex-valued off its poles).
 
+    LSE:  k1 tan(k2 d) + k2 tan(k1 (a-d))
+    LSM:  (k2/eps2) tan(k2 d) + (k1/eps1) tan(k1 (a-d))
 
-def test_homogeneous_rejects_bad_arguments():
-    with pytest.raises(OracleError):
-        homogeneous_rect_spectrum(-1.0, PI, 2.0, 5.0)
-    with pytest.raises(OracleError):
-        homogeneous_rect_spectrum(PI, PI, 0.5, 5.0)
+    The reference the cleared form is checked against.
+    """
+    u = complex(gamma) ** 2
+    k1 = np.sqrt(complex(eps1 - u - (n * math.pi / b) ** 2))
+    k2 = np.sqrt(complex(eps2 - u - (n * math.pi / b) ** 2))
+    if family is OracleFamily.LSE:
+        return k1 * np.tan(k2 * d) + k2 * np.tan(k1 * (a - d))
+    return (k2 / eps2) * np.tan(k2 * d) + (k1 / eps1) * np.tan(k1 * (a - d))
 
 
 def test_slab_lse_homogeneous_limit():
@@ -177,11 +169,25 @@ def test_slab_argument_validation():
         slab_dispersion_roots(PI, PI, PI / 2, 1.0, 4.0, n=-1)
     with pytest.raises(OracleError):
         slab_dispersion_roots(PI, PI, PI / 2, 1.0, 4.0,
-                              family=OracleFamily.DIRICHLET_DERIVED)
+                              family="dirichlet_derived")
+
+
+@pytest.mark.parametrize("fn", [cleared_determinant, normalized_determinant])
+def test_a_family_named_by_its_value_is_that_family(fn):
+    args = (1.5, PI, PI, PI / 2, 1.0, 4.0, 1)
+    assert fn("lsm", *args) == fn(OracleFamily.LSM, *args)
+    assert fn("lse", *args) == fn(OracleFamily.LSE, *args)
+    assert fn("lsm", *args) != fn("lse", *args)
+    with pytest.raises(OracleError, match="not a slab family"):
+        fn("dirichlet_derived", *args)
 
 
 def test_match_roots_accounting():
-    roots = homogeneous_rect_spectrum(PI, PI, 2.0, max_lambda=2.5)
+    # the homogeneous square at eps 2 up to transverse eigenvalue 2.5:
+    # modes (1, 0) and (0, 1) at +-1, and two cutoffs at 0
+    roots = [OracleRoot(gamma=complex(g), family=OracleFamily.LSE, m=m, n=0,
+                        residual=0.0)
+             for m, g in enumerate((1.0, -1.0, 1.0, -1.0, 0.0, 0.0))]
     vals = np.array([1.001, -1.001, 0.02j, -0.02j, 5.0], dtype=complex)
     matches, mismatches = match_roots(roots, vals, rel_tol=0.05)
     assert len(matches) == len(roots)

@@ -80,9 +80,10 @@ def test_field_block_helpers_follow_the_electric_first_layout(slit_mesh):
     e, m = sp.blocks
     assert (e.start, e.stop, m.start, m.stop) == (0, sp.n_pi, sp.n_pi, sp.n)
     v = np.arange(sp.n, dtype=float)
-    pi_part, psi_part = sp.split(v)
-    assert np.array_equal(pi_part, v[:sp.n_pi])
-    assert np.array_equal(psi_part, v[sp.n_pi:])
+    pi_nodal, psi_nodal = sp.nodal_fields(v)
+    assert np.array_equal(pi_nodal[sp.pi_nodes], v[:sp.n_pi])
+    assert np.count_nonzero(pi_nodal) == np.count_nonzero(v[:sp.n_pi])
+    assert np.array_equal(psi_nodal, sp.psi_nodal(v[sp.n_pi:]))
     assert np.array_equal(sp.parity_signs(),
                           np.r_[-np.ones(sp.n_pi), np.ones(sp.n_psi)])
     stiff = kernels.nodal_stiffness(slit_mesh, 1.0, 1.0)
