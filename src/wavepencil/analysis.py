@@ -99,10 +99,6 @@ class PairingReport:
         return {name: np.where(d > SYMMETRY_TOL)[0]
                 for name, d in self.normalized.items()}
 
-    @property
-    def ok(self):
-        return all(len(v) == 0 for v in self.violations.values())
-
 
 def _match_multiset(values, targets):
     """Greedy unique nearest matching of targets into values.
@@ -283,9 +279,8 @@ def _block_eigvals(op, matrices):
     eigenvalues-only ``eigh`` (LAPACK ``sygvx``), whose cost is the full
     tridiagonal reduction.
     """
-    sp = matrices.spaces
     vals = []
-    for b, g in zip(sp.blocks, (sp.gram_pi, sp.gram_psi)):
+    for b, g in zip(matrices.spaces.blocks, matrices.gram):
         block = 0.5 * (op[b, b] + op[b, b].T)
         if np.array_equal(block, g):
             vals.append(np.ones(len(g)))
@@ -317,8 +312,7 @@ def _s_bound(matrices):
         return 0.0
     unit = np.zeros((sp.n_pi, len(rows)))
     unit[rows, np.arange(len(rows))] = 1.0
-    l_pi = linalg.cholesky(sp.gram_pi, lower=True)
-    l_psi = linalg.cholesky(sp.gram_psi, lower=True)
+    l_pi, l_psi = (linalg.cholesky(g, lower=True) for g in matrices.gram)
     x = linalg.solve_triangular(l_pi, unit, lower=True)
     y = linalg.solve_triangular(l_psi, f[rows].T, lower=True)
     r_x, r_y = np.linalg.qr(x, mode="r"), np.linalg.qr(y, mode="r")
@@ -480,6 +474,17 @@ def _identity_margins(matrices, g_diag, g_off, g_asym, n_random):
     return worst_sa, worst_par
 
 
+def working_bytes(n_pi, n_psi):
+    """Bytes ``verify_all`` allocates beyond the four operators, bounded.
+
+    The two reassembled S matrices, the Gram blocks, the ``TILE`` rows of
+    an S difference and ``_operator_tiles``' buffers; not the O(N) mesh.
+    """
+    n = n_pi + n_psi
+    return 8 * (2 * n * n + n_pi * n_pi + n_psi * n_psi + TILE * n
+                + 3 * 4 * TILE * TILE)
+
+
 def verify_all(matrices, pencil=None, spectrum=None,
                include_decay_slope=False, n_random=10):
     """Run every discretely checkable property and report margins.
@@ -495,13 +500,14 @@ def verify_all(matrices, pencil=None, spectrum=None,
     ``hermiticity_*`` margins and those Gram forms come from one pass over
     square tiles of the operators (``_operator_tiles``), and the S checks
     take their differences ``TILE`` rows at a time, so the only n x n
-    arrays allocated are the two reassembled S matrices, which are dropped
-    before the decay-slope eigensolves.  The symmetry checks read the
-    normalized partner distances of ``spectrum.pairing``.  The bound
-    eigensolves run only where the result is not known in advance
-    (``_block_eigvals``): the Gram-identical blocks of A1 and A2 have
-    every eigenvalue exactly 1, so A1's electric and A2's magnetic block
-    are solved, and ||S|| is an r x r problem on the coupling rows
+    arrays allocated (``working_bytes``) are the Gram blocks, formed on
+    first read of ``matrices.gram``, and the two reassembled S matrices,
+    which are dropped before the decay-slope eigensolves.  The symmetry
+    checks read the normalized partner distances of ``spectrum.pairing``.
+    The bound eigensolves run only where the result is not known in
+    advance (``_block_eigvals``): the Gram-identical blocks of A1 and A2
+    have every eigenvalue exactly 1, so A1's electric and A2's magnetic
+    block are solved, and ||S|| is an r x r problem on the coupling rows
     (``_s_bound``).
     """
     rep = PropertyReport()

@@ -35,8 +35,7 @@ class AssemblyError(ValueError):
 class PencilMatrices:
     """The four operator matrices with their permittivities.
 
-    Blocks are laid out as ``spaces.blocks`` says, electric field first,
-    and the Gram blocks are ``spaces.gram_pi`` and ``spaces.gram_psi``.
+    Blocks are laid out as ``spaces.blocks`` says, electric field first.
     The gradient and L2 forms are block diagonal; the interface coupling
     is block off-diagonal and flips sign under the field-parity operator.
     The operators with the two permittivities determine the quartic
@@ -81,10 +80,43 @@ class PencilMatrices:
                 abs(self.eps1 - self.eps2) * np.linalg.norm(self.s, "fro"),
                 np.sqrt(sq2), np.linalg.norm(self.k, "fro"))
 
+    @cached_property
+    def gram(self):
+        """(G_pi, G_psi): the field blocks of the gradient Gram matrix.
+
+        The inner product every operator bound is relative to, formed on
+        first read by the kernels that write A1's magnetic and A2's
+        electric block, so those are the Gram blocks bit for bit.
+        """
+        sp = self.spaces
+        stiff = kernels.nodal_stiffness(sp.mesh, 1.0, 1.0)
+        g_pi = np.zeros((sp.n_pi, sp.n_pi))
+        g_psi = np.empty((sp.n_psi, sp.n_psi))
+        sp.scatter_pi(g_pi, stiff)
+        write_reduced(g_psi, sp.mean_vector, stiff, congruence=True)
+        for g in (g_pi, g_psi):
+            g.setflags(write=False)
+        return g_pi, g_psi
+
 
 def _check_eps(eps1, eps2):
     if not (eps1 >= 1.0 and eps2 >= 1.0):
         raise AssemblyError("relative permittivities must be real and >= 1")
+
+
+def _block_diagonal(spaces, form, pi_weights, psi_weights):
+    """Dense block-diagonal operator of a nodal form weighted per block.
+
+    The electric block is the form with ``pi_weights`` on the electric
+    nodes (``scatter_pi``), the magnetic block the zero-mean congruence of
+    the form with ``psi_weights`` (``write_reduced``).
+    """
+    e, m = spaces.blocks
+    out = np.zeros((spaces.n, spaces.n))
+    spaces.scatter_pi(out[e, e], form(spaces.mesh, *pi_weights))
+    write_reduced(out[m, m], spaces.mean_vector,
+                  form(spaces.mesh, *psi_weights), congruence=True)
+    return out
 
 
 def assemble_a1(spaces, eps1, eps2):
@@ -93,12 +125,8 @@ def assemble_a1(spaces, eps1, eps2):
     The unweighted magnetic block is the Gram matrix's own.
     """
     _check_eps(eps1, eps2)
-    weighted = kernels.nodal_stiffness(spaces.mesh, eps1, eps2)
-    e, m = spaces.blocks
-    out = np.zeros((spaces.n, spaces.n))
-    spaces.scatter_pi(out[e, e], weighted)
-    out[m, m] = spaces.gram_psi
-    return out
+    return _block_diagonal(spaces, kernels.nodal_stiffness, (eps1, eps2),
+                           (1.0, 1.0))
 
 
 def assemble_a2(spaces, eps1, eps2):
@@ -107,24 +135,15 @@ def assemble_a2(spaces, eps1, eps2):
     The unweighted electric block is the Gram matrix's own.
     """
     _check_eps(eps1, eps2)
-    weighted = kernels.nodal_stiffness(spaces.mesh, 1.0 / eps1, 1.0 / eps2)
-    e, m = spaces.blocks
-    out = np.zeros((spaces.n, spaces.n))
-    out[e, e] = spaces.gram_pi
-    write_reduced(out[m, m], spaces.mean_vector, weighted, congruence=True)
-    return out
+    return _block_diagonal(spaces, kernels.nodal_stiffness, (1.0, 1.0),
+                           (1.0 / eps1, 1.0 / eps2))
 
 
 def assemble_k(spaces, eps1, eps2):
     """L2 form, permittivity-weighted on the electric block.  Positive definite."""
     _check_eps(eps1, eps2)
-    mesh = spaces.mesh
-    e, m = spaces.blocks
-    out = np.zeros((spaces.n, spaces.n))
-    spaces.scatter_pi(out[e, e], kernels.nodal_mass(mesh, eps1, eps2))
-    write_reduced(out[m, m], spaces.mean_vector,
-                  kernels.nodal_mass(mesh, 1.0, 1.0), congruence=True)
-    return out
+    return _block_diagonal(spaces, kernels.nodal_mass, (eps1, eps2),
+                           (1.0, 1.0))
 
 
 def _check_interface(spaces):

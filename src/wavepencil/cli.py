@@ -5,8 +5,8 @@ The pipeline is mesh -> spaces -> assembly -> pencil -> companion solve
 artifact written to the output directory.  Exit status is 1 when any
 property check fails or the oracle comparison exceeds its tolerance, and
 2 when the input cannot be solved as given (a bad configuration or mesh,
-a companion over the dense-path cap, or operators that `verify` could
-not hold in physical memory), so CI can consume the tool directly.
+a companion over the dense-path cap, more than `verify` can hold in
+physical memory, or `oracle` on a mesh file), so CI can use it directly.
 """
 
 from __future__ import annotations
@@ -143,18 +143,18 @@ def comparable_oracle_roots(cfg):
 
 
 def _unknowns(cfg):
-    """(mesh, n) of a configuration, without building a generated grid.
+    """(mesh, n_pi, n_psi) of a configuration, without building a grid.
 
-    n counts one electric unknown per node off the shield and N - 1
-    magnetic ones.  A generated grid has (nx + 1)(ny + 1) nodes, of which
-    (nx - 1)(ny - 1) lie off the shield, so its n comes from the
-    configuration and its mesh is None.  A mesh file is loaded.
+    n_pi counts the nodes off the shield and n_psi is N - 1.  A generated
+    grid has (nx - 1)(ny - 1) of its (nx + 1)(ny + 1) nodes off the
+    shield, so its counts come from the configuration and its mesh is
+    None.  A mesh file is loaded.
     """
     if cfg.kind == "file":
         mesh = build_mesh(cfg)
-        return mesh, int(np.count_nonzero(~mesh.boundary_node_mask())) \
-            + mesh.n_nodes - 1
-    return None, (cfg.nx - 1) * (cfg.ny - 1) + (cfg.nx + 1) * (cfg.ny + 1) - 1
+        return (mesh, int(np.count_nonzero(~mesh.boundary_node_mask())),
+                mesh.n_nodes - 1)
+    return None, (cfg.nx - 1) * (cfg.ny - 1), (cfg.nx + 1) * (cfg.ny + 1) - 1
 
 
 def _check_companion_cap(cfg):
@@ -162,8 +162,8 @@ def _check_companion_cap(cfg):
 
     Returns the loaded mesh of a mesh file, None for a generated grid.
     """
-    mesh, n = _unknowns(cfg)
-    eigensolver._check_companion_dim(4 * n)
+    mesh, n_pi, n_psi = _unknowns(cfg)
+    eigensolver._check_companion_dim(4 * (n_pi + n_psi))
     return mesh
 
 
@@ -325,14 +325,17 @@ def cmd_solve(cfg, args):
     return result.exit_code
 
 def cmd_verify(cfg, args):
-    # the four dense n x n operators are refused before the mesh is built
-    mesh, n = _unknowns(cfg)
-    need = 4 * n * n * 8
+    # what verify would hold is checked before the mesh is built
+    mesh, n_pi, n_psi = _unknowns(cfg)
+    n = n_pi + n_psi
+    operators = 4 * n * n * 8
+    checks = analysis.working_bytes(n_pi, n_psi)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
+    if operators + checks > memory:
         raise AssemblyError(
-            f"the four dense operators of n = {n} unknowns need {need} "
-            f"bytes, more than the {memory} bytes of physical memory")
+            f"the four dense operators of n = {n} unknowns need {operators} "
+            f"bytes and their checks {checks} more, together more than the "
+            f"{memory} bytes of physical memory")
     if mesh is None:
         mesh = build_mesh(cfg)
     pencil = make_pencil(assemble_matrices(build_spaces(mesh), cfg.eps1,
@@ -350,6 +353,9 @@ def cmd_verify(cfg, args):
 
 
 def cmd_oracle(cfg, args):
+    if cfg.kind == "file":
+        raise ConfigError("the oracle gives the roots of the generated "
+                          "rect_slab geometry; kind = file has none")
     roots = oracle_roots(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -86,11 +86,6 @@ class Mesh:
         mask[self.edges[shielded]] = True
         return mask
 
-    def interface_node_mask(self):
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[self.interface_edges] = True
-        return mask
-
 
 def _edge_key(i, j):
     return (i, j) if i < j else (j, i)

@@ -12,18 +12,15 @@ First-order nodal elements for both scalar fields:
   every reduced matrix congruent to its nodal origin.  Products with Z
   apply H as the identity minus a rank-one term, in O(N^2) work for a
   matrix and O(N) for a vector; the dense basis is not stored and is
-  formed only on request (``FieldSpaces.null_basis``).  A reduced block
-  is written in place into its block of an operator (``write_reduced``)
-  from a real sparse nodal matrix, symmetric for the congruence: the
-  reflector's dense low-rank term first, then the stored entries of the
-  nodal matrix.
+  formed only on request (``FieldSpaces.null_basis``).
 
 Product-space vectors and matrices are laid out electric block first,
 then magnetic (``FieldSpaces.blocks``); this module is the one place
 that knows that layout and how the zero-mean constraint is applied.
-The Gram matrix of the product space is the block-diagonal stiffness
-(gradient) inner product, stored as its two field blocks; all operator
-bounds downstream are relative to it.
+The spaces hold only O(N) data, the dof maps and the mean vector.  The
+``assembly`` module writes every form over them, the gradient Gram
+matrix included, into dense blocks from its sparse nodal matrix, with
+``scatter_pi`` (electric) and ``write_reduced`` (magnetic).
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly_kernels as kernels
 from .mesh import Mesh
 
 
@@ -46,7 +42,7 @@ class SpaceError(ValueError):
 
 @dataclass(frozen=True)
 class FieldSpaces:
-    """Degree-of-freedom maps, the field-block layout and the Gram blocks.
+    """Degree-of-freedom maps, the field-block layout and the mean vector.
 
     Attributes
     ----------
@@ -57,24 +53,17 @@ class FieldSpaces:
     pi_index : (N,) int array
         Node -> electric dof index, -1 for eliminated nodes.
     mean_vector : (N,) float array
-        Integral of each nodal basis function over the cross-section.
-    gram_pi : (n_pi, n_pi) float array
-        Electric block of the gradient Gram matrix.
-    gram_psi : (n_psi, n_psi) float array
-        Magnetic block of the gradient Gram matrix; the off-diagonal
-        blocks are zero and not stored.
+        Integral of each nodal basis function over the cross-section;
+        the magnetic field has zero weighted mean against it.
     """
 
     mesh: Mesh
     pi_nodes: np.ndarray
     pi_index: np.ndarray
     mean_vector: np.ndarray
-    gram_pi: np.ndarray
-    gram_psi: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.pi_nodes, self.pi_index, self.mean_vector,
-                    self.gram_pi, self.gram_psi):
+        for arr in (self.pi_nodes, self.pi_index, self.mean_vector):
             arr.setflags(write=False)
 
     @property
@@ -104,12 +93,6 @@ class FieldSpaces:
     def blocks(self):
         """Index slices of the electric and the magnetic field block."""
         return slice(0, self.n_pi), slice(self.n_pi, self.n)
-
-    def parity_signs(self):
-        """Diagonal of the field-flip operator: -1 on the electric block."""
-        signs = np.ones(self.n)
-        signs[self.blocks[0]] = -1.0
-        return signs
 
     def scatter_pi(self, dst, nodal):
         """Write the stored entries of ``M[pi, pi]`` into a zeroed dst.
@@ -160,7 +143,7 @@ def _householder_complement(m):
 
 
 def build_spaces(mesh):
-    """Construct DOF maps, the mean vector and the Gram blocks.
+    """Construct the DOF maps and the mean vector.
 
     Raises
     ------
@@ -179,26 +162,15 @@ def build_spaces(mesh):
     mean = np.bincount(mesh.triangles.ravel(),
                        weights=np.repeat(mesh.triangle_areas() / 3.0, 3),
                        minlength=mesh.n_nodes)
-
-    stiff = kernels.nodal_stiffness(mesh, 1.0, 1.0)
-    gram_pi = np.zeros((len(pi_nodes), len(pi_nodes)))
-    _add_stored(gram_pi, stiff[np.ix_(pi_nodes, pi_nodes)])
-    gram_psi = np.empty((mesh.n_nodes - 1, mesh.n_nodes - 1))
-    write_reduced(gram_psi, mean, stiff, congruence=True)
-    return FieldSpaces(
-        mesh=mesh,
-        pi_nodes=pi_nodes,
-        pi_index=pi_index,
-        mean_vector=mean,
-        gram_pi=gram_pi,
-        gram_psi=gram_psi,
-    )
+    return FieldSpaces(mesh=mesh, pi_nodes=pi_nodes, pi_index=pi_index,
+                       mean_vector=mean)
 
 
 def _add_stored(dst, matrix):
-    """dst += the stored entries of a sparse matrix."""
-    coo = matrix.tocoo()
-    np.add.at(dst, (coo.row, coo.col), coo.data)
+    """dst += a sparse matrix, repeated (row, col) entries summed in a copy."""
+    coo = matrix.tocoo(copy=True)
+    coo.sum_duplicates()
+    dst[coo.row, coo.col] += coo.data
 
 
 def write_reduced(dst, m, nodal, congruence=False):

@@ -34,6 +34,20 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def parity_signs(spaces):
+    """Diagonal of the field-flip operator: -1 on the electric block."""
+    signs = np.ones(spaces.n)
+    signs[spaces.blocks[0]] = -1.0
+    return signs
+
+
+def interface_node_mask(mesh):
+    """True for the nodes of the oriented interface edges."""
+    mask = np.zeros(mesh.n_nodes, dtype=bool)
+    mask[mesh.interface_edges] = True
+    return mask
+
+
 @pytest.fixture(scope="session")
 def slab_mesh():
     return wp.generate_rect_slab(PI, PI, PI / 2, 8, 8)

@@ -13,10 +13,15 @@ from wavepencil.analysis import (SpectrumClass, build_spectrum, classify,
                                  count_real_outside_exclusion,
                                  degeneration_count, degeneration_scan,
                                  k_decay_slope, symmetry_pairing, verify_all)
-from conftest import traced_peak
+from conftest import parity_signs, traced_peak
 
 PI = math.pi
 EXC = wp.exclusion_interval(1.0, 4.0)
+
+
+def pairing_ok(rep):
+    """No symmetry has a partner distance over ``SYMMETRY_TOL``."""
+    return all(len(v) == 0 for v in rep.violations.values())
 
 
 @pytest.mark.parametrize("gamma,expected", [
@@ -47,7 +52,7 @@ def test_symmetry_pairing_on_synthetic_quadruples():
     noisy = full + 1e-12 * (rng.standard_normal(len(full))
                             + 1j * rng.standard_normal(len(full)))
     rep = symmetry_pairing(noisy)
-    assert rep.ok
+    assert pairing_ok(rep)
     assert rep.max_normalized <= 1e-10
     # the matching is a permutation per symmetry
     for idx, _ in rep.partners.values():
@@ -57,13 +62,13 @@ def test_symmetry_pairing_on_synthetic_quadruples():
 def test_symmetry_pairing_flags_broken_symmetry():
     vals = np.array([1.0, -1.0, 2.0j, -2.0j, 0.5 + 0.5j], dtype=complex)
     rep = symmetry_pairing(vals)
-    assert not rep.ok
+    assert not pairing_ok(rep)
     assert len(rep.violations["neg"]) > 0
 
 
 def test_empty_spectrum_has_no_partners_and_zero_counts():
     rep = symmetry_pairing(np.array([], dtype=complex))
-    assert rep.ok and rep.max_normalized == 0.0
+    assert pairing_ok(rep) and rep.max_normalized == 0.0
     for idx, dist in rep.partners.values():
         assert idx.shape == (0,) and dist.shape == (0,)
     spec = build_spectrum(np.array([], dtype=complex), EXC)
@@ -74,7 +79,7 @@ def test_empty_spectrum_has_no_partners_and_zero_counts():
 
 def test_slab_spectrum_pairing(slab_eigenvalues):
     rep = symmetry_pairing(slab_eigenvalues)
-    assert rep.ok
+    assert pairing_ok(rep)
     idx, dist = rep.partners["conj"]
     scale = 1.0 + np.abs(slab_eigenvalues)
     assert (dist / scale).max() <= 1e-10
@@ -235,14 +240,16 @@ def test_verify_all_report_json_shape(slab_matrices):
 
 
 def test_verify_all_working_memory_is_bounded():
-    # Beyond the operators, verify_all holds the two reassembled S matrices
-    # and its tile buffers: 2.16 n^2 doubles measured at nx = 20, where
-    # holding the four defects O - O^T at once would take 4.01.  At
-    # nx = 12 the tile buffers are comparable with n^2.
+    # Beyond the operators and the Gram blocks (formed here before the
+    # trace), verify_all holds the two reassembled S matrices and its tile
+    # buffers: 2.16 n^2 doubles measured at nx = 20, where holding the
+    # four defects O - O^T at once would take 4.01.  At nx = 12 the tile
+    # buffers are comparable with n^2.
     for nx, n, bound in ((12, 289, 5.0), (20, 801, 2.25)):
         mats = wp.assemble_matrices(wp.build_spaces(
             wp.generate_rect_slab(PI, PI, PI / 2, nx, nx)), 1.0, 4.0)
         assert mats.n == n
+        mats.gram
         peak = traced_peak(lambda: verify_all(mats, pencil=mats))
         assert peak <= bound * n * n * 8, nx
 
@@ -293,7 +300,7 @@ def test_verify_all_fails_on_negated_k_diagonal(slab_matrices):
 
 def _dense_bound_margins(mats):
     """Bound margins from the full-size operators against the full Gram."""
-    g = linalg.block_diag(mats.spaces.gram_pi, mats.spaces.gram_psi)
+    g = linalg.block_diag(*mats.gram)
     a1, a2, s = (linalg.eigh(0.5 * (op + op.T), g, eigvals_only=True)
                  for op in (mats.a1, mats.a2, mats.s))
     k_vals = np.sort(linalg.eigh(mats.k, g, eigvals_only=True))[::-1]
@@ -346,8 +353,7 @@ def _svdvals_s_bound(mats):
     """sigma_max(L_pi^-1 F L_psi^-T) from full triangular solves."""
     e, m = mats.spaces.blocks
     f = 0.5 * (mats.s[e, m] + mats.s[m, e].T)
-    l_pi = linalg.cholesky(mats.spaces.gram_pi, lower=True)
-    l_psi = linalg.cholesky(mats.spaces.gram_psi, lower=True)
+    l_pi, l_psi = (linalg.cholesky(g, lower=True) for g in mats.gram)
     x = linalg.solve_triangular(l_pi, f, lower=True)
     x = linalg.solve_triangular(l_psi, x.T, lower=True)
     return float(linalg.svdvals(x)[0])
@@ -389,7 +395,7 @@ def test_electric_magnetic_entry_in_a1_fails_parity(slab_matrices):
 def _loop_identity_margins(pencil, seed=0, n_random=10):
     """The pencil identities from L(g) at each seeded point, as a reference."""
     rng = np.random.default_rng(seed)
-    signs = pencil.spaces.parity_signs()
+    signs = parity_signs(pencil.spaces)
     worst_sa = worst_par = 0.0
     for _ in range(n_random):
         gam = pencil.exclusion.p * complex(rng.standard_normal(),
@@ -456,7 +462,7 @@ def _full_size_margins(mats):
     for name in ("k", "a1", "a2", "s"):
         m = getattr(mats, name)
         out[f"hermiticity_{name}"] = float(np.abs(m - m.conj().T).max())
-    p = mats.spaces.parity_signs()
+    p = parity_signs(mats.spaces)
     out["parity_block_structure"] = max(
         float(np.abs(p[:, None] * op * p[None, :] - sign * op).max())
         for op, sign in ((mats.a1, 1.0), (mats.a2, 1.0), (mats.k, 1.0),

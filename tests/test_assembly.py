@@ -8,7 +8,7 @@ import wavepencil as wp
 from wavepencil import assembly_kernels as kernels
 from wavepencil.assembly import (AssemblyError, assemble_s_line,
                                  assemble_s_volume)
-from conftest import traced_peak
+from conftest import interface_node_mask, parity_signs, traced_peak
 
 PI = math.pi
 
@@ -17,50 +17,54 @@ def gen_eigs(a, g):
     return linalg.eigh(a, g, eigvals_only=True)
 
 
-def full_gram(sp):
-    return linalg.block_diag(sp.gram_pi, sp.gram_psi)
+def full_gram(matrices):
+    return linalg.block_diag(*matrices.gram)
 
 
-def test_a1_equals_gram_for_unit_permittivity(slab_spaces):
+def test_a1_equals_gram_for_unit_permittivity(slab_spaces, slab_matrices):
     assert np.array_equal(wp.assemble_a1(slab_spaces, 1.0, 1.0),
-                          full_gram(slab_spaces))
+                          full_gram(slab_matrices))
 
 
-def test_a1_generalized_spectrum_within_bounds(slab_spaces):
+def test_a1_generalized_spectrum_within_bounds(slab_spaces, slab_matrices):
     a1 = wp.assemble_a1(slab_spaces, 1.0, 4.0)
-    ev = gen_eigs(a1, full_gram(slab_spaces))
+    ev = gen_eigs(a1, full_gram(slab_matrices))
     assert ev[0] >= 1.0 - 1e-10
     assert ev[-1] <= 4.0 + 1e-10
 
 
-def test_a1_pi_block_scales_with_constant_permittivity(slab_spaces):
+def test_a1_pi_block_scales_with_constant_permittivity(slab_spaces,
+                                                        slab_matrices):
     a1 = wp.assemble_a1(slab_spaces, 2.0, 2.0)
     n_pi = slab_spaces.n_pi
-    g_pi = slab_spaces.gram_pi
+    g_pi = slab_matrices.gram[0]
     assert np.allclose(a1[:n_pi, :n_pi], 2.0 * g_pi, rtol=0, atol=1e-14)
 
 
-def test_a2_generalized_spectrum_within_bounds(slab_spaces):
+def test_a2_generalized_spectrum_within_bounds(slab_spaces, slab_matrices):
     a2 = wp.assemble_a2(slab_spaces, 1.0, 4.0)
-    ev = gen_eigs(a2, full_gram(slab_spaces))
+    ev = gen_eigs(a2, full_gram(slab_matrices))
     assert ev[0] >= 0.25 - 1e-10
     assert ev[-1] <= 1.0 + 1e-10
 
 
-def test_a2_pi_block_independent_of_permittivity(slab_spaces):
+def test_a2_pi_block_independent_of_permittivity(slab_spaces, slab_matrices):
     n_pi = slab_spaces.n_pi
     a2_a = wp.assemble_a2(slab_spaces, 1.0, 4.0)[:n_pi, :n_pi]
     a2_b = wp.assemble_a2(slab_spaces, 3.0, 7.0)[:n_pi, :n_pi]
     assert np.array_equal(a2_a, a2_b)
-    assert np.array_equal(a2_a, slab_spaces.gram_pi)
+    assert np.array_equal(a2_a, slab_matrices.gram[0])
 
 
 def test_unweighted_gradient_blocks_are_the_gram_blocks(slab_matrices):
     m = slab_matrices
     assert (m.eps1, m.eps2) == (1.0, 4.0)
     n_pi = m.spaces.n_pi
-    assert np.array_equal(m.a1[n_pi:, n_pi:], m.spaces.gram_psi)
-    assert np.array_equal(m.a2[:n_pi, :n_pi], m.spaces.gram_pi)
+    assert np.array_equal(m.a1[n_pi:, n_pi:], m.gram[1])
+    assert np.array_equal(m.a2[:n_pi, :n_pi], m.gram[0])
+    # formed once, read-only
+    assert m.gram is m.gram
+    assert not any(g.flags.writeable for g in m.gram)
 
 
 def test_k_positive_definite(slab_matrices):
@@ -113,7 +117,7 @@ def test_s_zero_without_interface():
 def test_s_kernel_contains_interface_free_vectors(slab_spaces, slab_matrices):
     # vectors vanishing on every interface node are annihilated exactly
     mesh = slab_spaces.mesh
-    iface = mesh.interface_node_mask()
+    iface = interface_node_mask(mesh)
     rng = np.random.default_rng(1)
     pi_part = rng.standard_normal(slab_spaces.n_pi)
     pi_part[iface[slab_spaces.pi_nodes]] = 0.0
@@ -129,7 +133,7 @@ def test_s_kernel_contains_interface_free_vectors(slab_spaces, slab_matrices):
 
 
 def test_s_generalized_bound(slab_spaces, slab_matrices):
-    ev = gen_eigs(slab_matrices.s, full_gram(slab_spaces))
+    ev = gen_eigs(slab_matrices.s, full_gram(slab_matrices))
     assert np.abs(ev).max() <= 0.5 + 1e-10
 
 
@@ -170,7 +174,7 @@ def test_operator_blocks_are_the_products_with_null_basis(request, mesh_name,
             (mats.k[m, m], kernels.nodal_mass(mesh, 1.0, 1.0)),
             (mats.a2[m, m],
              kernels.nodal_stiffness(mesh, 1.0 / eps[0], 1.0 / eps[1])),
-            (spaces.gram_psi, kernels.nodal_stiffness(mesh, 1.0, 1.0))):
+            (mats.gram[1], kernels.nodal_stiffness(mesh, 1.0, 1.0))):
         expected = z.T @ nodal.toarray() @ z
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
         assert np.array_equal(got, got.T)
@@ -209,7 +213,7 @@ def test_line_matrix_entries_are_half_integers():
 
 def test_block_structure_and_parity(slab_matrices):
     n_pi = slab_matrices.spaces.n_pi
-    p = slab_matrices.spaces.parity_signs()
+    p = parity_signs(slab_matrices.spaces)
     for mat in (slab_matrices.k, slab_matrices.a1, slab_matrices.a2):
         assert np.abs(mat[:n_pi, n_pi:]).max() == 0.0
         assert np.array_equal(p[:, None] * mat * p[None, :], mat)

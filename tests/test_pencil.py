@@ -8,6 +8,7 @@ from wavepencil.pencil import (PencilError, apply, coefficient_scale,
                                coefficients, degeneration_points, evaluate,
                                exclusion_interval, linearize, make_pencil,
                                residual)
+from conftest import interface_node_mask, parity_signs
 
 PI = math.pi
 
@@ -98,7 +99,7 @@ def test_selfadjoint_identity_at_random_points(slab_pencil):
 
 
 def test_parity_identity_at_random_points(slab_pencil):
-    signs = slab_pencil.spaces.parity_signs()
+    signs = parity_signs(slab_pencil.spaces)
     rng = np.random.default_rng(11)
     for _ in range(10):
         g = complex(rng.standard_normal(), rng.standard_normal()) * 2.0
@@ -126,7 +127,7 @@ def test_single_region_vectors_span_degeneration_kernel(slab_spaces,
     for tri, reg in zip(mesh.triangles, mesh.regions):
         if reg == 1:
             deep[tri] = False
-    deep &= ~mesh.interface_node_mask()
+    deep &= ~interface_node_mask(mesh)
     deep_nodes = np.where(deep)[0]
     assert len(deep_nodes) >= 4
 

@@ -6,8 +6,9 @@ from scipy import linalg, sparse
 
 import wavepencil as wp
 from wavepencil import assembly_kernels as kernels
-from wavepencil.spaces import SpaceError, build_spaces, write_reduced
-from conftest import traced_peak
+from wavepencil.spaces import (SpaceError, _add_stored, build_spaces,
+                               write_reduced)
+from conftest import interface_node_mask, parity_signs, traced_peak
 
 PI = math.pi
 
@@ -17,23 +18,24 @@ def test_minimal_grid_dof_counts():
     sp = build_spaces(m)
     assert sp.n_pi == 1          # only the centre node survives Dirichlet
     assert sp.n_psi == 8         # 9 nodes minus the mean constraint
-    assert sp.gram_pi.shape == (1, 1)
-    assert sp.gram_psi.shape == (8, 8)
+    gram_pi, gram_psi = wp.assemble_matrices(sp, 1.0, 1.0).gram
+    assert gram_pi.shape == (1, 1)
+    assert gram_psi.shape == (8, 8)
 
 
-def full_gram(sp):
-    return linalg.block_diag(sp.gram_pi, sp.gram_psi)
+def full_gram(matrices):
+    return linalg.block_diag(*matrices.gram)
 
 
-def test_gram_blocks_match_unweighted_assembly(slab_spaces):
+def test_gram_blocks_match_unweighted_assembly(slab_spaces, slab_matrices):
     a1 = wp.assemble_a1(slab_spaces, 1.0, 1.0)
-    assert np.array_equal(a1, full_gram(slab_spaces))
+    assert np.array_equal(a1, full_gram(slab_matrices))
     a2 = wp.assemble_a2(slab_spaces, 1.0, 1.0)
-    assert np.array_equal(a2, full_gram(slab_spaces))
+    assert np.array_equal(a2, full_gram(slab_matrices))
 
 
-def test_gram_positive_definite_and_symmetric(slab_spaces):
-    g = full_gram(slab_spaces)
+def test_gram_positive_definite_and_symmetric(slab_matrices):
+    g = full_gram(slab_matrices)
     assert np.abs(g - g.T).max() == 0.0
     evals = np.linalg.eigvalsh(g)
     assert evals[0] > 0.0
@@ -67,11 +69,12 @@ def test_constant_vector_outside_null_basis_range(slab_spaces):
     assert np.linalg.norm(residual) > 0.1
 
 
-def test_gram_magnetic_block_is_the_reduced_stiffness(slab_spaces):
+def test_gram_magnetic_block_is_the_reduced_stiffness(slab_spaces,
+                                                      slab_matrices):
     z = slab_spaces.null_basis
     stiff = kernels.nodal_stiffness(slab_spaces.mesh, 1.0, 1.0).toarray()
     expected = z.T @ stiff @ z
-    got = slab_spaces.gram_psi
+    got = slab_matrices.gram[1]
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -84,14 +87,15 @@ def test_field_block_helpers_follow_the_electric_first_layout(slit_mesh):
     assert np.array_equal(pi_nodal[sp.pi_nodes], v[:sp.n_pi])
     assert np.count_nonzero(pi_nodal) == np.count_nonzero(v[:sp.n_pi])
     assert np.array_equal(psi_nodal, sp.psi_nodal(v[sp.n_pi:]))
-    assert np.array_equal(sp.parity_signs(),
+    assert np.array_equal(parity_signs(sp),
                           np.r_[-np.ones(sp.n_pi), np.ones(sp.n_psi)])
     stiff = kernels.nodal_stiffness(slit_mesh, 1.0, 1.0)
     expected_pi = stiff.toarray()[np.ix_(sp.pi_nodes, sp.pi_nodes)]
     got_pi = np.zeros((sp.n_pi, sp.n_pi))
     sp.scatter_pi(got_pi, stiff)
     assert np.array_equal(got_pi, expected_pi)
-    assert np.array_equal(sp.gram_pi, expected_pi)
+    assert np.array_equal(wp.assemble_matrices(sp, 1.0, 4.0).gram[0],
+                          expected_pi)
     x = np.random.default_rng(7).standard_normal((slit_mesh.n_nodes, 5))
     expected = sp.null_basis.T @ x
     got = np.empty((sp.n_psi, 5))
@@ -162,15 +166,23 @@ def test_zero_mean_transform_accepts_sparse(slab_spaces):
     assert np.array_equal(red, red.T)
 
 
-def test_build_spaces_working_memory_is_the_gram_blocks():
-    # The Gram blocks are 1.75 N^2 doubles at nx = 28 and the peak above
-    # entry measured 1.87 N^2; full-size temporaries for the magnetic
-    # block raise it to 3.77.
+def test_build_spaces_allocates_no_dense_block():
+    # The spaces hold O(N) data; with the two Gram blocks (1.75 N^2
+    # doubles at nx = 28) the peak above entry measured 9.9 MB.
     mesh = wp.generate_rect_slab(PI, PI, PI / 2, 28, 28)
-    n_nodes = mesh.n_nodes
-    assert n_nodes == 841
+    assert mesh.n_nodes == 841
     peak = traced_peak(lambda: build_spaces(mesh))
-    assert peak <= 2.5 * n_nodes * n_nodes * 8
+    assert peak < 2 ** 20
+
+
+def test_add_stored_sums_repeated_entries():
+    coo = sparse.coo_matrix(([1.0, 2.0, 4.0], ([0, 0, 1], [1, 1, 0])),
+                            shape=(2, 2))
+    dst = np.full((2, 2), 0.5)
+    _add_stored(dst, coo)
+    assert np.array_equal(dst, [[0.5, 3.5], [4.5, 0.5]])
+    # the caller's matrix keeps its repeated entry
+    assert coo.nnz == 3 and np.array_equal(coo.data, [1.0, 2.0, 4.0])
 
 
 def test_under_resolved_mesh_rejected():
@@ -200,7 +212,7 @@ def test_slit_dof_counts(slit_mesh):
 def _jittered_slab():
     """6x6 slab with interior nodes moved, so triangle areas differ."""
     m = wp.generate_rect_slab(PI, PI, PI / 2, 6, 6)
-    inner = ~(m.boundary_node_mask() | m.interface_node_mask())
+    inner = ~(m.boundary_node_mask() | interface_node_mask(m))
     nodes = m.nodes.copy()
     nodes[inner] += np.random.default_rng(0).uniform(-0.1, 0.1,
                                                      (inner.sum(), 2))
