@@ -167,13 +167,16 @@ def _check_companion_cap(cfg):
     return mesh
 
 
-def run(cfg, out_dir):
+def run(cfg, out_dir, mesh=None):
     """Full pipeline; writes all artifacts and returns a RunResult.
 
     The dense cap is checked (``_check_companion_cap``) before the mesh
     of a generated grid, the spaces and the output directory are made.
+    A caller that has already loaded cfg's mesh file and checked its cap
+    passes that ``mesh``, which is then neither loaded nor checked again.
     """
-    mesh = _check_companion_cap(cfg)
+    if mesh is None:
+        mesh = _check_companion_cap(cfg)
     if mesh is None:
         mesh = build_mesh(cfg)
     out = Path(out_dir)
@@ -260,7 +263,9 @@ def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None):
     Results are gathered in step order, so the artifacts do not depend on
     the worker count.  Every step shares the mesh, and n does not depend
     on eps2, so the dense cap is checked once, before the output
-    directory is made; so are the eps2 bounds, which must be finite.
+    directory is made; so are the eps2 bounds, which must be finite.  A
+    mesh file is loaded once, by that check, and every step reads the
+    same immutable ``Mesh``.
     """
     if steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
@@ -273,7 +278,7 @@ def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None):
         workers = _workers_from_env()
     if workers < 1:
         raise ConfigError(f"sweep needs at least 1 worker (got {workers})")
-    _check_companion_cap(cfg)
+    mesh = _check_companion_cap(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     values = np.linspace(eps2_from, eps2_to, steps)
@@ -281,7 +286,7 @@ def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None):
     def one(step_value):
         step, value = step_value
         step_cfg = cfg.with_eps2(value)
-        return step, value, run(step_cfg, out / f"step_{step:03d}")
+        return step, value, run(step_cfg, out / f"step_{step:03d}", mesh)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(one, enumerate(values)))

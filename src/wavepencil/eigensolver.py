@@ -3,11 +3,16 @@
 The companion matrix is real and dense; its eigenvalues come from the
 balanced Hessenberg + shifted-QR path of LAPACK (through numpy/scipy),
 exposed here behind the balance and QR stage functions so each stage
-contract stays independently testable.  Eigenvectors of the original
-pencil are read off the companion's eigenvectors [v; g v; g^2 v; g^3 v]
-(``solve_pencil``); at a degeneration point the numerical nullity of the
-pencil is counted instead, with the fields the mesh makes null taken out
-before the symmetric eigensolve.
+contract stays independently testable.  A solve holds the companion
+once: ``pencil.linearize`` builds it in Fortran order, ``balance`` scales
+that array in place, and the QR's LAPACK work copy is the only other
+dense array of its size.  The QR stays on ``numpy.linalg``, which
+releases the interpreter lock, so ``cli.sweep``'s workers run their QRs
+at the same time; scipy's ``geev`` wrapper holds the lock.  Eigenvectors
+of the original pencil are read off the companion's eigenvectors
+[v; g v; g^2 v; g^3 v] (``solve_pencil``); at a degeneration point the
+numerical nullity of the pencil is counted instead, with the fields the
+mesh makes null taken out before the symmetric eigensolve.
 """
 
 from __future__ import annotations
@@ -49,10 +54,13 @@ def balance(matrix):
 
     Returns (scaled matrix, diagonal scale vector d) with
     ``scaled = D^-1 A D``; eigenvalues are unchanged.  The scales come
-    back as a vector, so no dense transformation matrix is formed.
+    back as a vector, so no dense transformation matrix is formed.  A
+    Fortran-ordered float64 input, such as ``pencil.linearize``'s, is
+    scaled in place and returned as ``scaled``; any other input is copied
+    first and left unchanged.
     """
     scaled, (d, _) = linalg.matrix_balance(matrix, permute=False,
-                                           separate=True)
+                                           separate=True, overwrite_a=True)
     return scaled, d
 
 
@@ -74,14 +82,16 @@ def _check_companion_dim(dim):
         raise EigensolverError(
             f"companion dimension {dim} exceeds the dense-path cap "
             f"{MAX_COMPANION_DIM}; the companion would need {dim * dim * 8} "
-            f"bytes")
+            f"bytes, and the QR's work copy as many again")
 
 
 def solve_companion(matrix, compute_vectors=False):
     """Balance + Hessenberg-QR on a companion matrix.
 
     Returns eigenvalues, and eigenvectors of the *input* matrix when
-    requested (the balancing is undone on the vectors).
+    requested (the balancing is undone on the vectors in place).  A
+    Fortran-ordered input is overwritten by its balanced form
+    (``balance``), as ``pencil.linearize``'s is; pass a copy to keep it.
     """
     _check_companion_dim(matrix.shape[0])
     scaled, d = balance(matrix)
@@ -90,7 +100,7 @@ def solve_companion(matrix, compute_vectors=False):
             vals, vecs = np.linalg.eig(scaled)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"QR iteration failed: {exc}") from exc
-        vecs = d[:, None] * vecs
+        vecs *= d[:, None]
         return vals, vecs
     return qr_eigenvalues(scaled), None
 
@@ -102,11 +112,12 @@ def solve_pencil(pencil, compute_vectors=False):
     eigenvectors are [v; g v; g^2 v; g^3 v].  Each pencil vector is the
     largest-norm block, normalised: a vector is defined only up to scale,
     and ``pencil.residual`` does not depend on it.  The dimension cap is
-    checked before the companion is allocated.
+    checked before the companion is allocated, and no name here holds the
+    companion, so it is freed when ``solve_companion`` returns.
     """
     _check_companion_dim(4 * pencil.n)
-    comp = pencil_mod.linearize(pencil)
-    gammas, comp_vecs = solve_companion(comp, compute_vectors=compute_vectors)
+    gammas, comp_vecs = solve_companion(pencil_mod.linearize(pencil),
+                                        compute_vectors=compute_vectors)
 
     vectors = None
     residuals = None

@@ -165,10 +165,12 @@ def linearize(pencil):
     """Monic block-companion matrix of the pencil.
 
     The returned 4n matrix has the pencil eigenvalues g as its
-    eigenvalues, with eigenvectors [v; g v; g^2 v; g^3 v].  The leading
-    coefficient is factored by Cholesky, which doubles as the positivity
-    check on the L2 operator: factorization failure signals broken
-    assembly.
+    eigenvalues, with eigenvectors [v; g v; g^2 v; g^3 v].  It is
+    allocated in Fortran order, the layout LAPACK reads, so
+    ``eigensolver.balance`` scales it in place rather than copying it.
+    The leading coefficient is factored by Cholesky, which doubles as the
+    positivity check on the L2 operator: factorization failure signals
+    broken assembly.
     """
     n = pencil.n
     try:
@@ -178,7 +180,7 @@ def linearize(pencil):
             "leading coefficient is not positive definite; assembly is broken"
         ) from exc
 
-    comp = np.zeros((4 * n, 4 * n))
+    comp = np.zeros((4 * n, 4 * n), order="F")
     # the three identity blocks sit on the diagonal of the upper-right
     # 3n x 3n part; writing them in place makes no n x n temporary
     np.fill_diagonal(comp[:3 * n, n:], 1.0)

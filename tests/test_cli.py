@@ -10,7 +10,7 @@ from wavepencil import cli, config, eigensolver
 from wavepencil.analysis import SpectrumClass, SpectrumEntry
 from wavepencil.cli import _continue_branches, main, sweep
 from wavepencil.config import ConfigError, parse_config
-from conftest import traced_peak
+from conftest import build_slit_mesh_text, traced_peak
 
 PI = math.pi
 
@@ -604,6 +604,32 @@ def test_sweep_subcommand_wiring(tmp_path):
     assert (tmp_path / "sweep.csv").exists()
     assert (tmp_path / "step_000" / "spectrum.json").exists()
     assert (tmp_path / "step_001" / "spectrum.json").exists()
+
+
+def test_sweep_loads_a_mesh_file_once(tmp_path, monkeypatch):
+    mesh_path = write(tmp_path, "slit.txt", build_slit_mesh_text())
+    cfg = parse_config(SMALL_SLAB.replace(
+        "kind = rect_slab", f"kind = file\npath = {mesh_path}"))
+    loads = []
+
+    def counted(text):
+        loads.append(text)
+        return wp.load_mesh(text)
+
+    monkeypatch.setattr(cli, "load_mesh", counted)
+    out = tmp_path / "sweep"
+    sweep(cfg, out, 1.0, 4.0, 3, workers=2)
+    assert len(loads) == 1
+    # each step writes what a solve of its own eps2 writes
+    for step, eps2 in enumerate((1.0, 2.5, 4.0)):
+        alone = tmp_path / f"alone_{step}"
+        cli.run(cfg.with_eps2(eps2), alone)
+        names = sorted(f.name for f in alone.iterdir())
+        assert names == sorted(f.name for f in
+                               (out / f"step_{step:03d}").iterdir())
+        for name in names:
+            assert (alone / name).read_bytes() == \
+                (out / f"step_{step:03d}" / name).read_bytes()
 
 
 def test_sweep_artifacts_do_not_depend_on_worker_count(tmp_path):

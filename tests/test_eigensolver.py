@@ -14,7 +14,7 @@ from wavepencil.eigensolver import (EigensolverError, MAX_COMPANION_DIM,
                                     qr_eigenvalues, solve_companion,
                                     solve_pencil)
 from wavepencil.pencil import linearize, residual
-from conftest import parity_signs
+from conftest import parity_signs, traced_peak
 
 PI = math.pi
 
@@ -35,7 +35,7 @@ def test_balance_leaves_diagonal_matrices_alone():
 
 def test_balance_preserves_eigenvalues():
     comp = toy_companion()
-    scaled, d = balance(comp)
+    scaled, d = balance(comp.copy())
     a = np.sort_complex(np.linalg.eigvals(comp))
     b = np.sort_complex(np.linalg.eigvals(scaled))
     assert np.abs(a - b).max() <= 1e-12
@@ -86,13 +86,33 @@ def test_spectrum_invariant_under_unitary_similarity():
 
 def test_companion_pairs_backward_stable(homog_pencil):
     comp = linearize(homog_pencil)
-    vals, vecs = solve_companion(comp, compute_vectors=True)
+    vals, vecs = solve_companion(comp.copy(), compute_vectors=True)
     norm_a = np.linalg.norm(comp, "fro")
     worst = 0.0
     for lam, v in zip(vals, vecs.T):
         worst = max(worst, np.linalg.norm(comp @ v - lam * v)
                     / np.linalg.norm(v))
     assert worst <= 1e-9 * norm_a
+
+
+def test_linearize_builds_what_balance_scales_in_place(slab_pencil):
+    comp = linearize(slab_pencil)
+    assert comp.flags.f_contiguous
+    scaled, _ = balance(comp)
+    assert np.shares_memory(scaled, comp)
+
+
+@pytest.mark.parametrize("nx", [8, 12])
+@pytest.mark.parametrize("vectors,bound", [(False, 1.3), (True, 3.3)])
+def test_solve_pencil_holds_the_companion_once(nx, vectors, bound):
+    # the companion, balanced in place, and for vectors the complex
+    # (4n)^2 eigenvector array, undone in place; numpy's LAPACK work
+    # copy is not a Python allocation, so tracemalloc does not see it
+    pen = wp.make_pencil(wp.assemble_matrices(wp.build_spaces(
+        wp.generate_rect_slab(PI, PI, PI / 2, nx, nx)), 1.0, 4.0))
+    dim = 4 * pen.n
+    peak = traced_peak(lambda: solve_pencil(pen, compute_vectors=vectors))
+    assert peak <= bound * dim * dim * 8
 
 
 def test_real_companion_spectrum_conjugation_closed(slab_eigenvalues):
