@@ -157,28 +157,27 @@ def _unknowns(cfg):
     return None, (cfg.nx - 1) * (cfg.ny - 1), (cfg.nx + 1) * (cfg.ny + 1) - 1
 
 
-def _check_companion_cap(cfg):
-    """Refuse a 4n companion over the dense-path cap, n from ``_unknowns``.
+def _capped_mesh(cfg):
+    """cfg's mesh, made once its 4n companion fits the dense-path cap.
 
-    Returns the loaded mesh of a mesh file, None for a generated grid.
+    n comes from ``_unknowns``: a generated grid is refused before it is
+    built, and a mesh file is loaded once, to be counted and returned.
     """
     mesh, n_pi, n_psi = _unknowns(cfg)
     eigensolver._check_companion_dim(4 * (n_pi + n_psi))
-    return mesh
+    return build_mesh(cfg) if mesh is None else mesh
 
 
 def run(cfg, out_dir, mesh=None):
     """Full pipeline; writes all artifacts and returns a RunResult.
 
-    The dense cap is checked (``_check_companion_cap``) before the mesh
-    of a generated grid, the spaces and the output directory are made.
-    A caller that has already loaded cfg's mesh file and checked its cap
-    passes that ``mesh``, which is then neither loaded nor checked again.
+    The dense cap is checked (``_capped_mesh``) before the mesh of a
+    generated grid, the spaces and the output directory are made.  A
+    caller that already holds cfg's ``_capped_mesh`` passes it as
+    ``mesh``, which is then neither built nor checked again.
     """
     if mesh is None:
-        mesh = _check_companion_cap(cfg)
-    if mesh is None:
-        mesh = build_mesh(cfg)
+        mesh = _capped_mesh(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -263,9 +262,9 @@ def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None):
     Results are gathered in step order, so the artifacts do not depend on
     the worker count.  Every step shares the mesh, and n does not depend
     on eps2, so the dense cap is checked once, before the output
-    directory is made; so are the eps2 bounds, which must be finite.  A
-    mesh file is loaded once, by that check, and every step reads the
-    same immutable ``Mesh``.
+    directory is made; so are the eps2 bounds, which must be finite.  The
+    mesh is built or loaded once, by that check (``_capped_mesh``), and
+    every step reads the same immutable ``Mesh``.
     """
     if steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
@@ -278,7 +277,7 @@ def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None):
         workers = _workers_from_env()
     if workers < 1:
         raise ConfigError(f"sweep needs at least 1 worker (got {workers})")
-    mesh = _check_companion_cap(cfg)
+    mesh = _capped_mesh(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     values = np.linspace(eps2_from, eps2_to, steps)

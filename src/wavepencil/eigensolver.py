@@ -111,27 +111,25 @@ def solve_pencil(pencil, compute_vectors=False):
     The companion's eigenvalues are the pencil eigenvalues g, and its
     eigenvectors are [v; g v; g^2 v; g^3 v].  Each pencil vector is the
     largest-norm block, normalised: a vector is defined only up to scale,
-    and ``pencil.residual`` does not depend on it.  The dimension cap is
-    checked before the companion is allocated, and no name here holds the
-    companion, so it is freed when ``solve_companion`` returns.
+    and ``pencil.residual`` does not depend on it.  The blocks are picked
+    for all columns at once, and the companion's vectors are freed before
+    one ``pencil.residual`` call on the whole (n, 4n) block.  The
+    dimension cap is checked before the companion is allocated, and no
+    name here holds the companion, so it is freed when
+    ``solve_companion`` returns.
     """
     _check_companion_dim(4 * pencil.n)
     gammas, comp_vecs = solve_companion(pencil_mod.linearize(pencil),
                                         compute_vectors=compute_vectors)
-
-    vectors = None
-    residuals = None
-    if compute_vectors:
-        n = pencil.n
-        vectors = np.empty((n, len(gammas)), dtype=complex)
-        residuals = np.empty(len(gammas))
-        for idx, g in enumerate(gammas):
-            blocks = comp_vecs[:, idx].reshape(4, n)
-            v = blocks[np.argmax(np.linalg.norm(blocks, axis=1))]
-            vectors[:, idx] = v / np.linalg.norm(v)
-            residuals[idx] = pencil_mod.residual(pencil, g, vectors[:, idx])
+    if not compute_vectors:
+        return EigenReport(eigenvalues=gammas)
+    blocks = comp_vecs.reshape(4, pencil.n, len(gammas))     # a view
+    pick = np.argmax([np.linalg.norm(b, axis=0) for b in blocks], axis=0)
+    vectors = np.choose(pick, blocks)
+    del comp_vecs, blocks
+    vectors /= np.linalg.norm(vectors, axis=0)
     return EigenReport(eigenvalues=gammas, vectors=vectors,
-                       residuals=residuals)
+                       residuals=pencil_mod.residual(pencil, gammas, vectors))
 
 
 def degeneration_null_nodes(mesh, eps1, eps2, gamma):

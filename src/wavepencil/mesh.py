@@ -106,11 +106,14 @@ def validate(mesh):
 
     Checked: finite node coordinates, index ranges, every node belonging
     to a triangle (a node in none would carry no basis function and a zero
-    mean-vector entry), counterclockwise orientation (positive areas),
-    every boundary edge tagged, gamma0/gammaprime edges on the boundary,
-    gamma edges separating exactly one region-1 from one region-2 triangle,
-    every interior region-change edge being tagged gamma, and every gamma
-    edge stored with region 1 on its left (``_orientation_errors``).
+    mean-vector entry), the triangles forming one piece through shared
+    nodes (``_pieces``; a second piece would carry a constant magnetic
+    field that the one zero-mean constraint leaves), counterclockwise
+    orientation (positive areas), every boundary edge tagged,
+    gamma0/gammaprime edges on the boundary, gamma edges separating
+    exactly one region-1 from one region-2 triangle, every interior
+    region-change edge being tagged gamma, and every gamma edge stored
+    with region 1 on its left (``_orientation_errors``).
     """
     n = mesh.n_nodes
     finite = np.isfinite(mesh.nodes).all(axis=1)
@@ -125,6 +128,10 @@ def validate(mesh):
     used[mesh.triangles.ravel()] = True
     if not used.all():
         raise MeshError(f"node {int(np.argmin(used))} belongs to no triangle")
+    apart = np.flatnonzero(_pieces(n, mesh.triangles))
+    if len(apart):
+        raise MeshError(f"the triangles form more than one piece: node "
+                        f"{int(apart[0])} is not joined to node 0")
     if not np.all((mesh.regions == 1) | (mesh.regions == 2)):
         raise MeshError("region tags must be 1 or 2")
     for tag in mesh.edge_tags:
@@ -178,6 +185,27 @@ def validate(mesh):
         raise MeshError(f"gamma edge {i} -> {j} is misoriented: region 1 "
                         f"must lie on its left")
     return mesh
+
+
+def _pieces(n, triangles):
+    """Per node, the smallest node index of its piece.
+
+    A piece is a class of nodes joined through shared triangles (one
+    shared vertex joins two triangles).  Every label is a node of the
+    same piece, no larger than the node itself.  Each round points each
+    of a triangle's labels at the smallest of them and then replaces
+    every label by that node's label (pointer jumping), until the three
+    nodes of every triangle share one label: a few rounds of array
+    operations.
+    """
+    label = np.arange(n)
+    while True:
+        labels = label[triangles]
+        low = labels.min(axis=1, keepdims=True)
+        if np.all(labels == low):
+            return label
+        np.minimum.at(label, labels, low)
+        label = label[label]
 
 
 def _orientation_errors(mesh, adj):

@@ -127,10 +127,11 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
 
     The search runs on a uniform u = gamma^2 grid, 2000 intervals on each
     of [-gamma_max^2, 0] (imaginary gamma) and [0, gamma_max^2] (real
-    gamma), each grid evaluated in one array call.  Each sign change of
-    the normalized cleared determinant is refined by Brent's method inside
-    its grid interval down to the rounding level of u; the cleared form has
-    no tangent poles, so a sign change is always a root.  Roots come back
+    gamma), each grid evaluated in one array call.  Each grid interval
+    whose end signs differ or include a 0 (signs, not products, which
+    could underflow) is refined by Brent's method to the rounding level of
+    u; the cleared form has no tangent poles, so such an interval holds a
+    root, and a root on a grid point is kept once.  Roots come back
     as +- pairs ordered from the most propagating downwards.
 
     LSM at n = 0 returns no roots: the LSM potential carries the factor
@@ -156,12 +157,8 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
     umax = gamma_max * gamma_max
     for lo, hi in ((-umax, 0.0), (0.0, umax)):
         us = np.linspace(lo, hi, 2001)
-        fs = f(us)
-        exact = np.where(fs == 0.0)[0]
-        for i in exact:
-            u_roots.append((float(us[i]), 0.0))
-        flips = np.where(fs[:-1] * fs[1:] < 0.0)[0]
-        for i in flips:
+        signs = np.sign(f(us))
+        for i in np.flatnonzero(signs[:-1] * signs[1:] <= 0.0):
             u0, u1 = float(us[i]), float(us[i + 1])
             u_star = brentq(f, u0, u1, xtol=1e-15, maxiter=200)
             u_roots.append((u_star, abs(float(f(u_star)))))

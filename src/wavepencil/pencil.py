@@ -135,13 +135,14 @@ def evaluate(pencil, gamma):
 
 
 def apply(pencil, gamma, v):
-    """L(gamma) v without forming the matrix."""
-    g = complex(gamma)
+    """L(gamma) v without forming the matrix; for an (n, m) block v,
+    column j is taken at gamma[j], and each operator meets v once."""
+    g = np.asarray(gamma, dtype=complex)
     return sum(weight * (op @ v) for weight, op in _terms(pencil, g))
 
 
 def coefficient_scale(pencil, gamma):
-    """|g|^4 ||C4||_F + |g|^2 ||C2||_F + |g| ||C1||_F + ||C0||_F at g."""
+    """|g|^4 ||C4||_F + |g|^2 ||C2||_F + |g| ||C1||_F + ||C0||_F per g."""
     n0, n1, n2, n4 = pencil.coefficient_norms
     a = abs(gamma)
     return a ** 4 * n4 + a * a * n2 + a * n1 + n0
@@ -150,15 +151,14 @@ def coefficient_scale(pencil, gamma):
 def residual(pencil, gamma, v):
     """Scale-free backward-error surrogate for an eigenpair candidate.
 
-    ||L(g) v|| / (||v|| ``coefficient_scale(g)``); invariant under
-    scaling of v.
+    ||L(g) v|| / (||v|| ``coefficient_scale(g)``), per column of a block
+    as in ``apply``; invariant under scaling of v.
     """
-    v = np.asarray(v)
-    vnorm = np.linalg.norm(v)
-    if vnorm == 0.0:
+    vnorm = np.linalg.norm(v, axis=0)
+    if not np.all(vnorm):
         raise PencilError("residual of the zero vector is undefined")
     denom = vnorm * coefficient_scale(pencil, gamma)
-    return float(np.linalg.norm(apply(pencil, gamma, v)) / denom)
+    return np.linalg.norm(apply(pencil, gamma, v), axis=0) / denom
 
 
 def linearize(pencil):

@@ -146,6 +146,29 @@ def build_slit_mesh_text():
     return "\n".join(lines) + "\n"
 
 
+def two_slabs_text(offset):
+    """Two 4x4 slabs on [0,pi]^2 in one mesh file, the second moved by offset.
+
+    A node of the second slab that lands on a node of the first is merged
+    into it; with no such node the triangles form two pieces.
+    """
+    m = wp.generate_rect_slab(PI, PI, PI / 2, 4, 4)
+    moved = m.nodes + np.asarray(offset, dtype=float)
+    index = np.arange(m.n_nodes, 2 * m.n_nodes)
+    for k, point in enumerate(moved):
+        hit = np.flatnonzero(np.isclose(m.nodes, point).all(axis=1))
+        if len(hit):
+            index[k] = hit[0]
+    fresh = index >= m.n_nodes
+    index[fresh] = m.n_nodes + np.arange(np.count_nonzero(fresh))
+    return wp.save_mesh(wp.Mesh(
+        nodes=np.vstack([m.nodes, moved[fresh]]),
+        triangles=np.vstack([m.triangles, index[m.triangles]]),
+        regions=np.concatenate([m.regions, m.regions]),
+        edges=np.vstack([m.edges, index[m.edges]]),
+        edge_tags=m.edge_tags * 2))
+
+
 @pytest.fixture(scope="session")
 def slit_mesh():
     return wp.load_mesh(build_slit_mesh_text())

@@ -10,7 +10,7 @@ from wavepencil import cli, config, eigensolver
 from wavepencil.analysis import SpectrumClass, SpectrumEntry
 from wavepencil.cli import _continue_branches, main, sweep
 from wavepencil.config import ConfigError, parse_config
-from conftest import build_slit_mesh_text, traced_peak
+from conftest import build_slit_mesh_text, traced_peak, two_slabs_text
 
 PI = math.pi
 
@@ -446,7 +446,7 @@ def test_companion_cap_counts_a_generated_grid_from_the_config(
     n = wp.build_spaces(cli.build_mesh(cfg)).n
     with pytest.raises(eigensolver.EigensolverError,
                        match=f"companion dimension {4 * n} exceeds"):
-        cli._check_companion_cap(cfg)
+        cli._capped_mesh(cfg)
 
 
 def test_mesh_file_over_the_companion_cap_exits_before_assembly(
@@ -607,29 +607,45 @@ def test_sweep_subcommand_wiring(tmp_path):
 
 
 def test_sweep_loads_a_mesh_file_once(tmp_path, monkeypatch):
+    # a mesh file is loaded and a generated grid built once per sweep
     mesh_path = write(tmp_path, "slit.txt", build_slit_mesh_text())
-    cfg = parse_config(SMALL_SLAB.replace(
+    cases = (("load_mesh", wp.load_mesh, SMALL_SLAB.replace(
+                 "kind = rect_slab", f"kind = file\npath = {mesh_path}")),
+             ("generate_rect_slab", wp.generate_rect_slab, SMALL_SLAB))
+    for name, make, text in cases:
+        cfg = parse_config(text)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return make(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+        out = tmp_path / name
+        sweep(cfg, out, 1.0, 4.0, 3, workers=2)
+        assert len(calls) == 1
+        # each step writes what a solve of its own eps2 writes
+        for step, eps2 in enumerate((1.0, 2.5, 4.0)):
+            alone = tmp_path / f"{name}_alone_{step}"
+            cli.run(cfg.with_eps2(eps2), alone)
+            names = sorted(f.name for f in alone.iterdir())
+            assert names == sorted(f.name for f in
+                                   (out / f"step_{step:03d}").iterdir())
+            for artifact in names:
+                assert (alone / artifact).read_bytes() == \
+                    (out / f"step_{step:03d}" / artifact).read_bytes()
+
+
+def test_a_mesh_in_two_pieces_is_an_input_error(tmp_path, capsys):
+    mesh_path = write(tmp_path, "mesh.txt", two_slabs_text((PI + 1.0, 0.0)))
+    cfg = write(tmp_path, "cfg.ini", SMALL_SLAB.replace(
         "kind = rect_slab", f"kind = file\npath = {mesh_path}"))
-    loads = []
-
-    def counted(text):
-        loads.append(text)
-        return wp.load_mesh(text)
-
-    monkeypatch.setattr(cli, "load_mesh", counted)
-    out = tmp_path / "sweep"
-    sweep(cfg, out, 1.0, 4.0, 3, workers=2)
-    assert len(loads) == 1
-    # each step writes what a solve of its own eps2 writes
-    for step, eps2 in enumerate((1.0, 2.5, 4.0)):
-        alone = tmp_path / f"alone_{step}"
-        cli.run(cfg.with_eps2(eps2), alone)
-        names = sorted(f.name for f in alone.iterdir())
-        assert names == sorted(f.name for f in
-                               (out / f"step_{step:03d}").iterdir())
-        for name in names:
-            assert (alone / name).read_bytes() == \
-                (out / f"step_{step:03d}" / name).read_bytes()
+    for command in ("solve", "verify"):
+        out = tmp_path / command
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "more than one piece: node 25 " in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sweep_artifacts_do_not_depend_on_worker_count(tmp_path):

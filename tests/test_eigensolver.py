@@ -13,7 +13,7 @@ from wavepencil.eigensolver import (EigensolverError, MAX_COMPANION_DIM,
                                     numerical_nullity,
                                     qr_eigenvalues, solve_companion,
                                     solve_pencil)
-from wavepencil.pencil import linearize, residual
+from wavepencil.pencil import apply, linearize, residual
 from conftest import parity_signs, traced_peak
 
 PI = math.pi
@@ -115,6 +115,24 @@ def test_solve_pencil_holds_the_companion_once(nx, vectors, bound):
     assert peak <= bound * dim * dim * 8
 
 
+@pytest.mark.parametrize("nx", [4, 8])
+def test_solve_pencil_applies_the_pencil_once_for_every_vector(monkeypatch,
+                                                               nx):
+    # one block product recovers every residual, whatever n
+    pen = wp.make_pencil(wp.assemble_matrices(wp.build_spaces(
+        wp.generate_rect_slab(PI, PI, PI / 2, nx, nx)), 1.0, 4.0))
+    calls = []
+
+    def counted(pencil, gamma, v):
+        calls.append(np.shape(v))
+        return apply(pencil, gamma, v)
+
+    monkeypatch.setattr(pencil_mod, "apply", counted)
+    report = solve_pencil(pen, compute_vectors=True)
+    assert calls == [(pen.n, 4 * pen.n)]
+    assert report.residuals.shape == (4 * pen.n,)
+
+
 def test_real_companion_spectrum_conjugation_closed(slab_eigenvalues):
     ev = slab_eigenvalues
     a = np.lexsort((ev.imag, ev.real))
@@ -166,9 +184,23 @@ def test_solve_pencil_vectors_are_unit_and_carry_their_residuals(
     assert report.vectors.shape == (homog_pencil.n, 4 * homog_pencil.n)
     assert np.allclose(np.linalg.norm(report.vectors, axis=0), 1.0,
                        rtol=0, atol=1e-12)
-    expected = [residual(homog_pencil, g, v)
-                for g, v in zip(report.eigenvalues, report.vectors.T)]
+    expected = residual(homog_pencil, report.eigenvalues, report.vectors)
     assert report.residuals == pytest.approx(expected, rel=1e-12, abs=0)
+    # one column at a time, a matrix-vector product rounds differently
+    # from the block product, by far less than the residuals' own size
+    each = [residual(homog_pencil, g, v)
+            for g, v in zip(report.eigenvalues, report.vectors.T)]
+    assert np.abs(report.residuals - each).max() <= 1e-15
+    # the eigenvector rule one column at a time gives the same vectors, up
+    # to a factor g^k where the blocks tie in norm (|g| = 1)
+    gammas, comp = solve_companion(linearize(homog_pencil),
+                                   compute_vectors=True)
+    assert np.array_equal(gammas, report.eigenvalues)
+    for j, v in enumerate(report.vectors.T):
+        blocks = comp[:, j].reshape(4, homog_pencil.n)
+        loop = blocks[np.argmax(np.linalg.norm(blocks, axis=1))]
+        overlap = abs(np.vdot(loop, v)) / np.linalg.norm(loop)
+        assert overlap >= 1.0 - 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,8 @@ import wavepencil as wp
 from wavepencil.mesh import (GAMMA, GAMMA0, GAMMA_PRIME, MeshError, load_mesh,
                              save_mesh)
 
-from conftest import build_slit_mesh_text, interface_node_mask
+from conftest import (build_slit_mesh_text, interface_node_mask,
+                      two_slabs_text)
 
 PI = math.pi
 
@@ -210,6 +211,19 @@ def test_load_rejects_node_in_no_triangle():
     assert text.startswith("nodes 10\n")
     with pytest.raises(MeshError, match="node 0 belongs to no triangle"):
         load_mesh(text)
+
+
+def test_load_rejects_triangles_in_two_pieces():
+    # the magnetic Gram block would keep one constant per piece, and the
+    # zero-mean constraint removes only one of them
+    text = two_slabs_text((PI + 1.0, 0.0))
+    assert text.startswith("nodes 50\n")
+    with pytest.raises(MeshError, match="more than one piece: node 25 "):
+        load_mesh(text)
+    # one shared vertex joins them: the second slab's lower-left corner
+    # is the first's upper-right one
+    m = load_mesh(two_slabs_text((PI, PI)))
+    assert m.n_nodes == 49 and m.n_triangles == 64
 
 
 def test_load_rejects_reversed_gamma_line():

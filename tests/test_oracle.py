@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wavepencil import oracle
 from wavepencil.oracle import (OracleError, OracleFamily, OracleRoot,
                                cleared_determinant, match_roots,
                                normalized_determinant,
@@ -156,6 +157,37 @@ def test_slab_lsm_without_transverse_variation_is_empty():
             u = (r.gamma ** 2).real
             assert abs(normalized_determinant(fam, u, PI, PI, PI / 2,
                                               1.0, 4.0, n)) <= 1e-12
+
+
+def test_a_root_on_the_grid_is_found_once_and_the_trivial_one_dropped():
+    # LSM at eps1 = eps2 = 1, n = 1 on the pi x pi square: both
+    # transverse wavenumbers vanish at u = 0, a point of both search grids
+    # where the normalized determinant is exactly 0.  That root has a
+    # trivial field and is dropped; the others are k_x = m, u = -m^2.
+    args = (PI, PI, PI / 2, 1.0, 1.0, 1)
+    assert normalized_determinant(OracleFamily.LSM, 0.0, *args) == 0.0
+    roots = slab_dispersion_roots(*args[:5], n=1, family=OracleFamily.LSM,
+                                  gamma_max=3.5)
+    assert [r.m for r in roots] == [1, 1, 2, 2, 3, 3]
+    for r, want in zip(roots, (1j, -1j, 2j, -2j, 3j, -3j)):
+        assert abs(r.gamma - want) <= 1e-12
+        assert r.residual <= 1e-14
+
+
+def test_roots_are_bracketed_by_sign_not_by_product(monkeypatch):
+    # a determinant of size 1e-200 whose one root lies on a grid point:
+    # products of neighbouring values underflow to 0 on every interval,
+    # signs do not, and the grid-point root is found once
+    u_root = np.linspace(0.0, 4.0, 2001)[500]
+
+    def tiny(family, u, *args):
+        return (u - u_root) * 1e-200
+
+    monkeypatch.setattr(oracle, "normalized_determinant", tiny)
+    roots = slab_dispersion_roots(PI, PI, PI / 2, 1.0, 4.0, gamma_max=2.0)
+    assert [(r.gamma, r.m, r.residual) for r in roots] == [
+        (complex(math.sqrt(u_root)), 1, 0.0),
+        (-complex(math.sqrt(u_root)), 1, 0.0)]
 
 
 def test_slab_argument_validation():

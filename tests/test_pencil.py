@@ -162,6 +162,17 @@ def test_residual_contracts(slab_pencil):
     assert 1e-4 < r1 < 10.0
     with pytest.raises(PencilError):
         residual(slab_pencil, g, np.zeros(slab_pencil.n))
+    # a block carries one gamma per column, each column as if alone
+    block = rng.standard_normal((slab_pencil.n, 3)) + 0j
+    block[:, 1] = v
+    gammas = np.array([0.7, g, -2.0 + 0.1j])
+    each = [residual(slab_pencil, gj, block[:, j])
+            for j, gj in enumerate(gammas)]
+    assert residual(slab_pencil, gammas, block) == pytest.approx(
+        each, rel=1e-13, abs=0)
+    block[:, 2] = 0.0
+    with pytest.raises(PencilError):
+        residual(slab_pencil, gammas, block)
 
 
 def test_residual_is_relative_to_the_coefficient_scale(slab_pencil):
@@ -185,6 +196,15 @@ def test_apply_matches_evaluate(slab_pencil):
     g = 1.2 - 0.3j
     assert np.allclose(apply(slab_pencil, g, v), evaluate(slab_pencil, g) @ v,
                        rtol=1e-13, atol=1e-13)
+    # a block carries one gamma per column, each column as if alone
+    block = rng.standard_normal((slab_pencil.n, 3))
+    gammas = np.array([g, 0.5, 2.0j])
+    whole = apply(slab_pencil, gammas, block)
+    assert whole.shape == block.shape
+    for j, gj in enumerate(gammas):
+        alone = apply(slab_pencil, gj, block[:, j])
+        assert np.linalg.norm(whole[:, j] - alone) <= \
+            1e-13 * np.linalg.norm(alone)
 
 
 def test_exclusion_interval_values():
