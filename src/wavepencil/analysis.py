@@ -30,7 +30,7 @@ import numpy as np
 from scipy import linalg
 
 from .assembly import assemble_s_line, assemble_s_volume
-from .eigensolver import degeneration_null_nodes, numerical_nullity
+from .eigensolver import null_fields, numerical_nullity
 from .pencil import ExclusionInterval, _terms, degeneration_points
 
 
@@ -101,11 +101,39 @@ class PairingReport:
 
 
 def _match_multiset(values, targets):
-    """Greedy unique nearest matching of targets into values.
+    """Unique nearest matching of targets into values.
 
     Both arrays are complex of equal length; returns (indices, distances)
     such that values[indices[k]] is the partner of targets[k] and every
-    value is used exactly once.  Empty inputs give empty outputs.
+    value is used exactly once.  A target equal to a value is paired with
+    it first, multiplicity by multiplicity, through one sort of each
+    array, so a run of equal values (a deflated degeneration point) costs
+    no search; the rest are matched greedily, nearest first
+    (``_match_nearest``).  Empty inputs give empty outputs.
+    """
+    v_order = np.argsort(values, kind="stable")
+    t_order = np.argsort(targets, kind="stable")
+    sv, st = values[v_order], targets[t_order]
+    first = np.searchsorted(sv, st, side="left")
+    equal = np.searchsorted(sv, st, side="right") - first
+    rank = np.arange(len(st)) - np.searchsorted(st, st, side="left")
+    hit = rank < equal
+    out_idx = np.full(len(targets), -1, dtype=int)
+    out_idx[t_order[hit]] = v_order[first[hit] + rank[hit]]
+    out_dist = np.zeros(len(targets))
+    rest_t = np.flatnonzero(out_idx < 0)
+    rest_v = np.setdiff1d(np.arange(len(values)), out_idx[out_idx >= 0],
+                          assume_unique=True)
+    idx, out_dist[rest_t] = _match_nearest(values[rest_v], targets[rest_t])
+    out_idx[rest_t] = rest_v[idx]
+    return out_idx, out_dist
+
+
+def _match_nearest(values, targets):
+    """Greedy unique nearest matching of targets into values.
+
+    As ``_match_multiset``: each target, nearest first, takes the nearest
+    free value among its 8 nearest, or else the nearest free value.
     """
     from scipy.spatial import cKDTree
 
@@ -223,18 +251,13 @@ def count_in_disk(eigenvalues, radius, exclusion,
 def degeneration_count(spaces, eps1, eps2):
     """Nullity of L at each degeneration point, counted from the mesh in O(N).
 
-    Returns {g: count} over ``degeneration_points``.  At g = +-sqrt(eps_j)
-    the null nodes (``degeneration_null_nodes``) give one electric null
-    field each when off the shield, and their unit magnetic fields with
-    the constant, less the zero-mean constraint, give as many magnetic
-    ones, or all N - 1 when every node is null.
+    Returns {g: count} over ``degeneration_points``: the ``count`` of the
+    null fields (``eigensolver.null_fields``), one electric field per null
+    node off the shield, and as many magnetic ones as null nodes, or all
+    N - 1 when every node is null.
     """
-    counts = {}
-    for g in degeneration_points(eps1, eps2):
-        null = degeneration_null_nodes(spaces.mesh, eps1, eps2, g)
-        counts[g] = int(np.count_nonzero(null[spaces.pi_nodes])) \
-            + min(int(np.count_nonzero(null)), spaces.n_psi)
-    return counts
+    return {g: null_fields(spaces, eps1, eps2, g).count
+            for g in degeneration_points(eps1, eps2)}
 
 
 def degeneration_scan(pencils):

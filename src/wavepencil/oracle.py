@@ -127,7 +127,10 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
 
     The search runs on a uniform u = gamma^2 grid, 2000 intervals on each
     of [-gamma_max^2, 0] (imaginary gamma) and [0, gamma_max^2] (real
-    gamma), each grid evaluated in one array call.  Each grid interval
+    gamma) and one more past each end, each grid evaluated in one array
+    call; a root on |gamma| = gamma_max is then inside the grid, and
+    roots beyond it by more than 1e-10 (1 + gamma_max^2) in u are
+    dropped.  Each grid interval
     whose end signs differ or include a 0 (signs, not products, which
     could underflow) is refined by Brent's method to the rounding level of
     u; the cleared form has no tangent poles, so such an interval holds a
@@ -157,6 +160,10 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
     umax = gamma_max * gamma_max
     for lo, hi in ((-umax, 0.0), (0.0, umax)):
         us = np.linspace(lo, hi, 2001)
+        # one more interval past |u| = umax, so a root there is interior
+        step = us[1] - us[0]
+        us = np.concatenate(([lo - step], us)) if lo < 0.0 \
+            else np.append(us, hi + step)
         signs = np.sign(f(us))
         for i in np.flatnonzero(signs[:-1] * signs[1:] <= 0.0):
             u0, u1 = float(us[i]), float(us[i + 1])
@@ -166,6 +173,8 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
     u_roots.sort(key=lambda r: -r[0])
     deduped = []
     for u, res in u_roots:
+        if abs(u) - umax > 1e-10 * (1.0 + umax):
+            continue
         if deduped and abs(u - deduped[-1][0]) <= 1e-10 * (1.0 + abs(u)):
             continue
         if family is OracleFamily.LSM:

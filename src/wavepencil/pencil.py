@@ -92,12 +92,19 @@ def coefficients(pencil, rows=slice(None)):
     """C0, C1, C2 of the monomial form, formed one at a time (C4 is K).
 
     ``rows`` selects a row block of each coefficient (default: all rows).
+    Each is one new array, formed in place.
     """
     e1, e2 = pencil.eps1, pencil.eps2
     k = pencil.k[rows]
-    yield e1 * e2 * (k - pencil.a2[rows])
+    c = np.subtract(k, pencil.a2[rows])
+    c *= e1 * e2
+    yield c
+    del c           # the caller may drop C0 before C1 is formed
     yield (e1 - e2) * pencil.s[rows]
-    yield pencil.a1[rows] - (e1 + e2) * k
+    # -(e1 + e2) k + a1 rounds as a1 - (e1 + e2) k, with one array
+    c = k * -(e1 + e2)
+    c += pencil.a1[rows]
+    yield c
 
 
 def _terms(pencil, g):
@@ -170,20 +177,37 @@ def linearize(pencil):
     ``eigensolver.balance`` scales it in place rather than copying it.
     The leading coefficient is factored by Cholesky, which doubles as the
     positivity check on the L2 operator: factorization failure signals
-    broken assembly.
+    broken assembly.  The factor is held in the memory of the last block
+    column, which is written last, and each coefficient is solved in
+    place and negated into its block, so besides the companion one
+    coefficient is the only n x n array.
     """
     n = pencil.n
+    comp = np.zeros((4 * n, 4 * n), order="F")
+    # the last block column is F-contiguous: its first n^2 entries, read
+    # column by column, are an F-contiguous n x n array
+    factor = comp[:, 3 * n:].reshape(-1, order="F")[:n * n] \
+        .reshape(n, n, order="F")
+    np.copyto(factor, pencil.k)
     try:
-        cho = linalg.cho_factor(pencil.k, lower=True)
+        cho = linalg.cho_factor(factor, lower=True, overwrite_a=True)
     except linalg.LinAlgError as exc:
         raise PencilError(
             "leading coefficient is not positive definite; assembly is broken"
         ) from exc
 
-    comp = np.zeros((4 * n, 4 * n), order="F")
+    # a counter, not enumerate, whose cached result tuple would hold each
+    # coefficient until the next one is formed
+    start = 0
+    for c in coefficients(pencil):
+        # C0, C1 and C2 are exactly symmetric, so the F-contiguous c.T is
+        # c, and LAPACK solves in it in place
+        x = linalg.cho_solve(cho, c.T, overwrite_b=True)
+        np.negative(x, out=comp[3 * n:, start:start + n])
+        start += n
+        del c, x
+    comp[:, 3 * n:] = 0.0
     # the three identity blocks sit on the diagonal of the upper-right
     # 3n x 3n part; writing them in place makes no n x n temporary
     np.fill_diagonal(comp[:3 * n, n:], 1.0)
-    for j, c in enumerate(coefficients(pencil)):
-        comp[3 * n:, j * n:(j + 1) * n] = -linalg.cho_solve(cho, c)
     return comp

@@ -59,6 +59,32 @@ def test_symmetry_pairing_on_synthetic_quadruples():
         assert sorted(idx) == list(range(len(noisy)))
 
 
+def test_symmetry_pairing_takes_exact_ties_without_a_search(monkeypatch):
+    # a deflated solve returns each degeneration point many times, bit for
+    # bit: equal values pair with each other before any nearest search
+    base = np.array([0.7 + 0.4j, 2.0j, 3.1], dtype=complex)
+    full = np.concatenate([base, -base, np.conj(base), -np.conj(base)])
+    rng = np.random.default_rng(0)
+    noisy = full + 1e-12 * (rng.standard_normal(len(full))
+                            + 1j * rng.standard_normal(len(full)))
+    vals = np.concatenate([np.full(300, 1.0), noisy, np.full(300, -1.0)])
+    searched = []
+    nearest = analysis._match_nearest
+
+    def counted(values, targets):
+        searched.append(len(targets))
+        return nearest(values, targets)
+
+    monkeypatch.setattr(analysis, "_match_nearest", counted)
+    rep = symmetry_pairing(vals)
+    assert searched == [len(noisy)] * 3
+    assert pairing_ok(rep) and rep.max_normalized <= 1e-10
+    ties = np.abs(vals.real) == 1.0
+    for idx, dist in rep.partners.values():
+        assert sorted(idx) == list(range(len(vals)))
+        assert not np.any(dist[ties])
+
+
 def test_symmetry_pairing_flags_broken_symmetry():
     vals = np.array([1.0, -1.0, 2.0j, -2.0j, 0.5 + 0.5j], dtype=complex)
     rep = symmetry_pairing(vals)

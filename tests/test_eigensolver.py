@@ -4,17 +4,23 @@ import math
 import numpy as np
 import pytest
 from scipy import linalg
+from scipy.linalg import lapack
+from scipy.optimize import linear_sum_assignment
 
 import wavepencil as wp
+from wavepencil import eigensolver
 from wavepencil import pencil as pencil_mod
+from wavepencil.analysis import CLASSIFICATION_TOL, degeneration_count
 from wavepencil.assembly import PencilMatrices
 from wavepencil.eigensolver import (EigensolverError, MAX_COMPANION_DIM,
-                                    balance, degeneration_null_nodes,
+                                    _null_planes, _restore_vectors, balance,
+                                    deflate_companion,
+                                    degeneration_null_nodes,
                                     numerical_nullity,
                                     qr_eigenvalues, solve_companion,
                                     solve_pencil)
 from wavepencil.pencil import apply, linearize, residual
-from conftest import parity_signs, traced_peak
+from conftest import build_slit_mesh_text, parity_signs, traced_peak
 
 PI = math.pi
 
@@ -115,6 +121,125 @@ def test_solve_pencil_holds_the_companion_once(nx, vectors, bound):
     assert peak <= bound * dim * dim * 8
 
 
+def test_linearize_solves_each_coefficient_in_place():
+    # the companion of the plain construction, bit for bit, with one n x n
+    # coefficient beside it at the peak: the Cholesky factor is held in
+    # the last block column until that column is written
+    pen = wp.make_pencil(wp.assemble_matrices(wp.build_spaces(
+        wp.generate_rect_slab(PI, PI, PI / 2, 12, 12)), 1.0, 4.0))
+    n, dim = pen.n, 4 * pen.n
+    e1, e2 = pen.eps1, pen.eps2
+    cho = linalg.cho_factor(pen.k, lower=True)
+    ref = np.zeros((dim, dim))
+    ref[:3 * n, n:] = np.eye(3 * n)
+    for j, c in enumerate((e1 * e2 * (pen.k - pen.a2), (e1 - e2) * pen.s,
+                           pen.a1 - (e1 + e2) * pen.k)):
+        ref[3 * n:, j * n:(j + 1) * n] = -linalg.cho_solve(cho, c)
+    assert np.array_equal(linearize(pen), ref)
+    assert traced_peak(lambda: linearize(pen)) <= 1.1 * dim * dim * 8
+
+
+#: Meshes on which the deflated solve is checked against the plain one.
+DEFLATION_CASES = {
+    "slab8-eps1/4": (lambda: wp.generate_rect_slab(PI, PI, PI / 2, 8, 8),
+                     (1.0, 4.0)),
+    "slab8-eps1/2.5": (lambda: wp.generate_rect_slab(PI, PI, PI / 2, 8, 8),
+                       (1.0, 2.5)),
+    "slab12-eps1/4": (lambda: wp.generate_rect_slab(PI, PI, PI / 2, 12, 12),
+                      (1.0, 4.0)),
+    "slab12-eps1/2.5": (lambda: wp.generate_rect_slab(PI, PI, PI / 2, 12,
+                                                      12), (1.0, 2.5)),
+    "homog8-eps2/2": (lambda: wp.generate_homogeneous_rect(PI, PI, 8, 8,
+                                                           PI / 2),
+                      (2.0, 2.0)),
+    "slit-eps1/4": (lambda: wp.load_mesh(build_slit_mesh_text()),
+                    (1.0, 4.0)),
+}
+
+
+@pytest.fixture(scope="module", params=list(DEFLATION_CASES))
+def deflation_case(request):
+    """(pencil, eigenvalues of ``solve_pencil``) of one deflation case."""
+    make_mesh, eps = DEFLATION_CASES[request.param]
+    pen = wp.make_pencil(wp.assemble_matrices(wp.build_spaces(make_mesh()),
+                                              *eps))
+    return pen, solve_pencil(pen).eigenvalues
+
+
+def _deflated_count(pen, g):
+    """Null fields at g that the companion deflation rotates out.
+
+    All but the one field that holds the constant, and, when node 0 is
+    null and some node is not, the one that holds node 0: those two are
+    not supported on the magnetic coordinates of the null nodes.
+    """
+    sp = pen.spaces
+    null = degeneration_null_nodes(sp.mesh, pen.eps1, pen.eps2, g)
+    count = degeneration_count(sp, pen.eps1, pen.eps2)[g]
+    return count - 1 - int(null[0] and not null.all())
+
+
+def test_deflated_solve_matches_the_undeflated_companion(deflation_case):
+    pen, vals = deflation_case
+    ref = np.linalg.eigvals(linearize(pen))
+    gap = np.abs(vals[:, None] - ref[None, :])
+    rows, cols = linear_sum_assignment(gap)
+    assert np.all(gap[rows, cols] <= 1e-12 * np.abs(ref[cols]))
+
+
+def test_degeneration_points_keep_their_count_and_come_back_exact(
+        deflation_case):
+    pen, vals = deflation_case
+    for g, count in degeneration_count(pen.spaces, pen.eps1,
+                                       pen.eps2).items():
+        near = np.abs(vals - g) <= CLASSIFICATION_TOL * (1.0 + abs(g))
+        assert np.count_nonzero(near) == count
+        # the QR may land on g exactly for a field it was not spared
+        assert _deflated_count(pen, g) <= np.count_nonzero(vals == g) <= count
+
+
+def test_lapack_balancing_isolates_the_deflated_columns(deflation_case):
+    pen, _ = deflation_case
+    dim = 4 * pen.n
+    _, lo, hi, _, info = lapack.dgebal(linearize(pen), permute=1, scale=0)
+    assert info == 0 and hi - lo + 1 == dim
+    comp = deflate_companion(linearize(pen), _null_planes(pen))
+    _, lo, hi, _, info = lapack.dgebal(comp, permute=1, scale=0)
+    assert info == 0
+    assert hi - lo + 1 == dim - sum(
+        _deflated_count(pen, g) for g in pencil_mod.degeneration_points(
+            pen.eps1, pen.eps2))
+
+
+def test_deflated_vectors_carry_small_residuals(deflation_case):
+    pen, _ = deflation_case
+    assert solve_pencil(pen, compute_vectors=True).residuals.max() <= 1e-12
+
+
+@pytest.mark.parametrize("node", ["interior", "shield"])
+def test_deflation_refuses_a_field_that_is_not_null(monkeypatch, slab_pencil,
+                                                    node):
+    # one node at x = pi, outside the slab that is null at g = +-1, marked
+    # null: off the shield its electric and magnetic fields, on the shield
+    # its magnetic field, are not in the kernel of L(+-1)
+    sp = slab_pencil.spaces
+    find = eigensolver.degeneration_null_nodes
+    null = find(sp.mesh, 1.0, 4.0, 1.0)
+    shield = sp.pi_index < 0
+    wrong = np.flatnonzero(~null & (shield if node == "shield"
+                                    else ~shield))[-1]
+
+    def marked(mesh, eps1, eps2, gamma):
+        mask = find(mesh, eps1, eps2, gamma)
+        if abs(gamma) == 1.0:
+            mask[wrong] = True
+        return mask
+
+    monkeypatch.setattr(eigensolver, "degeneration_null_nodes", marked)
+    with pytest.raises(EigensolverError, match=r"g = 1: .* residual \d"):
+        solve_pencil(slab_pencil)
+
+
 @pytest.mark.parametrize("nx", [4, 8])
 def test_solve_pencil_applies_the_pencil_once_for_every_vector(monkeypatch,
                                                                nx):
@@ -191,10 +316,14 @@ def test_solve_pencil_vectors_are_unit_and_carry_their_residuals(
     each = [residual(homog_pencil, g, v)
             for g, v in zip(report.eigenvalues, report.vectors.T)]
     assert np.abs(report.residuals - each).max() <= 1e-15
-    # the eigenvector rule one column at a time gives the same vectors, up
-    # to a factor g^k where the blocks tie in norm (|g| = 1)
-    gammas, comp = solve_companion(linearize(homog_pencil),
-                                   compute_vectors=True)
+    # the eigenvector rule one column at a time, on the same deflated
+    # companion, gives the same vectors, up to a factor g^k where the
+    # blocks tie in norm (|g| = 1)
+    planes = _null_planes(homog_pencil)
+    gammas, comp = solve_companion(
+        deflate_companion(linearize(homog_pencil), planes),
+        compute_vectors=True)
+    _restore_vectors(comp, planes)
     assert np.array_equal(gammas, report.eigenvalues)
     for j, v in enumerate(report.vectors.T):
         blocks = comp[:, j].reshape(4, homog_pencil.n)

@@ -174,6 +174,22 @@ def test_a_root_on_the_grid_is_found_once_and_the_trivial_one_dropped():
         assert r.residual <= 1e-14
 
 
+@pytest.mark.parametrize("gamma_max,m_max", [(4.0, 4), (3.9995, 3)])
+def test_a_root_on_gamma_max_is_found_and_one_beyond_it_dropped(gamma_max,
+                                                                m_max):
+    # LSM at eps1 = eps2 = 1, n = 1: the root u = -16 is the end point of
+    # the grid at gamma_max = 4, where the determinant is rounding noise;
+    # at gamma_max = 3.9995 it lies in the search interval past the end
+    # and is found, but beyond gamma_max
+    roots = slab_dispersion_roots(PI, PI, PI / 2, 1.0, 1.0, n=1,
+                                  family=OracleFamily.LSM,
+                                  gamma_max=gamma_max)
+    ms = range(1, m_max + 1)
+    assert [r.m for r in roots] == [m for m in ms for _ in "+-"]
+    for r, want in zip(roots, (s * m * 1j for m in ms for s in (1, -1))):
+        assert abs(r.gamma - want) <= 1e-12
+
+
 def test_roots_are_bracketed_by_sign_not_by_product(monkeypatch):
     # a determinant of size 1e-200 whose one root lies on a grid point:
     # products of neighbouring values underflow to 0 on every interval,
