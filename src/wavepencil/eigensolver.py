@@ -1,20 +1,24 @@
 """Dense eigensolver for the companion problem and the numerical nullity.
 
-The companion matrix is real and dense; its eigenvalues come from the
-balanced Hessenberg + shifted-QR path of LAPACK (through numpy/scipy),
-exposed here behind the balance and QR stage functions so each stage
-contract stays independently testable.  A solve holds the companion
-once: ``pencil.linearize`` builds it in Fortran order, ``balance`` scales
-that array in place, and the QR's LAPACK work copy is the only other
-dense array of its size.  The QR stays on ``numpy.linalg``, which
-releases the interpreter lock, so ``cli.sweep``'s workers run their QRs
-at the same time; scipy's ``geev`` wrapper holds the lock.  Eigenvectors
-of the original pencil are read off the companion's eigenvectors
-[v; g v; g^2 v; g^3 v] (``solve_pencil``).  The fields the mesh makes
-null at the degeneration points +-sqrt(eps_j) (``null_fields``) are
-known before any eigensolve: a solve rotates them out of the companion
-before the QR (``deflate_companion``), and the numerical nullity of the
-pencil there takes them out before its symmetric eigensolve.
+The companion of ``pencil.linearize`` is 4n wide, but its spectrum is
+symmetric under g -> -g through the field parity, and it is solved
+through its 2n parity square (``pencil.parity_square``): one QR of the
+square gives its eigenvalues mu = g^2, and the companion's are +-sqrt(mu).
+The square comes from LAPACK's balanced Hessenberg + shifted-QR path
+(through numpy/scipy), behind the balance and QR stage functions so each
+stage contract stays independently testable.  A solve allocates the
+companion once and holds no name of it once the square is gathered;
+``balance`` scales the Fortran-ordered square in place, and the QR's
+LAPACK work copy is the only other array of its size.  The QR stays on
+``numpy.linalg``, which releases the interpreter lock, so
+``cli.sweep``'s workers run their QRs at the same time; scipy's ``geev``
+wrapper holds the lock.  Eigenvectors of the original pencil are read
+off the square's eigenvectors [y; mu y], y = (v_pi, g v_psi)
+(``solve_pencil``).  The fields the mesh makes null at the degeneration
+points +-sqrt(eps_j) (``null_fields``) are known before any eigensolve:
+a solve rotates them out of the square before the QR
+(``deflate_square``), and the numerical nullity of the pencil there
+takes them out before its symmetric eigensolve.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 
 from . import pencil as pencil_mod
 from .spaces import reflector
@@ -34,13 +38,10 @@ MAX_COMPANION_DIM = 8000
 #: Rank cutoff of ``numerical_nullity``, relative to the coefficient scale.
 NULLITY_REL_TOL = 1e-8
 
-#: Multiple of 4n u max|C| (u the unit roundoff) that an entry
-#: ``deflate_companion`` sets to 0 may reach before the deflation fails.
+#: Multiple of 2n u max|M| (u the unit roundoff, M the parity square) that
+#: an entry ``deflate_square`` sets exactly may be off by before the
+#: deflation fails.
 DEFLATION_TOL = 1.0
-
-#: Parts in which ``deflate_companion`` takes the companion's rows and
-#: columns.
-DEFLATION_CHUNKS = 16
 
 
 class EigensolverError(RuntimeError):
@@ -64,26 +65,37 @@ def balance(matrix):
     """Diagonal similarity scaling equalising row/column norms.
 
     Returns (scaled matrix, diagonal scale vector d) with
-    ``scaled = D^-1 A D``; eigenvalues are unchanged.  The scales come
-    back as a vector, so no dense transformation matrix is formed.  A
-    Fortran-ordered float64 input, such as ``pencil.linearize``'s, is
-    scaled in place and returned as ``scaled``; any other input is copied
-    first and left unchanged.
+    ``scaled = D^-1 A D``; eigenvalues are unchanged, and the scales are
+    powers of 2, so the scaling is exact.  LAPACK's ``dgebal`` computes
+    it with no other array than d, so no dense transformation matrix is
+    formed.  A Fortran-ordered float64 input, such as
+    ``pencil.parity_square``'s, is scaled in place and returned as
+    ``scaled``; any other input is copied first and left unchanged.
     """
-    scaled, (d, _) = linalg.matrix_balance(matrix, permute=False,
-                                           separate=True, overwrite_a=True)
+    scaled, _, _, d, _ = lapack.dgebal(matrix, scale=1, permute=0,
+                                       overwrite_a=1)
     return scaled, d
 
 
-def qr_eigenvalues(h):
-    """All eigenvalues of a matrix by Hessenberg reduction and shifted QR.
+def _roots(mu):
+    """+-sqrt(mu): the principal square roots, then their negations."""
+    root = np.sqrt(np.asarray(mu, dtype=complex))
+    return np.concatenate([root, -root])
 
-    Backed by the LAPACK implicit-shift QR with its own sweep limit;
-    non-convergence raises EigensolverError rather than returning silently
-    truncated output.
+
+def qr_eigenvalues(square):
+    """Eigenvalues of a companion from its parity square, by one QR.
+
+    The square's eigenvalues mu come from Hessenberg reduction and
+    shifted QR; the companion's are +-sqrt(mu) (``pencil.parity_square``),
+    so twice as many values come back as the square has rows: the
+    principal roots in the QR's order, then their negations.  Backed by
+    the LAPACK implicit-shift QR with its own sweep limit; non-convergence
+    raises EigensolverError rather than returning silently truncated
+    output.
     """
     try:
-        return np.linalg.eigvals(h)
+        return _roots(np.linalg.eigvals(square))
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"QR iteration failed to converge: {exc}") from exc
 
@@ -93,61 +105,75 @@ def _check_companion_dim(dim):
         raise EigensolverError(
             f"companion dimension {dim} exceeds the dense-path cap "
             f"{MAX_COMPANION_DIM}; the companion would need {dim * dim * 8} "
-            f"bytes, and the QR's work copy as many again")
+            f"bytes, and its parity square and the QR's work copy of that "
+            f"a quarter as many each")
 
 
-def solve_companion(matrix, compute_vectors=False):
-    """Balance + Hessenberg-QR on a companion matrix.
+def solve_companion(square, compute_vectors=False):
+    """Balance + Hessenberg-QR on a companion's parity square.
 
-    Returns eigenvalues, and eigenvectors of the *input* matrix when
-    requested (the balancing is undone on the vectors in place).  A
-    Fortran-ordered input is overwritten by its balanced form
-    (``balance``), as ``pencil.linearize``'s is; pass a copy to keep it.
+    Returns the companion's eigenvalues (``qr_eigenvalues``: +-sqrt(mu)),
+    and when requested the complex eigenvectors of the *input* square,
+    column j for mu = g_j^2 of the first half of the values (the
+    balancing is undone on them in place).  A Fortran-ordered input is
+    overwritten by its balanced form (``balance``), as
+    ``pencil.parity_square``'s is; pass a copy to keep it.  The cap
+    bounds the companion, twice the square's dimension.
     """
-    _check_companion_dim(matrix.shape[0])
-    scaled, d = balance(matrix)
+    _check_companion_dim(2 * square.shape[0])
+    scaled, d = balance(square)
     if compute_vectors:
         try:
-            vals, vecs = np.linalg.eig(scaled)
+            mu, vecs = np.linalg.eig(scaled)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"QR iteration failed: {exc}") from exc
+        vecs = vecs.astype(complex, copy=False)
         vecs *= d[:, None]
-        return vals, vecs
+        return _roots(mu), vecs
     return qr_eigenvalues(scaled), None
 
 
 def solve_pencil(pencil, compute_vectors=False):
     """Full spectrum of the quartic pencil via the block companion.
 
-    The companion's eigenvalues are the pencil eigenvalues g, and its
-    eigenvectors are [v; g v; g^2 v; g^3 v].  Before the QR the companion
-    is deflated in place (``deflate_companion``): the invariant planes of
-    the fields the mesh makes null at +-sqrt(eps_j) are rotated into
-    columns that hold only their eigenvalues, which LAPACK's own
-    balancing then isolates, so the Hessenberg reduction and the QR run
-    on the rest; the QR still takes the 4n matrix and returns all 4n
-    eigenvalues.  With vectors, the rotation is undone on the companion's
-    eigenvectors (``_restore_vectors``).  Each pencil vector is then the
-    largest-norm block, normalised: a vector is defined only up to scale,
-    and ``pencil.residual`` does not depend on it.  The blocks are picked
-    for all columns at once, and the companion's vectors are freed before
-    one ``pencil.residual`` call on the whole (n, 4n) block.  The
-    dimension cap is checked before the companion is allocated, and no
-    name here holds the companion, so it is freed when
-    ``solve_companion`` returns.
+    The 4n companion (``pencil.linearize``) is read into its 2n parity
+    square (``pencil.parity_square``) and freed; the companion's
+    eigenvalues are +-sqrt(mu) for the square's eigenvalues mu.  Before
+    the QR the square is deflated in place (``deflate_square``): each
+    field the mesh makes null at +-sqrt(eps_j) is rotated into a column
+    that holds only eps_j, which LAPACK's own balancing then isolates, so
+    the Hessenberg reduction and the QR run on the rest; the QR returns
+    all 4n eigenvalues.  With vectors, the deflation is undone on the
+    square's eigenvectors [y; mu y], each deflated field's isolated
+    coordinate first rebuilt from its partner (``_restore_vectors``).
+    Each pencil
+    vector is then read from the larger-norm half h of that column:
+    v(+-g) = (h_pi, +-h_psi / g), or h itself where g is exactly 0,
+    normalised.  A vector is defined only up to scale, and
+    ``pencil.residual`` does not depend on it.  The halves are picked for
+    all columns at once, and the square's vectors are freed before one
+    ``pencil.residual`` call on the whole (n, 4n) block.  The dimension
+    cap is checked before the companion is allocated.
     """
     _check_companion_dim(4 * pencil.n)
-    planes = _null_planes(pencil)
-    gammas, comp_vecs = solve_companion(
-        deflate_companion(pencil_mod.linearize(pencil), planes),
-        compute_vectors=compute_vectors)
+    n, planes = pencil.n, _null_planes(pencil)
+    n_pi = pencil.spaces.n_pi
+    square = pencil_mod.parity_square(pencil_mod.linearize(pencil), n_pi)
+    tol = _deflation_tol(square)
+    gammas, vecs = solve_companion(deflate_square(square, planes, tol),
+                                   compute_vectors=compute_vectors)
+    del square
     if not compute_vectors:
         return EigenReport(eigenvalues=gammas)
-    _restore_vectors(comp_vecs, planes)
-    blocks = comp_vecs.reshape(4, pencil.n, len(gammas))     # a view
-    pick = np.argmax([np.linalg.norm(b, axis=0) for b in blocks], axis=0)
-    vectors = np.choose(pick, blocks)
-    del comp_vecs, blocks
+    _restore_vectors(vecs, gammas[:2 * n] ** 2, planes, tol)
+    lower = np.linalg.norm(vecs[:n], axis=0) < np.linalg.norm(vecs[n:],
+                                                              axis=0)
+    vectors = np.empty((n, 4 * n), dtype=complex)
+    vectors[:, :2 * n] = np.where(lower, vecs[n:], vecs[:n])
+    del vecs
+    vectors[:, 2 * n:] = vectors[:, :2 * n]
+    vectors[n_pi:] *= np.divide(1.0, gammas, out=np.ones_like(gammas),
+                                where=gammas != 0)
     vectors /= np.linalg.norm(vectors, axis=0)
     return EigenReport(eigenvalues=gammas, vectors=vectors,
                        residuals=pencil_mod.residual(pencil, gammas, vectors))
@@ -214,37 +240,19 @@ def null_fields(spaces, eps1, eps2, gamma):
 
 @dataclass(frozen=True)
 class _Plane:
-    """Companion coordinates of the null fields at g = sqrt(eps).
+    """Parity-square coordinates of the null fields at g = sqrt(eps).
 
-    ``index`` lists the four block copies of the fields' coordinates
-    (electric, then J), block by block; ``explicit`` the positions within
-    one copy of the fields that are null: all but J's first, which
-    ``fields.reflector`` turns into the direction of m_J.
+    ``index`` lists the two copies of the fields' coordinates (electric,
+    then J): those of y, which are the fields' own, and those of mu y, n
+    further on; ``explicit`` the positions within one copy of the fields
+    that are null: all but J's first, which ``fields.reflector`` turns
+    into the direction of m_J.
     """
 
     eps: float
     fields: NullFields
     index: np.ndarray
     explicit: np.ndarray
-
-
-def _rotation(eps):
-    """4x4 orthogonal Q on the four block copies of one null field x.
-
-    For a field with L(g) x = L(-g) x = 0 at g = sqrt(eps), the companion
-    maps [x; 0; eps x; 0] to eps [0; x; 0; eps x] and that to
-    [x; 0; eps x; 0].  Q's first column is the eigenvector direction
-    (1, g, eps, eps g) of +g, its second (g, -1, eps g, -eps) completes
-    that plane, and its last two span the plane's complement.  In Q's
-    coordinates the companion's first column is g e_1 and its second
-    (eps - 1) e_1 - g e_2.
-    """
-    g = math.sqrt(eps)
-    q = np.array([[1.0, g, -eps, 0.0],
-                  [g, -1.0, 0.0, -eps],
-                  [eps, eps * g, 1.0, 0.0],
-                  [eps * g, -eps, 0.0, 1.0]])
-    return q / np.linalg.norm(q, axis=0)
 
 
 def _null_planes(pencil):
@@ -258,104 +266,100 @@ def _null_planes(pencil):
         explicit = np.r_[0:ne, ne + 1:len(coords)]
         if len(explicit):
             planes.append(_Plane(eps=eps, fields=fields,
-                                 index=(np.arange(4)[:, None] * n
-                                        + coords).ravel(),
+                                 index=np.concatenate([coords, n + coords]),
                                  explicit=explicit))
     return planes
 
 
 def _transform(x, plane, inverse=False):
-    """Apply U^T (or U, ``inverse``) to x, shaped (4, fields, k), in place.
+    """Apply U^T (or U, ``inverse``) to x, shaped (2, fields, k), in place.
 
-    U = R Q: R applies ``fields.reflector`` to J in each block copy, and
-    Q mixes the four copies of each null field by ``_rotation``.
+    U = R Q: R applies ``fields.reflector`` to J in both copies, and Q
+    turns each null field's two copies (a, b) by the rotation whose first
+    column is (1, eps) / sqrt(1 + eps^2), the direction of the square's
+    eigenvector [x; eps x] of a null field x at mu = eps.
     """
-    def mix(q):
-        x[:, plane.explicit] = np.einsum("ab,bfk->afk", q,
-                                         x[:, plane.explicit])
+    def rotate(sign):
+        cos, sin = np.array([1.0, sign * plane.eps]) / math.hypot(1.0,
+                                                                  plane.eps)
+        a, b = x[0, plane.explicit], x[1, plane.explicit]
+        x[0, plane.explicit] = cos * a + sin * b
+        x[1, plane.explicit] = cos * b - sin * a
 
     if inverse:
-        mix(_rotation(plane.eps))
+        rotate(-1.0)
     if plane.fields.reflector is not None:
         v, beta = plane.fields.reflector
         xj = x[:, len(plane.fields.electric):]
         xj -= np.einsum("f,bk->bfk", beta * v, np.einsum("f,bfk->bk", v, xj))
     if not inverse:
-        mix(_rotation(plane.eps).T)
+        rotate(1.0)
 
 
-def _chunks(dim):
-    """Slices of ``DEFLATION_CHUNKS`` near-equal parts of range(dim)."""
-    step = -(-dim // DEFLATION_CHUNKS)
-    return [slice(s, s + step) for s in range(0, dim, step)]
+def _deflation_tol(square):
+    """``DEFLATION_TOL`` times 2n u max|square|, u the unit roundoff."""
+    return DEFLATION_TOL * len(square) * 0.5 * np.finfo(float).eps \
+        * max(square.max(), -square.min())
 
 
-def deflate_companion(comp, planes):
-    """The companion after the similarity U^T comp U, in place, and returned.
+def deflate_square(square, planes, tol):
+    """The parity square after the similarity U^T square U, in place.
 
     U is orthogonal and built from the mesh's null fields (``_Plane``):
-    in its coordinates each null field x at g = sqrt(eps_j) spans two
-    columns, one holding only g on the diagonal and one only
-    (eps_j - 1, -g) in the same two rows.  Every other entry of those
-    columns, and the diagonal's distance from +-g, is checked against
-    ``DEFLATION_TOL`` times 4n u max|comp| (u the unit roundoff, max|comp|
-    before the similarity); then the entries are set to exactly 0 and
-    +-g.  LAPACK's balancing (``dgebal``, inside ``qr_eigenvalues``) then
-    isolates those columns: the QR returns g and -g there exactly, and
-    reduces only the rest.  The similarity takes the columns, then the
-    rows, in ``DEFLATION_CHUNKS`` parts, so a temporary holds a
-    sixteenth of the fields' rows or columns.  A field that is not null
-    leaves a larger entry and raises EigensolverError naming g and the
-    residual.
+    the square's eigenvector of a null field x at mu = eps_j is
+    [x; eps_j x], and in U's coordinates it is the field's first copy a
+    alone, so the square's column a is eps_j e_a.  Every entry of that
+    column off eps_j e_a is checked against ``tol`` (``_deflation_tol``
+    of the square before the similarity); then the column is set to
+    exactly eps_j e_a.  LAPACK's balancing (``dgebal``, inside
+    ``qr_eigenvalues``) then isolates those columns: the QR returns eps_j
+    there exactly, so the companion's values are exactly +-sqrt(eps_j),
+    and it reduces only the rest.  A field that is not null leaves a
+    larger entry and raises EigensolverError naming g = sqrt(eps_j) and
+    the residual.  Returns the square.
     """
-    dim = len(comp)
-    tol = DEFLATION_TOL * dim * 0.5 * np.finfo(float).eps \
-        * max(comp.max(), -comp.min())
     for plane in planes:
-        idx = plane.index
-        for rows in _chunks(dim):
-            x = comp[rows, idx].T.reshape(4, len(idx) // 4, -1)
-            _transform(x, plane)
-            comp[rows, idx] = x.reshape(len(idx), -1).T
-        for cols in _chunks(dim):
-            y = comp[idx, cols].reshape(4, len(idx) // 4, -1)
-            _transform(y, plane)
-            comp[idx, cols] = y.reshape(len(idx), -1)
+        idx, m = plane.index, len(plane.index) // 2
+        x = square[:, idx].T.reshape(2, m, -1)
+        _transform(x, plane)
+        square[:, idx] = x.reshape(2 * m, -1).T
+        y = square[idx].reshape(2, m, -1)
+        _transform(y, plane)
+        square[idx] = y.reshape(2 * m, -1)
     for plane in planes:
-        g = math.sqrt(plane.eps)
-        m = len(plane.index) // 4
-        first, second = plane.index[plane.explicit], \
-            plane.index[m + plane.explicit]
-        res = 0.0
-        for part in _chunks(len(first)):
-            a, b = first[part], second[part]
-            cols = np.arange(len(a))
-            x, y = comp[:, a], comp[:, b]
-            x[a, cols] -= g
-            y[a, cols] = 0.0
-            y[b, cols] += g
-            res = max(res, x.max(), -x.min(), y.max(), -y.min())
+        a = plane.index[plane.explicit]
+        col = square[:, a]
+        col[a, np.arange(len(a))] -= plane.eps
+        res = max(col.max(), -col.min())
         if res > tol:
             raise EigensolverError(
-                f"companion deflation at g = {g:g}: the fields the mesh "
-                f"makes null leave a residual {res:.3e} above {tol:.3e}")
-        t = comp[first, second]
-        comp[:, first] = 0.0
-        comp[:, second] = 0.0
-        comp[first, first] = g
-        comp[first, second] = t
-        comp[second, second] = -g
-    return comp
+                f"companion deflation at g = {math.sqrt(plane.eps):g}: the "
+                f"fields the mesh makes null leave a residual {res:.3e} "
+                f"above {tol:.3e}")
+        square[:, a] = 0.0
+        square[a, a] = plane.eps
+    return square
 
 
-def _restore_vectors(vecs, planes):
-    """Eigenvectors of the deflated companion mapped back by U, in place."""
+def _restore_vectors(vecs, mu, planes, tol):
+    """Eigenvectors of the deflated square mapped back by U, in place.
+
+    vecs holds one column per eigenvalue mu, in U's coordinates.  There a
+    null field's first copy a and second copy b of an eigenvector
+    [y; mu y] are in the ratio (1 + eps_j mu) / (mu - eps_j), so for each
+    mu farther than ``tol`` from eps_j the coordinate a, which the QR's
+    back-substitution divides by mu - eps_j, is rebuilt from b; then U
+    is applied.
+    """
     for plane in planes:
-        idx = plane.index
-        for cols in _chunks(vecs.shape[1]):
-            y = vecs[idx, cols].reshape(4, len(idx) // 4, -1)
-            _transform(y, plane, inverse=True)
-            vecs[idx, cols] = y.reshape(len(idx), -1)
+        idx, m = plane.index, len(plane.index) // 2
+        x = vecs[idx].reshape(2, m, -1)
+        far = np.abs(mu - plane.eps) > tol
+        ratio = (1.0 + plane.eps * mu) / np.where(far, mu - plane.eps, 1.0)
+        e = plane.explicit
+        x[0, e] = np.where(far, x[1, e] * ratio, x[0, e])
+        _transform(x, plane, inverse=True)
+        vecs[idx] = x.reshape(2 * m, -1)
 
 
 def _deflate(pencil, gamma, mat, fields, cutoff):

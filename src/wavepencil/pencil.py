@@ -13,9 +13,12 @@ under g -> -g through the field-parity similarity.  The pencil is its
 operator set (``assembly.PencilMatrices``): L(g) is evaluated and applied
 in the factored form, where the K term vanishes at the degeneration
 points g^2 = eps_i, and linearized from the monomial coefficients, which
-are formed one at a time and never stored.  The real interval where
-eigenvalue isolation is not guaranteed, and the degeneration points
-+-sqrt(eps_i) inside it, are exposed alongside.
+are formed one at a time and never stored.  The field parity splits the
+companion's square in two: ``parity_square`` reads off the half that is
+the 2n companion of the quadratic in mu = g^2, which the solve's QR
+takes.  The real interval where eigenvalue isolation is not guaranteed,
+and the degeneration points +-sqrt(eps_i) inside it, are exposed
+alongside.
 """
 
 from __future__ import annotations
@@ -172,7 +175,8 @@ def linearize(pencil):
     """Monic block-companion matrix of the pencil.
 
     The returned 4n matrix has the pencil eigenvalues g as its
-    eigenvalues, with eigenvectors [v; g v; g^2 v; g^3 v].  It is
+    eigenvalues, with eigenvectors [v; g v; g^2 v; g^3 v]; its last block
+    row is [-A0, -B1, -A2, 0] with A0, B1, A2 = K^-1 (C0, C1, C2).  It is
     allocated in Fortran order, the layout LAPACK reads, so
     ``eigensolver.balance`` scales it in place rather than copying it.
     The leading coefficient is factored by Cholesky, which doubles as the
@@ -211,3 +215,43 @@ def linearize(pencil):
     # 3n x 3n part; writing them in place makes no n x n temporary
     np.fill_diagonal(comp[:3 * n, n:], 1.0)
     return comp
+
+
+def parity_square(comp, n_pi):
+    """The companion's square on its odd parity coordinates, gathered.
+
+    K, A1 and A2 have no electric-magnetic entries and S has no diagonal
+    block, so ``linearize``'s companion C anticommutes with the field
+    parity T = diag(D, -D, D, -D), D being -1 on the first ``n_pi``
+    (electric) coordinates of a block and +1 on the rest (magnetic).  Its
+    eigenvalues are therefore +-sqrt(mu) for the eigenvalues mu of the 2n
+    square C^2 on the odd coordinates (b0 pi, b1 psi, b2 pi, b3 psi) of
+    its blocks b0..b3, which is [[0, I], [-P0, -P1]] with
+    P0 = [[A0pp, B1pq], [0, A0qq]] and P1 = [[A2pp, 0], [B1qp, A2qq]]
+    (p electric, q magnetic): each entry is one entry of C's last block
+    row, so the square is copied out with no product.  Its eigenvector of
+    mu = g^2 is [y; mu y] with y = (v_pi, g v_psi).  The square is
+    returned in Fortran order.  The entries of that row that it leaves
+    out, those that C^2 would carry between the two parities, must be
+    exactly 0; otherwise PencilError.
+    """
+    n = len(comp) // 4
+    p, q = slice(0, n_pi), slice(n_pi, n)
+    last = comp[3 * n:]
+    # A0, A2 between the field blocks and B1 within them
+    left_out = (last[p, q], last[q, p], last[p, 2 * n + n_pi:3 * n],
+                last[q, 2 * n:2 * n + n_pi], last[p, n:n + n_pi],
+                last[q, n + n_pi:2 * n])
+    if any(np.count_nonzero(b) for b in left_out):
+        raise PencilError("the companion couples the two field parities: "
+                          "the operators lack the parity block structure")
+    square = np.zeros((2 * n, 2 * n), order="F")
+    np.fill_diagonal(square[:n, n:], 1.0)
+    bottom = square[n:]
+    bottom[p, p] = last[p, p]                               # -A0pp
+    bottom[p, q] = last[p, n + n_pi:2 * n]                  # -B1pq
+    bottom[p, n:n + n_pi] = last[p, 2 * n:2 * n + n_pi]     # -A2pp
+    bottom[q, q] = last[q, q]                               # -A0qq
+    bottom[q, n:n + n_pi] = last[q, n:n + n_pi]             # -B1qp
+    bottom[q, n + n_pi:] = last[q, 2 * n + n_pi:3 * n]      # -A2qq
+    return square

@@ -13,13 +13,14 @@ from wavepencil import pencil as pencil_mod
 from wavepencil.analysis import CLASSIFICATION_TOL, degeneration_count
 from wavepencil.assembly import PencilMatrices
 from wavepencil.eigensolver import (EigensolverError, MAX_COMPANION_DIM,
-                                    _null_planes, _restore_vectors, balance,
-                                    deflate_companion,
-                                    degeneration_null_nodes,
+                                    _deflation_tol, _null_planes,
+                                    _restore_vectors, balance,
+                                    deflate_square, degeneration_null_nodes,
                                     numerical_nullity,
                                     qr_eigenvalues, solve_companion,
                                     solve_pencil)
-from wavepencil.pencil import apply, linearize, residual
+from wavepencil.pencil import (PencilError, apply, linearize, parity_square,
+                               residual)
 from conftest import build_slit_mesh_text, parity_signs, traced_peak
 
 PI = math.pi
@@ -67,12 +68,15 @@ def test_balance_reduces_norm_spread():
 
 
 def test_qr_eigenvalues_diagonal():
-    vals = qr_eigenvalues(np.diag([1.0, 2.0, 3.0]))
-    assert np.allclose(np.sort_complex(vals), [1.0, 2.0, 3.0], atol=1e-14)
+    # the eigenvalues mu of a parity square give the companion's +-sqrt(mu)
+    vals = qr_eigenvalues(np.diag([1.0, 4.0, 9.0]))
+    assert np.allclose(np.sort_complex(vals),
+                       [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], atol=1e-14)
+    assert np.array_equal(vals[3:], -vals[:3])
 
 
 def test_qr_eigenvalues_toy_quartic():
-    h = linalg.hessenberg(toy_companion())
+    h = linalg.hessenberg(parity_square(toy_companion(), 1))
     vals = np.sort_complex(qr_eigenvalues(h))
     expected = np.sort_complex(np.array(
         [-1.0, -1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 1.0],
@@ -91,11 +95,12 @@ def test_spectrum_invariant_under_unitary_similarity():
 
 
 def test_companion_pairs_backward_stable(homog_pencil):
-    comp = linearize(homog_pencil)
+    # the pairs (mu, z) of the companion's parity square, mu = g^2
+    comp = parity_square(linearize(homog_pencil), homog_pencil.spaces.n_pi)
     vals, vecs = solve_companion(comp.copy(), compute_vectors=True)
     norm_a = np.linalg.norm(comp, "fro")
     worst = 0.0
-    for lam, v in zip(vals, vecs.T):
+    for lam, v in zip(vals[:len(comp)] ** 2, vecs.T):
         worst = max(worst, np.linalg.norm(comp @ v - lam * v)
                     / np.linalg.norm(v))
     assert worst <= 1e-9 * norm_a
@@ -106,6 +111,14 @@ def test_linearize_builds_what_balance_scales_in_place(slab_pencil):
     assert comp.flags.f_contiguous
     scaled, _ = balance(comp)
     assert np.shares_memory(scaled, comp)
+
+
+def test_balance_in_place_holds_no_array_of_the_matrix_size(slab_pencil):
+    # LAPACK scales a Fortran-ordered input in place; only the scales
+    # are allocated, no copy and no mask of the matrix
+    square = parity_square(linearize(slab_pencil), slab_pencil.spaces.n_pi)
+    dim = len(square)
+    assert traced_peak(lambda: balance(square)) <= 0.01 * dim * dim * 8
 
 
 @pytest.mark.parametrize("nx", [8, 12])
@@ -137,6 +150,15 @@ def test_linearize_solves_each_coefficient_in_place():
         ref[3 * n:, j * n:(j + 1) * n] = -linalg.cho_solve(cho, c)
     assert np.array_equal(linearize(pen), ref)
     assert traced_peak(lambda: linearize(pen)) <= 1.1 * dim * dim * 8
+
+
+def _parity_coordinates(n, n_pi):
+    """Odd (b0 pi, b1 psi, b2 pi, b3 psi) and even (b0 psi, b1 pi, b2 psi,
+    b3 pi) coordinates of the 4n companion's blocks b0..b3."""
+    pi, psi = np.arange(n_pi), np.arange(n_pi, n)
+    odd = np.concatenate([pi, n + psi, 2 * n + pi, 3 * n + psi])
+    even = np.concatenate([psi, n + pi, 2 * n + psi, 3 * n + pi])
+    return odd, even
 
 
 #: Meshes on which the deflated solve is checked against the plain one.
@@ -179,6 +201,35 @@ def _deflated_count(pen, g):
     return count - 1 - int(null[0] and not null.all())
 
 
+def test_companion_anticommutes_with_the_field_parity(deflation_case):
+    # the premise of the parity square: C maps each parity to the other,
+    # and C[odd, even] C[even, odd] is the gathered square bit for bit
+    pen, _ = deflation_case
+    comp = linearize(pen)
+    odd, even = _parity_coordinates(pen.n, pen.spaces.n_pi)
+    assert not np.any(comp[np.ix_(even, even)])
+    assert not np.any(comp[np.ix_(odd, odd)])
+    product = comp[np.ix_(odd, even)] @ comp[np.ix_(even, odd)]
+    square = parity_square(comp, pen.spaces.n_pi)
+    assert square.flags.f_contiguous
+    assert np.array_equal(square, product)
+
+
+def test_solve_pencil_returns_each_value_with_its_negation(deflation_case):
+    _, vals = deflation_case
+    half = len(vals) // 2
+    assert np.array_equal(vals[half:], -vals[:half])
+
+
+def test_parity_square_refuses_a_companion_that_couples_the_parities(
+        slab_pencil):
+    comp = linearize(slab_pencil)
+    n, n_pi = slab_pencil.n, slab_pencil.spaces.n_pi
+    comp[3 * n, n_pi] = 1e-300          # an electric-magnetic entry of A0
+    with pytest.raises(PencilError, match="parity"):
+        parity_square(comp, n_pi)
+
+
 def test_deflated_solve_matches_the_undeflated_companion(deflation_case):
     pen, vals = deflation_case
     ref = np.linalg.eigvals(linearize(pen))
@@ -198,22 +249,39 @@ def test_degeneration_points_keep_their_count_and_come_back_exact(
         assert _deflated_count(pen, g) <= np.count_nonzero(vals == g) <= count
 
 
+def _deflated_square(pen):
+    """(deflated parity square, null planes, deflation tolerance)."""
+    square = parity_square(linearize(pen), pen.spaces.n_pi)
+    planes, tol = _null_planes(pen), _deflation_tol(square)
+    return deflate_square(square, planes, tol), planes, tol
+
+
 def test_lapack_balancing_isolates_the_deflated_columns(deflation_case):
+    # one column of the square per deflated field and eps_j
     pen, _ = deflation_case
-    dim = 4 * pen.n
-    _, lo, hi, _, info = lapack.dgebal(linearize(pen), permute=1, scale=0)
+    dim = 2 * pen.n
+    square = parity_square(linearize(pen), pen.spaces.n_pi)
+    _, lo, hi, _, info = lapack.dgebal(square, permute=1, scale=0)
     assert info == 0 and hi - lo + 1 == dim
-    comp = deflate_companion(linearize(pen), _null_planes(pen))
-    _, lo, hi, _, info = lapack.dgebal(comp, permute=1, scale=0)
+    square, _, _ = _deflated_square(pen)
+    _, lo, hi, _, info = lapack.dgebal(square, permute=1, scale=0)
     assert info == 0
     assert hi - lo + 1 == dim - sum(
-        _deflated_count(pen, g) for g in pencil_mod.degeneration_points(
-            pen.eps1, pen.eps2))
+        _deflated_count(pen, math.sqrt(eps)) for eps in {pen.eps1, pen.eps2})
 
 
 def test_deflated_vectors_carry_small_residuals(deflation_case):
     pen, _ = deflation_case
     assert solve_pencil(pen, compute_vectors=True).residuals.max() <= 1e-12
+
+
+def test_deflated_fields_are_rebuilt_in_every_vector():
+    # the isolated coordinate of each deflated field is rebuilt from its
+    # partner, not taken from the QR's back-substitution, which divides by
+    # mu - eps_j; without that the largest residual here is 2.2e-13
+    pen = wp.make_pencil(wp.assemble_matrices(wp.build_spaces(
+        wp.generate_rect_slab(PI, PI, PI / 2, 12, 12)), 1.0, 4.0))
+    assert solve_pencil(pen, compute_vectors=True).residuals.max() <= 2e-14
 
 
 @pytest.mark.parametrize("node", ["interior", "shield"])
@@ -317,18 +385,18 @@ def test_solve_pencil_vectors_are_unit_and_carry_their_residuals(
             for g, v in zip(report.eigenvalues, report.vectors.T)]
     assert np.abs(report.residuals - each).max() <= 1e-15
     # the eigenvector rule one column at a time, on the same deflated
-    # companion, gives the same vectors, up to a factor g^k where the
-    # blocks tie in norm (|g| = 1)
-    planes = _null_planes(homog_pencil)
-    gammas, comp = solve_companion(
-        deflate_companion(linearize(homog_pencil), planes),
-        compute_vectors=True)
-    _restore_vectors(comp, planes)
+    # square, gives the same vectors
+    n, n_pi = homog_pencil.n, homog_pencil.spaces.n_pi
+    square, planes, tol = _deflated_square(homog_pencil)
+    gammas, vecs = solve_companion(square, compute_vectors=True)
+    _restore_vectors(vecs, gammas[:2 * n] ** 2, planes, tol)
     assert np.array_equal(gammas, report.eigenvalues)
     for j, v in enumerate(report.vectors.T):
-        blocks = comp[:, j].reshape(4, homog_pencil.n)
-        loop = blocks[np.argmax(np.linalg.norm(blocks, axis=1))]
-        overlap = abs(np.vdot(loop, v)) / np.linalg.norm(loop)
+        z = vecs[:, j % (2 * n)]
+        h = max(z[:n], z[n:], key=np.linalg.norm).copy()
+        if gammas[j] != 0:
+            h[n_pi:] /= gammas[j]
+        overlap = abs(np.vdot(h, v)) / np.linalg.norm(h)
         assert overlap >= 1.0 - 1e-12
 
 
