@@ -57,29 +57,40 @@ class SpectrumClass(str, Enum):
     IN_EXCLUSION = "in_exclusion"
 
 
+#: The classes by code, and the code of each class, for ``classify``.
+_CLASSES = np.array(list(SpectrumClass), dtype=object)
+_CODE = {cls: code for code, cls in enumerate(SpectrumClass)}
+
+
 def classify(gamma, exclusion):
-    """Classify one eigenvalue against the exclusion interval.
+    """Classify eigenvalues against the exclusion interval.
 
     Degeneration neighbourhoods take precedence, then the real exclusion
     band; remaining values are real (propagating), pure imaginary
     (evanescent/decaying) or fully complex, with
-    |.| <= CLASSIFICATION_TOL * (1 + |gamma|) as the axis test.
+    |.| <= CLASSIFICATION_TOL * (1 + |gamma|) as the axis test.  A scalar
+    gives its ``SpectrumClass``, an array an object array of them.
     """
-    g = complex(gamma)
-    scale = 1.0 + abs(g)
+    g = np.asarray(gamma, dtype=complex)
+    re, im = g.real, g.imag
+    # |z| as hypot(Re z, Im z), which is how Python's abs of a complex
+    # rounds it; np.abs of a complex can differ in the last place
+    scale = 1.0 + np.hypot(re, im)
+    near = np.zeros(g.shape, dtype=bool)
     for eps in (exclusion.eps1, exclusion.eps2):
         root = math.sqrt(eps)
-        if min(abs(g - root), abs(g + root)) <= CLASSIFICATION_TOL * (1.0 + root):
-            return SpectrumClass.DEGENERATION_ADJACENT
-    is_real = abs(g.imag) <= CLASSIFICATION_TOL * scale
-    is_imag = abs(g.real) <= CLASSIFICATION_TOL * scale
-    if is_real and exclusion.contains(abs(g.real)):
-        return SpectrumClass.IN_EXCLUSION
-    if is_real:
-        return SpectrumClass.PROPAGATING
-    if is_imag:
-        return SpectrumClass.EVANESCENT
-    return SpectrumClass.COMPLEX
+        near |= np.minimum(np.hypot(re - root, im), np.hypot(re + root, im)) \
+            <= CLASSIFICATION_TOL * (1.0 + root)
+    is_real = np.abs(im) <= CLASSIFICATION_TOL * scale
+    is_imag = np.abs(re) <= CLASSIFICATION_TOL * scale
+    in_band = exclusion.contains(np.abs(re))
+    code = np.select([near, is_real & in_band, is_real, is_imag],
+                     [_CODE[SpectrumClass.DEGENERATION_ADJACENT],
+                      _CODE[SpectrumClass.IN_EXCLUSION],
+                      _CODE[SpectrumClass.PROPAGATING],
+                      _CODE[SpectrumClass.EVANESCENT]],
+                     _CODE[SpectrumClass.COMPLEX])
+    return _CLASSES[code]
 
 
 @dataclass
@@ -129,44 +140,71 @@ def _match_multiset(values, targets):
     return out_idx, out_dist
 
 
-def _match_nearest(values, targets):
+def _match_nearest(values, targets, order=None):
     """Greedy unique nearest matching of targets into values.
 
-    As ``_match_multiset``: each target, nearest first, takes the nearest
-    free value among its 8 nearest, or else the nearest free value.
+    Each target, in ``order`` (by default nearest first), takes the
+    nearest free value |value - target|, the lowest index among equal
+    distances.  Bit-equal values are one point of the search, taken lowest
+    index first, so a run of them (a deflated degeneration point) does not
+    crowd the 8 nearest: a target takes the nearest free point of its 8
+    when it lies strictly nearer than the others and than the 8th, or else
+    the nearest of all free values.  There must be no more targets than
+    values.  Returns (indices, distances) as ``_match_multiset``.
     """
     from scipy.spatial import cKDTree
 
-    if len(values) == 0:
+    if len(targets) == 0:
         return np.zeros(0, dtype=int), np.zeros(0)
-    pts = np.column_stack([values.real, values.imag])
-    tree = cKDTree(pts)
-    k = min(len(values), 8)
-    dist, idx = tree.query(np.column_stack([targets.real, targets.imag]), k=k)
-    dist = np.asarray(dist).reshape(len(targets), k)
+    # group g holds members[start[g]:stop[g]], bit-equal, index ascending
+    bits = values.view(np.int64).reshape(-1, 2)
+    members = np.lexsort((bits[:, 1], bits[:, 0]))
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = np.any(bits[members[1:]] != bits[members[:-1]], axis=1)
+    start = np.flatnonzero(new)
+    points = values[members[start]]
+    group = np.empty(len(values), dtype=int)
+    group[members] = np.cumsum(new) - 1
+    members, group = members.tolist(), group.tolist()
+    start, stop = start.tolist(), [*start[1:].tolist(), len(values)]
+    k = min(len(points), 8)
+    tree = cKDTree(np.column_stack([points.real, points.imag]))
+    tree_dist, idx = tree.query(np.column_stack([targets.real, targets.imag]),
+                                k=k)
+    tree_dist = np.asarray(tree_dist).reshape(len(targets), k)
     idx = np.asarray(idx).reshape(len(targets), k)
-    order = np.argsort(dist[:, 0], kind="stable")
-    taken = np.zeros(len(values), dtype=bool)
-    out_idx = np.full(len(targets), -1, dtype=int)
-    out_dist = np.full(len(targets), np.inf)
-    leftovers = []
-    for t in order:
-        for j, cand in enumerate(idx[t]):
-            if not taken[cand]:
-                taken[cand] = True
-                out_idx[t] = cand
-                out_dist[t] = dist[t, j]
+    if order is None:
+        order = np.argsort(tree_dist[:, 0], kind="stable")
+    # each row by distance, computed as the scan computes it
+    dist = np.abs(points[idx] - targets[:, None])
+    rank = np.argsort(dist, axis=1, kind="stable")
+    idx = np.take_along_axis(idx, rank, axis=1)
+    dist = np.take_along_axis(dist, rank, axis=1)
+    # a point off the row is at least as far as the 8th, up to the tree's
+    # rounding of the distance (a few units in the last place)
+    reach = (tree_dist[:, -1] * (1.0 - 8.0 * np.finfo(float).eps)
+             if k < len(points) else np.full(len(targets), np.inf))
+    taken = bytearray(len(values))
+    out_idx = np.empty(len(targets), dtype=int)
+    out_dist = np.empty(len(targets))
+    for t, row, d_row, lim in zip(order.tolist(), idx[order].tolist(),
+                                  dist[order].tolist(), reach[order].tolist()):
+        for j, g in enumerate(row):
+            if start[g] < stop[g]:
                 break
         else:
-            leftovers.append(t)
-    if leftovers:
-        free = np.where(~taken)[0]
-        for t in leftovers:
-            d = np.abs(values[free] - targets[t])
-            j = int(np.argmin(d))
-            out_idx[t] = free[j]
-            out_dist[t] = d[j]
-            free = np.delete(free, j)
+            j = k
+        alone = j + 1 >= k or d_row[j + 1] > d_row[j]
+        if j < k and d_row[j] < lim and alone:
+            pick, d = members[start[row[j]]], d_row[j]
+        else:
+            free = np.flatnonzero(~np.frombuffer(taken, dtype=bool))
+            scan = np.abs(values[free] - targets[t])
+            j = int(np.argmin(scan))
+            pick, d = int(free[j]), scan[j]
+        start[group[pick]] += 1
+        taken[pick] = 1
+        out_idx[t], out_dist[t] = pick, d
     return out_idx, out_dist
 
 
@@ -200,10 +238,15 @@ class SpectrumEntry:
 
 @dataclass
 class Spectrum:
-    """Classified eigenvalue list with symmetry partners and counts."""
+    """Classified eigenvalue list with symmetry partners and counts.
+
+    ``classes`` holds the class of each eigenvalue (``classify``), in the
+    order of ``eigenvalues`` and ``entries``.
+    """
 
     entries: list
     eigenvalues: np.ndarray
+    classes: np.ndarray
     exclusion: ExclusionInterval
     pairing: PairingReport
     counts: dict
@@ -214,22 +257,19 @@ def build_spectrum(eigenvalues, exclusion, residuals=None):
     """Classify eigenvalues and resolve their symmetry partners."""
     vals = np.array(eigenvalues, dtype=complex)
     pairing = symmetry_pairing(vals)
-    entries = []
-    counts = {cls: 0 for cls in SpectrumClass}
-    for i, g in enumerate(vals):
-        cls = classify(g, exclusion)
-        counts[cls] += 1
-        entries.append(SpectrumEntry(
-            gamma=complex(g),
-            cls=cls,
-            residual=None if residuals is None else float(residuals[i]),
-            partner_neg=int(pairing.partners["neg"][0][i]),
-            partner_conj=int(pairing.partners["conj"][0][i]),
-            partner_negconj=int(pairing.partners["negconj"][0][i]),
-        ))
+    classes = classify(vals, exclusion)
+    listed = classes.tolist()
+    counts = {cls: listed.count(cls) for cls in SpectrumClass}
+    res = [None] * len(vals) if residuals is None \
+        else np.asarray(residuals, dtype=float).tolist()
+    partners = (pairing.partners[name][0].tolist()
+                for name in ("neg", "conj", "negconj"))
+    entries = [SpectrumEntry(*row)
+               for row in zip(vals.tolist(), listed, res, *partners)]
     max_abs_real = float(np.max(np.abs(vals.real), initial=0.0))
-    return Spectrum(entries=entries, eigenvalues=vals, exclusion=exclusion,
-                    pairing=pairing, counts=counts, max_abs_real=max_abs_real)
+    return Spectrum(entries=entries, eigenvalues=vals, classes=classes,
+                    exclusion=exclusion, pairing=pairing, counts=counts,
+                    max_abs_real=max_abs_real)
 
 
 def count_real_outside_exclusion(spectrum):
@@ -526,7 +566,17 @@ def verify_all(matrices, pencil=None, spectrum=None,
     arrays allocated (``working_bytes``) are the Gram blocks, formed on
     first read of ``matrices.gram``, and the two reassembled S matrices,
     which are dropped before the decay-slope eigensolves.  The symmetry
-    checks read the normalized partner distances of ``spectrum.pairing``.
+    checks read the normalized partner distances of ``spectrum.pairing``,
+    and ``complex_quadruples`` those of the values ``spectrum.classes``
+    marks complex.  On the spectrum of ``eigensolver.solve_pencil``, which
+    returns each value with its negation (+-sqrt(mu) from one QR), the
+    +-gamma readings are exactly 0 by construction:
+    ``symmetry_neg_closure``, ``symmetry_negconj_closure`` and the +-
+    partners in ``complex_quadruples`` and
+    ``homogeneous_no_complex_waves``.  They check a spectrum from
+    elsewhere; the solve's +-gamma spectrum is checked against the
+    undeflated 4n companion by
+    ``test_deflated_solve_matches_the_undeflated_companion``.
     The bound eigensolves run only where the result is not known in
     advance (``_block_eigvals``): the Gram-identical blocks of A1 and A2
     have every eigenvalue exactly 1, so A1's electric and A2's magnetic
@@ -584,8 +634,7 @@ def verify_all(matrices, pencil=None, spectrum=None,
             tol = 1e-10 if name == "conj" else SYMMETRY_TOL
             rep.add(f"symmetry_{name}_closure",
                     np.max(normalized[name], initial=0.0), tol, "<=")
-        is_complex = np.array([e.cls is SpectrumClass.COMPLEX
-                               for e in spectrum.entries], dtype=bool)
+        is_complex = spectrum.classes == SpectrumClass.COMPLEX
         rep.add("complex_quadruples",
                 max(np.max(d, initial=0.0, where=is_complex)
                     for d in normalized.values()), SYMMETRY_TOL, "<=")

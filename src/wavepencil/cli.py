@@ -89,8 +89,9 @@ def _spectrum_payload(cfg, spectrum):
 
 
 def _write_json(path, payload):
+    """One line of compact JSON: ``json.dumps`` takes the C encoder."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
 
 
@@ -103,8 +104,10 @@ def _write_report(path, report):
 def _write_plot_csv(path, spectrum):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("re_gamma,im_gamma,class\n")
-        for e in spectrum.entries:
-            fh.write(f"{e.gamma.real:.17g},{e.gamma.imag:.17g},{e.cls.value}\n")
+        vals = spectrum.eigenvalues
+        fh.writelines(f"{re:.17g},{im:.17g},{cls.value}\n" for re, im, cls
+                      in zip(vals.real.tolist(), vals.imag.tolist(),
+                             spectrum.classes.tolist()))
 
 
 def _write_oracle_csv(path, matches):
@@ -216,31 +219,36 @@ def _quadrant(values, tol=1e-9):
     return 3.0 * signs[0] + signs[1]
 
 
-def _continue_branches(branches, entries, step, eps2):
+def _continue_branches(branches, values, classes, step, eps2):
     """Nearest-neighbour continuation, never crossing a quadrant boundary.
 
     Live branches take, in creation order, the nearest unused value of
-    their own quadrant; a branch without one dies, and every value left
-    unused starts a branch.
+    their own quadrant, the lowest index among equal distances; a branch
+    without one dies, and every value left unused starts a branch.  Per
+    quadrant that is ``analysis._match_nearest`` in creation order.
+    ``classes`` holds the ``SpectrumClass`` of each value.
     """
-    values = np.array([e.gamma for e in entries], dtype=complex)
     quadrant = _quadrant(values)
     free = np.ones(len(values), dtype=bool)
     live = [b for b in branches if not b["dead"]]
     lasts = np.array([b["points"][-1][2] for b in live], dtype=complex)
-    for branch, last, q in zip(live, lasts, _quadrant(lasts)):
-        cands = np.flatnonzero(free & (quadrant == q))
-        if len(cands) == 0:
-            branch["dead"] = True
-            continue
-        pick = cands[np.argmin(np.abs(values[cands] - last))]
-        free[pick] = False
-        branch["points"].append((step, eps2, complex(values[pick]),
-                                 entries[pick].cls.value))
-    for idx in np.flatnonzero(free):
-        branches.append({"dead": False,
-                         "points": [(step, eps2, complex(values[idx]),
-                                     entries[idx].cls.value)]})
+    owner = _quadrant(lasts)
+    points = [(step, eps2, g, cls.value)
+              for g, cls in zip(values.tolist(), classes.tolist())]
+    for q in np.unique(owner):
+        cands = np.flatnonzero(quadrant == q)
+        who = np.flatnonzero(owner == q)
+        for b in who[len(cands):]:
+            live[b]["dead"] = True
+        who = who[:len(cands)]
+        idx, _ = analysis._match_nearest(values[cands], lasts[who],
+                                         order=np.arange(len(who)))
+        picks = cands[idx]
+        free[picks] = False
+        for b, pick in zip(who.tolist(), picks.tolist()):
+            live[b]["points"].append(points[pick])
+    for idx in np.flatnonzero(free).tolist():
+        branches.append({"dead": False, "points": [points[idx]]})
 
 
 def _workers_from_env():
@@ -287,21 +295,23 @@ def sweep(cfg, out_dir, eps2_from, eps2_to, steps, workers=None):
         step_cfg = cfg.with_eps2(value)
         return step, value, run(step_cfg, out / f"step_{step:03d}", mesh)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(one, enumerate(values)))
-
     branches = []
     worst_exit = 0
-    for step, value, result in results:
-        worst_exit = max(worst_exit, result.exit_code)
-        _continue_branches(branches, result.spectrum.entries, step, value)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for step, value, result in pool.map(one, enumerate(values)):
+            worst_exit = max(worst_exit, result.exit_code)
+            spectrum = result.spectrum
+            _continue_branches(branches, spectrum.eigenvalues,
+                               spectrum.classes, step, value)
+            # the step is done with before the next one is waited for
+            del result, spectrum
 
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write("branch,step,eps2,re_gamma,im_gamma,class\n")
-        for bid, branch in enumerate(branches):
-            for step, value, g, cls in branch["points"]:
-                fh.write(f"{bid},{step},{value:.17g},"
-                         f"{g.real:.17g},{g.imag:.17g},{cls}\n")
+        fh.writelines(f"{bid},{step},{value:.17g},"
+                      f"{g.real:.17g},{g.imag:.17g},{cls}\n"
+                      for bid, branch in enumerate(branches)
+                      for step, value, g, cls in branch["points"])
     return worst_exit, branches
 
 

@@ -51,7 +51,8 @@ class ExclusionInterval:
     p: float
 
     def contains(self, gamma_abs):
-        return self.lower <= gamma_abs <= self.upper
+        """Whether |g| lies in the band; elementwise on an array."""
+        return (self.lower <= gamma_abs) & (gamma_abs <= self.upper)
 
     def dilated(self, margin):
         return (self.lower - margin, self.upper + margin)

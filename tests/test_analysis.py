@@ -45,6 +45,85 @@ def test_classify_tolerance_scales_with_magnitude():
     assert classify(3.5 + 1e-3j, EXC) is SpectrumClass.COMPLEX
 
 
+def scalar_classify(gamma, exclusion):
+    """The one-value classification rule, as ``classify`` ran it per entry."""
+    g = complex(gamma)
+    scale = 1.0 + abs(g)
+    for eps in (exclusion.eps1, exclusion.eps2):
+        root = math.sqrt(eps)
+        if min(abs(g - root), abs(g + root)) \
+                <= analysis.CLASSIFICATION_TOL * (1.0 + root):
+            return SpectrumClass.DEGENERATION_ADJACENT
+    is_real = abs(g.imag) <= analysis.CLASSIFICATION_TOL * scale
+    is_imag = abs(g.real) <= analysis.CLASSIFICATION_TOL * scale
+    if is_real and exclusion.lower <= abs(g.real) <= exclusion.upper:
+        return SpectrumClass.IN_EXCLUSION
+    if is_real:
+        return SpectrumClass.PROPAGATING
+    if is_imag:
+        return SpectrumClass.EVANESCENT
+    return SpectrumClass.COMPLEX
+
+
+def _ulps(x, n=3):
+    """x and its n floating-point neighbours on either side."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(n):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def _on_the_axis_tolerance(re):
+    """The imaginary part t with t = CLASSIFICATION_TOL (1 + |re + i t|)."""
+    t = 0.0
+    for _ in range(50):
+        t = analysis.CLASSIFICATION_TOL * (1.0 + abs(complex(re, t)))
+    return t
+
+
+@pytest.mark.parametrize("eps", [(1.0, 4.0), (1.0, 2.5), (3.0, 3.0)])
+def test_array_classify_equals_the_scalar_rule_on_the_boundaries(eps):
+    exc = wp.exclusion_interval(*eps)
+    tol = analysis.CLASSIFICATION_TOL
+    edges = []
+    # |Im g| at the axis tolerance, and Re g there for the imaginary axis
+    for re in (0.45, 3.5, -7.25, exc.lower, exc.upper):
+        t = _on_the_axis_tolerance(re)
+        edges += [complex(re, s * im) for im in _ulps(t) for s in (1, -1)]
+        edges += [complex(s * im, re) for im in _ulps(t) for s in (1, -1)]
+    # the degeneration neighbourhoods, on and off the real axis
+    for e in eps:
+        root = math.sqrt(e)
+        for x in _ulps(root + tol * (1.0 + root)) \
+                + _ulps(root - tol * (1.0 + root)):
+            edges += [x, -x, complex(root, x - root), complex(-root, root - x)]
+    # the exclusion band's ends
+    for end in (exc.lower, exc.upper):
+        edges += [s * x for x in _ulps(end) for s in (1, -1)]
+    edges += [0.0, complex(0.0, -0.0), complex(-0.0, 0.0)]
+    vals = np.array(edges, dtype=complex)
+    want = [scalar_classify(g, exc) for g in vals]
+    got = classify(vals, exc)
+    assert got.shape == vals.shape and got.dtype == object
+    assert all(a is b for a, b in zip(got, want))
+    # the inputs straddle every boundary: each class appears (a
+    # homogeneous band is its degeneration point)
+    if eps[0] != eps[1]:
+        assert set(want) == set(SpectrumClass)
+    for g, cls in zip(vals, want):
+        assert classify(g, exc) is cls
+
+
+def test_classify_of_zero_and_of_an_empty_array():
+    assert classify(0.0, EXC) is SpectrumClass.PROPAGATING
+    assert classify(np.zeros(1), EXC)[0] is SpectrumClass.PROPAGATING
+    empty = classify(np.zeros(0, dtype=complex), EXC)
+    assert empty.shape == (0,) and empty.dtype == object
+
+
 def test_symmetry_pairing_on_synthetic_quadruples():
     base = np.array([0.7 + 0.4j, 2.0j, 3.1], dtype=complex)
     full = np.concatenate([base, -base, np.conj(base), -np.conj(base)])

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import wavepencil as wp
 from wavepencil import cli, config, eigensolver
-from wavepencil.analysis import SpectrumClass, SpectrumEntry
+from wavepencil.analysis import SpectrumClass
 from wavepencil.cli import _continue_branches, main, sweep
 from wavepencil.config import ConfigError, parse_config
 from conftest import build_slit_mesh_text, traced_peak, two_slabs_text
@@ -573,11 +574,6 @@ def test_sweep_branches_stay_in_their_quadrant(tmp_path):
 
 
 def test_continuation_serves_branches_in_creation_order():
-    def entry(g):
-        return SpectrumEntry(gamma=complex(g), cls=SpectrumClass.PROPAGATING,
-                             residual=None, partner_neg=0, partner_conj=0,
-                             partner_negconj=0)
-
     def branch(g):
         return {"dead": False, "points": [(0, 1.0, complex(g), "propagating")]}
 
@@ -586,12 +582,152 @@ def test_continuation_serves_branches_in_creation_order():
     # 2.0, the imaginary branch finds no value in its quadrant and dies,
     # and -1.0 is left over and starts a branch
     branches = [branch(1.0), branch(1.2), branch(3.0j)]
-    _continue_branches(branches, [entry(2.0), entry(1.25), entry(-1.0)],
-                       1, 2.0)
+    values = np.array([2.0, 1.25, -1.0], dtype=complex)
+    classes = np.array([SpectrumClass.PROPAGATING] * 3, dtype=object)
+    _continue_branches(branches, values, classes, 1, 2.0)
     assert [[p[2] for p in b["points"]] for b in branches] == [
         [1.0, 1.25], [1.2, 2.0], [3.0j], [-1.0]]
     assert [b["dead"] for b in branches] == [False, False, True, False]
     assert branches[3]["points"] == [(1, 2.0, -1.0 + 0j, "propagating")]
+
+
+def reference_continue(branches, values, classes, step, eps2):
+    """The per-branch continuation loop: one scan of the free values each."""
+    quadrant = cli._quadrant(values)
+    free = np.ones(len(values), dtype=bool)
+    live = [b for b in branches if not b["dead"]]
+    lasts = np.array([b["points"][-1][2] for b in live], dtype=complex)
+    for branch, last, q in zip(live, lasts, cli._quadrant(lasts)):
+        cands = np.flatnonzero(free & (quadrant == q))
+        if len(cands) == 0:
+            branch["dead"] = True
+            continue
+        pick = cands[np.argmin(np.abs(values[cands] - last))]
+        free[pick] = False
+        branch["points"].append((step, eps2, complex(values[pick]),
+                                 classes[pick].value))
+    for idx in np.flatnonzero(free):
+        branches.append({"dead": False,
+                         "points": [(step, eps2, complex(values[idx]),
+                                     classes[idx].value)]})
+
+
+def continue_both(branches, steps):
+    """Branches of both continuations over (values, eps2) steps, asserted
+    equal bit for bit (the sign of a zero part included) after each step."""
+    ours = [dict(b, points=list(b["points"])) for b in branches]
+    ref = [dict(b, points=list(b["points"])) for b in branches]
+    for step, (values, eps2) in enumerate(steps, start=1):
+        classes = wp.analysis.classify(values, wp.exclusion_interval(1.0, eps2))
+        _continue_branches(ours, values, classes, step, eps2)
+        reference_continue(ref, values, classes, step, eps2)
+        assert [b["dead"] for b in ours] == [b["dead"] for b in ref]
+        for a, b in zip(ours, ref):
+            assert [(s, e, g.real.hex(), g.imag.hex(), c)
+                    for s, e, g, c in a["points"]] == \
+                [(s, e, g.real.hex(), g.imag.hex(), c)
+                 for s, e, g, c in b["points"]]
+        assert len(ours) == len(ref)
+    return ours
+
+
+def spectrum_with_clusters(rng, eps2, n=300):
+    """A +-gamma, conjugate-closed spectrum with runs of bit-equal values
+    at +-1 and +-sqrt(eps2), some with a negative zero imaginary part."""
+    g = rng.standard_normal(n // 4) + 1j * rng.standard_normal(n // 4)
+    g[: n // 16] = g[: n // 16].real * 2.0
+    g[n // 16: n // 8] = 1j * g[n // 16: n // 8].imag
+    runs = [np.full(rng.integers(5, 30), root * sign, dtype=complex)
+            for root in (1.0, math.sqrt(eps2)) for sign in (1, -1)]
+    runs.append(np.full(4, complex(1.0, -0.0)))
+    vals = np.concatenate([g, -g, g.conj(), -g.conj(), *runs])
+    return vals[rng.permutation(len(vals))]
+
+
+def test_continuation_equals_the_per_branch_loop_on_clustered_spectra():
+    rng = np.random.default_rng(7)
+    eps2s = np.linspace(1.0, 4.0, 8)
+    steps = []
+    base = spectrum_with_clusters(rng, eps2s[0])
+    for eps2 in eps2s:
+        # a drifting spectrum that gains and loses values between steps
+        moved = base * (1.0 + 0.05 * rng.standard_normal(len(base)))
+        moved = moved[rng.random(len(moved)) < 0.9]
+        steps.append((np.concatenate(
+            [moved, spectrum_with_clusters(rng, eps2, 60)]), eps2))
+    branches = continue_both([], steps)
+    assert any(b["dead"] for b in branches)
+    assert any(len(b["points"]) == len(steps) for b in branches)
+
+
+def test_continuation_equals_the_per_branch_loop_on_edge_cases():
+    def branch(g, dead=False):
+        return {"dead": dead, "points": [(0, 1.0, complex(g), "complex")]}
+
+    # far values in two other quadrants, so the searches there see more
+    # than 8 distinct values
+    far = [10.0 + k for k in range(10)] + [(10.0 + k) * (1 - 1j)
+                                           for k in range(10)]
+    branches = [
+        # more live branches in the first quadrant than values there
+        branch(1 + 1j), branch(2 + 1j), branch(3 + 1j), branch(4 + 1j),
+        # dead branches stay dead and take nothing
+        branch(1.5 + 1.0j, dead=True), branch(-2.0, dead=True),
+        # equal distance to two distinct values: the lower index wins
+        branch(1.5), branch(-1.5 + 1.5j),
+    ]
+    values = np.array([2.0, 1.0, 1.5 + 1.0j, -1.5 + 2.5j, -1.5 + 0.5j,
+                       *far, 2.0, 1.0], dtype=complex)
+    ours = continue_both(branches, [(values, 2.0)])
+    assert [p[2] for p in ours[0]["points"]] == [1 + 1j, 1.5 + 1j]
+    assert [b["dead"] for b in ours[:6]] == [False] + [True] * 5
+    assert all(len(b["points"]) == 1 for b in ours[1:6])
+    assert [p[2] for p in ours[6]["points"]] == [1.5, 2.0]
+    assert [p[2] for p in ours[7]["points"]] == [-1.5 + 1.5j, -1.5 + 2.5j]
+
+
+def test_continuation_breaks_a_tie_past_the_8_nearest_by_index():
+    # seven branches keep their own values; the eighth, at 5 + 5i, finds
+    # those seven taken and twelve free values at exactly 1.25, of which
+    # only one is among its 8 nearest: the lowest index wins, as in a scan
+    centre = 5 + 5j
+    near = [centre + 0.01 * (k + 1) for k in range(7)]
+    ring = [centre + complex(x, y) for x, y in
+            [(0.75, 1.0), (-0.75, 1.0), (0.75, -1.0), (-0.75, -1.0),
+             (1.0, 0.75), (-1.0, 0.75), (1.0, -0.75), (-1.0, -0.75),
+             (1.25, 0.0), (-1.25, 0.0), (0.0, 1.25), (0.0, -1.25)]]
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        values = np.array(near + [ring[i] for i in rng.permutation(12)])
+        branches = [{"dead": False, "points": [(0, 1.0, g, "complex")]}
+                    for g in near + [centre]]
+        ours = continue_both(branches, [(values[rng.permutation(19)], 2.0)])
+        assert abs(ours[7]["points"][1][2] - centre) == 1.25
+
+
+def test_a_failed_step_ends_the_sweep_as_an_input_error(tmp_path, capsys,
+                                                        monkeypatch):
+    # step 1 of 3 (eps2 = 2.5) raises while the others may still run
+    solve = eigensolver.solve_pencil
+
+    def failing(pencil, **kwargs):
+        if pencil.exclusion.eps2 == 2.5:
+            raise eigensolver.EigensolverError("step 1 cannot be solved")
+        return solve(pencil, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "solve_pencil", failing)
+    monkeypatch.setenv("WAVEPENCIL_WORKERS", "2")
+    cfg = write(tmp_path, "cfg.ini", SMALL_HOMOG.replace("nx = 8", "nx = 4")
+                .replace("ny = 8", "ny = 4"))
+    out = tmp_path / "out"
+    before = set(threading.enumerate())
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--eps2-from", "2.0", "--eps2-to", "3.0", "--steps", "3"])
+    assert code == 2
+    assert "error: step 1 cannot be solved" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+    assert [t for t in threading.enumerate()
+            if t not in before and t.is_alive()] == []
 
 
 def test_sweep_subcommand_wiring(tmp_path):
