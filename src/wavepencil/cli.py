@@ -212,10 +212,10 @@ def run(cfg, out_dir, mesh=None):
                      oracle_mismatches=mismatches, exit_code=exit_code)
 
 
-def _quadrant(values, tol=1e-9):
-    """Quadrant code 3 sgn(Re g) + sgn(Im g); a part within tol has sign 0."""
+def _quadrant(values):
+    """Quadrant code 3 sgn(Re g) + sgn(Im g); a part within 1e-9 has sign 0."""
     parts = np.stack((values.real, values.imag))
-    signs = np.where(np.abs(parts) <= tol, 0.0, np.sign(parts))
+    signs = np.where(np.abs(parts) <= 1e-9, 0.0, np.sign(parts))
     return 3.0 * signs[0] + signs[1]
 
 
@@ -225,8 +225,10 @@ def _continue_branches(branches, values, classes, step, eps2):
     Live branches take, in creation order, the nearest unused value of
     their own quadrant, the lowest index among equal distances; a branch
     without one dies, and every value left unused starts a branch.  Per
-    quadrant that is ``analysis._match_nearest`` in creation order.
-    ``classes`` holds the ``SpectrumClass`` of each value.
+    quadrant that is ``analysis._match_nearest`` in creation order, one
+    dense block of the quadrant's branches by its values (at most 292
+    values a quadrant at slab nx = 12).  ``classes`` holds the
+    ``SpectrumClass`` of each value.
     """
     quadrant = _quadrant(values)
     free = np.ones(len(values), dtype=bool)

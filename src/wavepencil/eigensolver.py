@@ -38,11 +38,6 @@ MAX_COMPANION_DIM = 8000
 #: Rank cutoff of ``numerical_nullity``, relative to the coefficient scale.
 NULLITY_REL_TOL = 1e-8
 
-#: Multiple of 2n u max|M| (u the unit roundoff, M the parity square) that
-#: an entry ``deflate_square`` sets exactly may be off by before the
-#: deflation fails.
-DEFLATION_TOL = 1.0
-
 
 class EigensolverError(RuntimeError):
     pass
@@ -297,8 +292,9 @@ def _transform(x, plane, inverse=False):
 
 
 def _deflation_tol(square):
-    """``DEFLATION_TOL`` times 2n u max|square|, u the unit roundoff."""
-    return DEFLATION_TOL * len(square) * 0.5 * np.finfo(float).eps \
+    """2n u max|square|, u the unit roundoff: how far an entry that
+    ``deflate_square`` sets exactly may be off before the deflation fails."""
+    return len(square) * 0.5 * np.finfo(float).eps \
         * max(square.max(), -square.min())
 
 
@@ -400,23 +396,26 @@ def _deflate(pencil, gamma, mat, fields, cutoff):
 
 
 def numerical_nullity(pencil, gamma):
-    """Count of singular values of L(gamma) below NULLITY_REL_TOL * scale.
+    """Count of |eigenvalues| of L(gamma) at most NULLITY_REL_TOL * scale.
 
-    The scale is ``pencil.coefficient_scale``, which unlike ||L(gamma)||
-    does not collapse when the pencil degenerates.  Where L(gamma) is real
-    symmetric (real gamma on symmetric operators) its singular values are
-    the |eigenvalues| from the symmetric eigensolver; any other L(gamma),
-    complex or asymmetric, takes the SVD.  At a degeneration point a real
-    symmetric L(gamma) first loses the fields the mesh makes null
+    gamma must be real and L(gamma) exactly symmetric, so that its
+    singular values are its |eigenvalues| from the symmetric eigensolver;
+    otherwise ValueError names gamma.  The scale is
+    ``pencil.coefficient_scale``, which unlike ||L(gamma)|| does not
+    collapse when the pencil degenerates.  At a degeneration point
+    L(gamma) first loses the fields the mesh makes null
     (``degeneration_null_nodes``, ``_deflate``): they count as null, and
     the eigensolve runs on the rest, about half of L.  A dropped field
     whose column is above the cutoff raises ValueError.
     """
+    if complex(gamma).imag != 0.0:
+        raise ValueError(f"L({gamma:g}): the nullity is counted at real "
+                         f"gamma only")
     mat = pencil_mod.evaluate(pencil, gamma)
+    if not np.array_equal(mat, mat.T):
+        raise ValueError(f"L({gamma:g}) is not exactly symmetric, so its "
+                         f"nullity is not counted")
     cutoff = NULLITY_REL_TOL * pencil_mod.coefficient_scale(pencil, gamma)
-    if not (np.isrealobj(mat) and np.array_equal(mat, mat.T)):
-        svals = np.linalg.svd(mat, compute_uv=False)
-        return int(np.sum(svals <= cutoff))
     dropped = 0
     fields = null_fields(pencil.spaces, pencil.eps1, pencil.eps2, gamma)
     if fields is not None:

@@ -164,6 +164,124 @@ def test_symmetry_pairing_takes_exact_ties_without_a_search(monkeypatch):
         assert not np.any(dist[ties])
 
 
+def scan_match(values, targets, order=None):
+    """Greedy matching by brute force: each target in turn scans the free
+    values and takes the first nearest, in ``order`` or nearest first."""
+    if order is None:
+        near = [np.min(np.abs(values - t)) for t in targets]
+        order = np.argsort(near, kind="stable")
+    free = np.ones(len(values), dtype=bool)
+    out_idx = np.empty(len(targets), dtype=int)
+    out_dist = np.empty(len(targets))
+    for t in order:
+        cands = np.flatnonzero(free)
+        dist = np.abs(values[cands] - targets[t])
+        k = np.argmin(dist)
+        out_idx[t], out_dist[t] = cands[k], dist[k]
+        free[cands[k]] = False
+    return out_idx, out_dist
+
+
+def assert_matches_scan(values, targets, order=None):
+    idx, dist = analysis._match_nearest(values, targets, order=order)
+    ref_idx, ref_dist = scan_match(values, targets, order=order)
+    assert idx.tolist() == ref_idx.tolist()
+    assert [d.hex() for d in dist.tolist()] == \
+        [d.hex() for d in ref_dist.tolist()]
+    assert len(set(idx.tolist())) == len(idx)
+
+
+def clustered_values(rng, n):
+    """Scattered complex values with runs of bit-equal values at +-1 and
+    +-2i, one run with a negative zero imaginary part, shuffled."""
+    scattered = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    runs = [np.full(rng.integers(3, 12), root, dtype=complex)
+            for root in (1.0, -1.0, 2.0j, -2.0j)]
+    runs.append(np.full(5, complex(1.0, -0.0)))
+    vals = np.concatenate([scattered, *runs])
+    return vals[rng.permutation(len(vals))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_match_nearest_equals_the_scan_on_clustered_values(seed):
+    rng = np.random.default_rng(seed)
+    values = clustered_values(rng, 40)
+    # targets near the runs, on them, and scattered; fewer than values
+    targets = np.concatenate([
+        values[rng.choice(len(values), 20, replace=False)]
+        + 0.05 * rng.standard_normal(20),
+        np.array([1.0, complex(1.0, -0.0), -1.0, 2.0j, 0.0]),
+        rng.standard_normal(10) + 1j * rng.standard_normal(10)])
+    assert len(targets) < len(values)
+    assert_matches_scan(values, targets)
+    assert_matches_scan(values, targets, order=np.arange(len(targets)))
+    assert_matches_scan(values, targets, order=rng.permutation(len(targets)))
+    # as many targets as values: every value is taken
+    full = values[rng.permutation(len(values))] + 1e-3
+    assert_matches_scan(values, full)
+    assert sorted(analysis._match_nearest(values, full)[0]) == \
+        list(range(len(values)))
+
+
+def test_match_nearest_breaks_exact_distance_ties_by_index():
+    # twelve distinct values at exactly 1.25 from the centre, and five
+    # targets at the centre: each takes the lowest free index
+    centre = 5 + 5j
+    ring = np.array([centre + complex(x, y) for x, y in
+                     [(0.75, 1.0), (-0.75, 1.0), (0.75, -1.0), (-0.75, -1.0),
+                      (1.0, 0.75), (-1.0, 0.75), (1.0, -0.75), (-1.0, -0.75),
+                      (1.25, 0.0), (-1.25, 0.0), (0.0, 1.25), (0.0, -1.25)]])
+    assert np.all(np.abs(ring - centre) == 1.25)
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        values = ring[rng.permutation(len(ring))]
+        targets = np.full(5, centre)
+        idx, dist = analysis._match_nearest(values, targets)
+        assert idx.tolist() == list(range(5)) and np.all(dist == 1.25)
+        assert_matches_scan(values, targets)
+        assert_matches_scan(values, targets, order=np.arange(5)[::-1])
+
+
+def test_match_nearest_of_no_targets():
+    for values in (np.zeros(0, dtype=complex), np.array([1.0, 2.0j])):
+        for order in (None, np.zeros(0, dtype=int)):
+            idx, dist = analysis._match_nearest(
+                values, np.zeros(0, dtype=complex), order=order)
+            assert idx.shape == (0,) and dist.shape == (0,)
+            assert idx.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("case", ["slab-eps4", "slab-eps1", "homog", "slit"])
+def test_symmetry_pairing_of_a_solve_searches_nothing(case, monkeypatch,
+                                                      slab_spaces,
+                                                      slab_eigenvalues,
+                                                      homog_eigenvalues,
+                                                      slit_mesh):
+    # +-sqrt(mu) is exact and LAPACK returns exact conjugate pairs: every
+    # partner of a solved spectrum is bit-equal, and the search is idle
+    vals = {
+        "slab-eps4": lambda: slab_eigenvalues,
+        "slab-eps1": lambda: solve_pencil(wp.make_pencil(
+            wp.assemble_matrices(slab_spaces, 1.0, 1.0))).eigenvalues,
+        "homog": lambda: homog_eigenvalues,
+        "slit": lambda: solve_pencil(wp.make_pencil(wp.assemble_matrices(
+            wp.build_spaces(slit_mesh), 1.0, 4.0))).eigenvalues,
+    }[case]()
+    searched = []
+    nearest = analysis._match_nearest
+
+    def counted(values, targets):
+        searched.append(len(targets))
+        return nearest(values, targets)
+
+    monkeypatch.setattr(analysis, "_match_nearest", counted)
+    rep = symmetry_pairing(vals)
+    assert searched == [0, 0, 0]
+    assert rep.max_normalized == 0.0
+    for idx, _ in rep.partners.values():
+        assert sorted(idx) == list(range(len(vals)))
+
+
 def test_symmetry_pairing_flags_broken_symmetry():
     vals = np.array([1.0, -1.0, 2.0j, -2.0j, 0.5 + 0.5j], dtype=complex)
     rep = symmetry_pairing(vals)

@@ -503,24 +503,36 @@ def _svd_nullity(pencil, gamma, rel_tol=1e-8):
     return int(np.sum(svals <= _svd_cutoff(pencil, gamma, rel_tol)))
 
 
-@pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0, -2.0, 0.7 + 0.3j])
+@pytest.mark.parametrize("gamma", [1.0, -1.0, 2.0, -2.0])
 def test_numerical_nullity_equals_svd_count(slab_pencil, gamma):
     assert numerical_nullity(slab_pencil, gamma) == \
         _svd_nullity(slab_pencil, gamma)
 
 
-def test_numerical_nullity_of_an_asymmetric_pencil_is_the_svd_count(
-        slab_matrices, slab_pencil):
+def test_numerical_nullity_refuses_a_complex_gamma(slab_pencil, monkeypatch):
+    # L(gamma) is complex there: refused before it is evaluated
+    def evaluate(pencil, gamma):
+        raise AssertionError("L(gamma) evaluated")
+
+    monkeypatch.setattr(pencil_mod, "evaluate", evaluate)
+    with pytest.raises(ValueError, match=r"L\(0\.7\+0\.3j\): .* real gamma"):
+        numerical_nullity(slab_pencil, 0.7 + 0.3j)
+
+
+def test_numerical_nullity_refuses_an_asymmetric_pencil(slab_matrices,
+                                                        slab_pencil):
     # one entry above the diagonal of A1, on a row and a column that the
-    # kernel at gamma = 1 uses: a solver that reads one triangle misses it
+    # kernel at gamma = 1 uses: a solver that reads one triangle misses it,
+    # and the SVD count sees it
     vecs = null_space_basis(slab_pencil, 1.0, max_dim=slab_pencil.n)
     weight = np.abs(vecs).sum(axis=1)
     i, j = sorted(np.argsort(weight)[-2:])
     a1 = slab_matrices.a1.copy()
     a1[i, j] += 1.0
     bad = wp.make_pencil(dataclasses.replace(slab_matrices, a1=a1))
-    assert numerical_nullity(bad, 1.0) == _svd_nullity(bad, 1.0) \
-        < numerical_nullity(slab_pencil, 1.0)
+    assert _svd_nullity(bad, 1.0) < numerical_nullity(slab_pencil, 1.0)
+    with pytest.raises(ValueError, match=r"L\(1\) is not exactly symmetric"):
+        numerical_nullity(bad, 1.0)
 
 
 @pytest.mark.parametrize("field", ["electric", "magnetic"])
@@ -545,5 +557,5 @@ def test_null_space_basis_at_a_complex_eigenvalue(slab_pencil, slab_eigenvalues)
                             & (np.abs(slab_eigenvalues.imag) > 1e-3)]
     g = vals[np.argmin(np.abs(vals))]
     basis = null_space_basis(slab_pencil, g)
-    assert basis.shape[1] == numerical_nullity(slab_pencil, g) == 1
+    assert basis.shape[1] == _svd_nullity(slab_pencil, g) == 1
     assert residual(slab_pencil, g, basis[:, 0]) <= 1e-12
