@@ -32,6 +32,7 @@ from scipy import linalg
 from .assembly import assemble_s_line, assemble_s_volume
 from .eigensolver import null_fields, numerical_nullity
 from .pencil import ExclusionInterval, _terms, degeneration_points
+from .spaces import ROW_BLOCK
 
 
 #: Bound on the normalized partner distance |partner - target| / (1 + |g|).
@@ -149,15 +150,18 @@ def _match_nearest(values, targets, order=None):
     Each target, in ``order`` (by default nearest first), takes the
     nearest free value |value - target|, the lowest index among equal
     distances, as a scan of the free values would.  The distances are one
-    dense block, |targets|·|values|·8 bytes (and the complex difference
-    it is formed from twice that, while it is formed): a taken value's
+    dense block, |targets|·|values|·8 bytes, filled ``ROW_BLOCK`` rows at
+    a time from the complex difference of those rows: a taken value's
     column is set to inf, and ``argmin`` gives the first minimum of a
     row.  The symmetry pairing's rest is empty on a solve's spectrum, and
     a continuation quadrant at slab nx = 12 holds at most 292 values, a
     0.7 MB block.  There must be no more targets than values.  Returns
     (indices, distances) as ``_match_multiset``.
     """
-    dist = np.abs(values - targets[:, None])
+    dist = np.empty((len(targets), len(values)))
+    for start in range(0, len(targets), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        np.abs(values - targets[rows, None], out=dist[rows])
     if order is None:
         order = np.argsort(dist.min(axis=1, initial=np.inf), kind="stable")
     out_idx = np.empty(len(targets), dtype=int)
@@ -595,7 +599,10 @@ def verify_all(matrices, pencil=None, spectrum=None,
             tol = 1e-10 if name == "conj" else SYMMETRY_TOL
             rep.add(f"symmetry_{name}_closure",
                     np.max(normalized[name], initial=0.0), tol, "<=")
-        is_complex = spectrum.classes == SpectrumClass.COMPLEX
+        # elementwise: numpy compares an array with the str-Enum member as
+        # the fixed-width string 'Spectru', which no class equals
+        is_complex = np.array([c is SpectrumClass.COMPLEX
+                               for c in spectrum.classes], dtype=bool)
         rep.add("complex_quadruples",
                 max(np.max(d, initial=0.0, where=is_complex)
                     for d in normalized.values()), SYMMETRY_TOL, "<=")

@@ -5,7 +5,9 @@ spaces: two weighted gradient forms, the weighted L2 form, and the
 interface coupling between the two fields.  The coupling is assembled by
 two independent routes -- a line integral over the oriented interface and
 an equivalent signed volume form -- whose agreement is the regression
-test for the orientation convention.
+test for the orientation convention.  The pencil forms each operator on
+its first read, and takes its coefficient norms from the sparse nodal
+forms, so assembling a pencil forms no n x n array.
 
 All assembly is real: the forms have real coefficients, so Hermiticity
 checks are plain symmetry checks.
@@ -13,14 +15,14 @@ checks are plain symmetry checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import assembly_kernels as kernels
 from .pencil import coefficients, exclusion_interval
-from .spaces import FieldSpaces, write_reduced
+from .spaces import FieldSpaces, reflector, write_reduced
 
 
 #: Rows of the operators taken at a time when summing coefficient norms.
@@ -31,7 +33,7 @@ class AssemblyError(ValueError):
     """Invalid material parameters or inconsistent interface data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PencilMatrices:
     """The four operator matrices with their permittivities.
 
@@ -40,15 +42,40 @@ class PencilMatrices:
     is block off-diagonal and flips sign under the field-parity operator.
     The operators with the two permittivities determine the quartic
     pencil, so this is also the pencil the ``pencil`` module works on.
+
+    ``k``, ``a1``, ``a2`` and ``s`` are dense n x n arrays.  One that is
+    not supplied is formed from the spaces on its first read, by
+    ``assemble_k``, ``assemble_a1``, ``assemble_a2`` or
+    ``assemble_s_line`` (``__getattr__``), and kept.
+    ``dataclasses.replace`` reads every field, so it carries the
+    operators over, formed.
     """
 
     spaces: FieldSpaces
     eps1: float
     eps2: float
-    k: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    s: np.ndarray
+    k: np.ndarray = field(default=None, repr=False)
+    a1: np.ndarray = field(default=None, repr=False)
+    a2: np.ndarray = field(default=None, repr=False)
+    s: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        # a read of an operator left unset then finds nothing and goes to
+        # __getattr__, which forms it; a functools.cached_property would
+        # do the same, but before Python 3.12 it holds one lock across all
+        # instances, so the sweep's workers would form operators in turn
+        unset = [name for name in _FORMS if self.__dict__[name] is None]
+        for name in unset:
+            del self.__dict__[name]
+        self.__dict__["_from_spaces"] = len(unset) == len(_FORMS)
+
+    def __getattr__(self, name):
+        """Form an operator left unset on its first read, and keep it."""
+        if name not in _FORMS:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        op = self.__dict__[name] = _FORMS[name](self)
+        return op
 
     @property
     def eps_max(self):
@@ -56,7 +83,9 @@ class PencilMatrices:
 
     @property
     def n(self):
-        return self.k.shape[0]
+        if self.spaces is None:
+            return self.k.shape[0]
+        return self.spaces.n
 
     @property
     def exclusion(self):
@@ -66,10 +95,14 @@ class PencilMatrices:
     def coefficient_norms(self):
         """Frobenius norms of the pencil's (C0, C1, C2, C4), for residuals.
 
-        ||C0||^2 and ||C2||^2 are summed over ``NORM_ROW_BLOCK`` row
-        blocks of ``pencil.coefficients``, so no n x n temporary is formed;
-        ||C1|| = |eps1 - eps2| ||S||.
+        When the four operators come from the spaces, the norms are those
+        of the sparse nodal forms (``_nodal_norms``), in O(nnz) and with
+        no operator formed.  Otherwise ||C0||^2 and ||C2||^2 are summed
+        over ``NORM_ROW_BLOCK`` row blocks of ``pencil.coefficients``, so
+        no n x n temporary is formed; ||C1|| = |eps1 - eps2| ||S||.
         """
+        if self._from_spaces:
+            return _nodal_norms(self.spaces, self.eps1, self.eps2)
         sq0 = sq2 = 0.0
         for start in range(0, self.n, NORM_ROW_BLOCK):
             c0, _, c2 = (c.ravel() for c in coefficients(
@@ -201,15 +234,69 @@ def assemble_s_volume(spaces):
 
 
 def assemble_matrices(spaces, eps1, eps2):
-    """Assemble all four operators, S by the line route."""
-    _check_eps(eps1, eps2)
-    return PencilMatrices(
-        spaces=spaces,
-        eps1=float(eps1),
-        eps2=float(eps2),
-        k=assemble_k(spaces, eps1, eps2),
-        a1=assemble_a1(spaces, eps1, eps2),
-        a2=assemble_a2(spaces, eps1, eps2),
-        s=assemble_s_line(spaces),
-    )
+    """The pencil of the spaces and permittivities, S by the line route.
 
+    The permittivities and the interface data are checked here; the four
+    operators are formed on their first read (``PencilMatrices``).
+    """
+    _check_eps(eps1, eps2)
+    _check_interface(spaces)
+    return PencilMatrices(spaces=spaces, eps1=float(eps1), eps2=float(eps2))
+
+
+def _nodal_norms(spaces, eps1, eps2):
+    """Frobenius norms of (C0, C1, C2, C4) from the sparse nodal forms.
+
+    Per block of each coefficient, combined on the nodal forms as
+    ``pencil.coefficients`` combines the operators: an electric block
+    ``X[pi, pi]`` directly, a magnetic block ``Z^T X Z`` as
+    ||X||^2 - 2 ||X h||^2 + (h^T X h)^2 and a block ``Z^T Y`` of S as
+    ||Y||^2 - ||Y^T h||^2, h = H e_1 being the reflector's first column,
+    which completes Z to the orthogonal H.  O(nnz) work and memory.
+    """
+    mesh, pi = spaces.mesh, spaces.pi_nodes
+    v, beta = reflector(spaces.mean_vector)
+    h = (-beta * v[0]) * v
+    h[0] += 1.0
+
+    def sq(x):
+        return x.data @ x.data
+
+    def electric(x):
+        return sq(x[np.ix_(pi, pi)])
+
+    def magnetic(x):
+        xh = x @ h
+        return sq(x) - 2.0 * (xh @ xh) + (h @ xh) ** 2
+
+    def coupling(y):
+        yh = y.T @ h
+        return sq(y) - yh @ yh
+
+    mass_e = kernels.nodal_mass(mesh, eps1, eps2)
+    mass = kernels.nodal_mass(mesh, 1.0, 1.0)
+    stiff_e = kernels.nodal_stiffness(mesh, eps1, eps2)
+    stiff = kernels.nodal_stiffness(mesh, 1.0, 1.0)
+    stiff_inv = kernels.nodal_stiffness(mesh, 1.0 / eps1, 1.0 / eps2)
+    d = kernels.interface_line_matrix(mesh)
+    trace = eps1 + eps2
+    sq0 = electric(mass_e - stiff) + magnetic(mass - stiff_inv)
+    sq1 = coupling(d[:, pi]) + coupling(d[pi, :].T)
+    sq2 = electric(stiff_e - trace * mass_e) + magnetic(stiff - trace * mass)
+    sq4 = electric(mass_e) + magnetic(mass)
+    return (eps1 * eps2 * np.sqrt(sq0), abs(eps1 - eps2) * np.sqrt(sq1),
+            np.sqrt(sq2), np.sqrt(sq4))
+
+
+#: How each unset operator is formed on its first read; each assembly
+#: function is looked up by its module name when it is called.
+_FORMS = {"k": lambda m: assemble_k(m.spaces, m.eps1, m.eps2),
+          "a1": lambda m: assemble_a1(m.spaces, m.eps1, m.eps2),
+          "a2": lambda m: assemble_a2(m.spaces, m.eps1, m.eps2),
+          "s": lambda m: assemble_s_line(m.spaces)}
+
+# The dataclass leaves each operator's default, None, on the class, where
+# a read would find it before __getattr__.
+for _name in _FORMS:
+    delattr(PencilMatrices, _name)
+del _name

@@ -84,10 +84,14 @@ def degeneration_points(eps1, eps2):
 
 
 def make_pencil(matrices):
-    """Check that the operators share one square shape; they are the pencil."""
-    shapes = {m.shape for m in (matrices.k, matrices.a1, matrices.a2,
-                                matrices.s)}
-    if len(shapes) != 1 or matrices.k.shape[0] != matrices.k.shape[1]:
+    """Check that the operators share one square shape; they are the pencil.
+
+    Only the operators the pencil holds, supplied or already formed, are
+    checked; none is formed here (``assembly.PencilMatrices``).
+    """
+    n = matrices.n
+    held = (vars(matrices).get(name) for name in ("k", "a1", "a2", "s"))
+    if any(op is not None and op.shape != (n, n) for op in held):
         raise PencilError("operator matrices must share one square shape")
     return matrices
 

@@ -463,16 +463,16 @@ def test_verify_all_report_json_shape(slab_matrices):
 
 
 def test_verify_all_working_memory_is_bounded():
-    # Beyond the operators and the Gram blocks (formed here before the
-    # trace), verify_all holds the two reassembled S matrices and its tile
-    # buffers: 2.16 n^2 doubles measured at nx = 20, where holding the
-    # four defects O - O^T at once would take 4.01.  At nx = 12 the tile
-    # buffers are comparable with n^2.
+    # Beyond the operators and the Gram blocks (both formed here before
+    # the trace), verify_all holds the two reassembled S matrices and its
+    # tile buffers: 2.16 n^2 doubles measured at nx = 20, where holding
+    # the four defects O - O^T at once would take 4.01.  At nx = 12 the
+    # tile buffers are comparable with n^2.
     for nx, n, bound in ((12, 289, 5.0), (20, 801, 2.25)):
         mats = wp.assemble_matrices(wp.build_spaces(
             wp.generate_rect_slab(PI, PI, PI / 2, nx, nx)), 1.0, 4.0)
         assert mats.n == n
-        mats.gram
+        mats.k, mats.a1, mats.a2, mats.s, mats.gram
         peak = traced_peak(lambda: verify_all(mats, pencil=mats))
         assert peak <= bound * n * n * 8, nx
 
@@ -493,6 +493,40 @@ def test_symmetry_margins_read_the_pairing(slab_matrices, slab_eigenvalues):
     assert is_complex.any()
     assert rep["complex_quadruples"].margin == pytest.approx(
         max(w[is_complex].max() for w in worst.values()), rel=1e-15, abs=0)
+
+
+def test_complex_quadruples_reads_the_complex_values(slab_matrices,
+                                                     slab_eigenvalues):
+    spec = build_spectrum(slab_eigenvalues, EXC)
+    is_complex = np.array([c is SpectrumClass.COMPLEX for c in spec.classes])
+    assert np.count_nonzero(is_complex) == 20
+    assert verify_all(slab_matrices, spectrum=spec)["complex_quadruples"] \
+        .passed
+    # one complex value off its quadruple: its partners are 1e-6 away
+    vals = slab_eigenvalues.copy()
+    k = np.flatnonzero(is_complex)[0]
+    vals[k] += 1e-6
+    nudged = build_spectrum(vals, EXC)
+    assert nudged.counts[SpectrumClass.COMPLEX] == 20
+    check = verify_all(slab_matrices, spectrum=nudged)["complex_quadruples"]
+    assert check.margin == pytest.approx(1e-6 / (1.0 + abs(vals[k])),
+                                         rel=1e-6)
+    assert not check.passed
+
+
+@pytest.mark.parametrize("eps2,nx,total,first_quadrant", [
+    (4.0, 8, 20, 5), (4.0, 12, 52, 13), (2.5, 8, 12, 3), (2.5, 12, 44, 11)])
+def test_slab_complex_count_is_pinned(eps2, nx, total, first_quadrant):
+    # The exact slab spectrum has no complex values; the discrete pencil's
+    # come in quadruples and grow with the mesh.  Any change shows here.
+    mats = wp.assemble_matrices(wp.build_spaces(
+        wp.generate_rect_slab(PI, PI, PI / 2, nx, nx)), 1.0, eps2)
+    spec = build_spectrum(solve_pencil(mats).eigenvalues, mats.exclusion)
+    assert spec.counts["complex"] == total
+    vals = spec.eigenvalues[[c is SpectrumClass.COMPLEX
+                             for c in spec.classes]]
+    assert np.count_nonzero((vals.real > 0) & (vals.imag > 0)) \
+        == first_quadrant
 
 
 def test_verify_all_fails_on_flipped_interface_edge(slab_mesh):

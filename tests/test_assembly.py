@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ from scipy import linalg
 
 import wavepencil as wp
 from wavepencil import assembly_kernels as kernels
-from wavepencil.assembly import (AssemblyError, assemble_s_line,
-                                 assemble_s_volume)
+from wavepencil.assembly import (AssemblyError, PencilMatrices,
+                                 assemble_s_line, assemble_s_volume)
 from conftest import interface_node_mask, parity_signs, traced_peak
 
 PI = math.pi
@@ -187,14 +188,85 @@ def test_operator_blocks_are_the_products_with_null_basis(request, mesh_name,
 
 
 def test_assembly_working_memory_is_the_four_operators():
-    # The four operators are 4 n^2 doubles; the peak above entry measured
-    # 4.01 n^2 at nx = 28, and a dense copy of each nodal block on the way
-    # raises it to 4.75.
+    # The operators are formed on their first read.  The four are 4 n^2
+    # doubles; the peak above entry measured 4.01 n^2 at nx = 28, and a
+    # dense copy of each nodal block on the way raises it to 4.75.
     spaces = wp.build_spaces(wp.generate_rect_slab(PI, PI, PI / 2, 28, 28))
     n = spaces.n
     assert n == 1569
-    peak = traced_peak(lambda: wp.assemble_matrices(spaces, 1.0, 4.0))
+    mats = wp.assemble_matrices(spaces, 1.0, 4.0)
+    peak = traced_peak(lambda: (mats.k, mats.a1, mats.a2, mats.s))
     assert peak <= 4.25 * n * n * 8
+
+
+def test_assembled_pencil_norms_form_no_operator():
+    # Mesh to coefficient norms in O(nnz): no n x n array is formed, and
+    # one dense operator would be n^2 doubles.  The peak measured 6.0% of
+    # that at nx = 28, almost all of it the COO-to-CSR transient of a
+    # nodal kernel call (4.0% each) beside the forms already held.
+    def norms():
+        mesh = wp.generate_rect_slab(PI, PI, PI / 2, 28, 28)
+        pen = wp.make_pencil(wp.assemble_matrices(wp.build_spaces(mesh),
+                                                  1.0, 4.0))
+        return pen.n, pen.coefficient_norms
+
+    n = 1569
+    assert norms()[0] == n
+    assert traced_peak(norms) <= 0.1 * n * n * 8
+
+
+def test_operators_are_formed_on_first_read(slab_spaces):
+    mats = wp.assemble_matrices(slab_spaces, 1.0, 4.0)
+    names = {"k", "a1", "a2", "s"}
+    # none of these reads an operator
+    wp.make_pencil(mats)
+    repr(mats)
+    assert mats.n == slab_spaces.n
+    assert mats.coefficient_norms[1] > 0.0
+    assert not names & set(vars(mats))
+    for name, want in (("k", wp.assemble_k(slab_spaces, 1.0, 4.0)),
+                       ("a1", wp.assemble_a1(slab_spaces, 1.0, 4.0)),
+                       ("a2", wp.assemble_a2(slab_spaces, 1.0, 4.0)),
+                       ("s", assemble_s_line(slab_spaces))):
+        got = getattr(mats, name)
+        assert type(got) is np.ndarray
+        assert np.array_equal(got, want)
+        assert getattr(mats, name) is got
+    # replace carries the formed operators over
+    swapped = dataclasses.replace(mats, eps1=4.0, eps2=1.0)
+    assert all(getattr(swapped, name) is getattr(mats, name) for name in names)
+
+
+def test_inconsistent_interface_fails_at_assembly(slab_spaces):
+    mesh = slab_spaces.mesh
+    bad = wp.Mesh(nodes=mesh.nodes.copy(), triangles=mesh.triangles.copy(),
+                  regions=mesh.regions.copy(), edges=mesh.edges.copy(),
+                  edge_tags=mesh.edge_tags,
+                  interface_edges=mesh.interface_edges[:-1].copy())
+    with pytest.raises(AssemblyError):
+        wp.assemble_matrices(wp.build_spaces(bad), 1.0, 4.0)
+
+
+@pytest.mark.parametrize("mesh_name,eps", [
+    ("slab10", (1.0, 4.0)), ("slab10", (1.0, 2.5)),
+    ("slab20", (1.0, 4.0)), ("slab20", (1.0, 2.5)),
+    ("homog_mesh", (2.0, 2.0)), ("slit_mesh", (1.0, 4.0))])
+def test_nodal_norms_equal_the_dense_row_block_sum(request, mesh_name, eps):
+    if mesh_name.startswith("slab"):
+        nx = int(mesh_name[4:])
+        mesh = wp.generate_rect_slab(PI, PI, PI / 2, nx, nx)
+    else:
+        mesh = request.getfixturevalue(mesh_name)
+    mats = wp.assemble_matrices(wp.build_spaces(mesh), *eps)
+    nodal = mats.coefficient_norms
+    # given the operators, the pencil sums its dense row blocks
+    dense = PencilMatrices(spaces=mats.spaces, eps1=mats.eps1,
+                           eps2=mats.eps2, k=mats.k, a1=mats.a1, a2=mats.a2,
+                           s=mats.s).coefficient_norms
+    for got, want in zip(nodal, dense, strict=True):
+        assert abs(got - want) <= 1e-12 * want
+    if eps[0] == eps[1]:
+        assert nodal[1] == 0.0
 
 
 def test_minimal_interface_agreement_to_machine():

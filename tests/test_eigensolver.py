@@ -126,9 +126,11 @@ def test_balance_in_place_holds_no_array_of_the_matrix_size(slab_pencil):
 def test_solve_pencil_holds_the_companion_once(nx, vectors, bound):
     # the companion, balanced in place, and for vectors the complex
     # (4n)^2 eigenvector array, undone in place; numpy's LAPACK work
-    # copy is not a Python allocation, so tracemalloc does not see it
+    # copy is not a Python allocation, so tracemalloc does not see it.
+    # The operators, formed on first read, are formed before the trace.
     pen = wp.make_pencil(wp.assemble_matrices(wp.build_spaces(
         wp.generate_rect_slab(PI, PI, PI / 2, nx, nx)), 1.0, 4.0))
+    pen.k, pen.a1, pen.a2, pen.s
     dim = 4 * pen.n
     peak = traced_peak(lambda: solve_pencil(pen, compute_vectors=vectors))
     assert peak <= bound * dim * dim * 8
