@@ -273,11 +273,12 @@ def _nodal_norms(spaces, eps1, eps2):
         yh = y.T @ h
         return sq(y) - yh @ yh
 
-    mass_e = kernels.nodal_mass(mesh, eps1, eps2)
-    mass = kernels.nodal_mass(mesh, 1.0, 1.0)
-    stiff_e = kernels.nodal_stiffness(mesh, eps1, eps2)
-    stiff = kernels.nodal_stiffness(mesh, 1.0, 1.0)
-    stiff_inv = kernels.nodal_stiffness(mesh, 1.0 / eps1, 1.0 / eps2)
+    geo = kernels.triangle_geometry(mesh)
+    mass_e = kernels.nodal_mass(mesh, eps1, eps2, geo)
+    mass = kernels.nodal_mass(mesh, 1.0, 1.0, geo)
+    stiff_e = kernels.nodal_stiffness(mesh, eps1, eps2, geo)
+    stiff = kernels.nodal_stiffness(mesh, 1.0, 1.0, geo)
+    stiff_inv = kernels.nodal_stiffness(mesh, 1.0 / eps1, 1.0 / eps2, geo)
     d = kernels.interface_line_matrix(mesh)
     trace = eps1 + eps2
     sq0 = electric(mass_e - stiff) + magnetic(mass - stiff_inv)

@@ -43,26 +43,37 @@ def _region_weight(mesh, w1, w2):
 
 
 def _accumulate(mesh, local):
-    """Scatter (M, 3, 3) element matrices into a CSR over all nodes."""
+    """Scatter (M, 3, 3) element matrices into a CSR over all nodes.
+
+    The indices are built in the dtype the CSR keeps (int32 while n and
+    the entry count fit), so ``coo_matrix`` does not copy them.
+    """
     n = mesh.n_nodes
-    tri = mesh.triangles
+    index = sparse.get_index_dtype(maxval=max(n, local.size))
+    tri = mesh.triangles.astype(index)
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
     mat = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n))
     return mat.tocsr()
 
 
-def nodal_stiffness(mesh, w1, w2):
-    """Gradient form with a piecewise-constant region weight."""
-    areas, grads = triangle_geometry(mesh)
+def nodal_stiffness(mesh, w1, w2, geometry=None):
+    """Gradient form with a piecewise-constant region weight.
+
+    ``geometry`` is ``triangle_geometry(mesh)``, computed when not given.
+    """
+    areas, grads = triangle_geometry(mesh) if geometry is None else geometry
     w = _region_weight(mesh, w1, w2) * areas
     local = np.einsum("t,tad,tbd->tab", w, grads, grads)
     return _accumulate(mesh, local)
 
 
-def nodal_mass(mesh, w1, w2):
-    """L2 form with a piecewise-constant region weight, exact quadrature."""
-    areas, _ = triangle_geometry(mesh)
+def nodal_mass(mesh, w1, w2, geometry=None):
+    """L2 form with a piecewise-constant region weight, exact quadrature.
+
+    ``geometry`` is ``triangle_geometry(mesh)``, computed when not given.
+    """
+    areas, _ = triangle_geometry(mesh) if geometry is None else geometry
     w = _region_weight(mesh, w1, w2) * areas
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = w[:, None, None] * base
@@ -77,7 +88,9 @@ def interface_line_matrix(mesh):
     independent of the edge length.
     """
     n = mesh.n_nodes
-    a, b = mesh.interface_edges.T
+    edges = mesh.interface_edges
+    index = sparse.get_index_dtype(maxval=max(n, 4 * len(edges)))
+    a, b = edges.astype(index).T
     rows = np.stack((a, a, b, b), axis=1).ravel()
     cols = np.stack((a, b, a, b), axis=1).ravel()
     vals = np.tile([-0.5, 0.5, -0.5, 0.5], len(a))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,35 +88,101 @@ class Mesh:
         return mask
 
 
-def _edge_key(i, j):
-    return (i, j) if i < j else (j, i)
+class _Edges(NamedTuple):
+    """The undirected edges of a triangulation, ascending by key.
+
+    ``keys`` holds each edge's key min(i, j) * N + max(i, j), ``counts``
+    the number of triangles that hold it, ``first`` the position 3 t + a
+    of its first half-edge (triangle t, local edge a), so that ascending
+    ``first`` is the order in which the triangles first meet the edges,
+    and ``tris`` its first and second triangle in that order (the first
+    again for an edge of one triangle).
+    """
+
+    keys: np.ndarray
+    counts: np.ndarray
+    first: np.ndarray
+    tris: np.ndarray
 
 
-def _edge_triangle_map(mesh):
-    """Map undirected edge -> list of adjacent triangle indices."""
-    adj = {}
-    for t, tri in enumerate(mesh.triangles):
-        for a in range(3):
-            key = _edge_key(int(tri[a]), int(tri[(a + 1) % 3]))
-            adj.setdefault(key, []).append(t)
-    return adj
+def _edge_keys(pairs, n):
+    """Key min(i, j) * n + max(i, j) of each node pair, as int64."""
+    i, j = pairs.T
+    return np.minimum(i, j).astype(np.int64) * n + np.maximum(i, j)
+
+
+def _edge_table(mesh):
+    """The triangles' edges from one stable sort of their 3M half-edge keys.
+
+    The half-edges are taken in (triangle, local edge) order, so within a
+    run of equal keys the sort keeps them in that order.
+    """
+    tri = mesh.triangles
+    half = np.stack((tri, np.roll(tri, -1, axis=1)), axis=-1).reshape(-1, 2)
+    keys = _edge_keys(half, mesh.n_nodes)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+    counts = np.diff(starts, append=len(keys))
+    first = order[starts]
+    second = np.where(counts > 1, order[np.minimum(starts + 1, len(keys) - 1)],
+                      first)
+    return _Edges(ranked[starts], counts, first,
+                  np.column_stack((first // 3, second // 3)))
+
+
+def _find(keys, wanted):
+    """Position of each wanted key in the ascending keys, and whether found.
+
+    A key that is not there gets position 0.
+    """
+    at = np.searchsorted(keys, wanted)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == wanted[found]
+    return np.where(found, at, 0), found
 
 
 def validate(mesh):
     """Check all structural mesh invariants; raise MeshError on violation.
 
-    Checked: finite node coordinates, index ranges, every node belonging
-    to a triangle (a node in none would carry no basis function and a zero
-    mean-vector entry), the triangles forming one piece through shared
-    nodes (``_pieces``; a second piece would carry a constant magnetic
-    field that the one zero-mean constraint leaves), counterclockwise
-    orientation (positive areas), every boundary edge tagged,
-    gamma0/gammaprime edges on the boundary, gamma edges separating
-    exactly one region-1 from one region-2 triangle, every interior
-    region-change edge being tagged gamma, and every gamma edge stored
-    with region 1 on its left (``_orientation_errors``).
+    Checked in this order: array shapes (nodes (N, 2), triangles (M, 3),
+    edges (E, 2) and interface_edges (K, 2), one region per triangle and
+    one tag per edge), finite node coordinates, index ranges, every node
+    belonging to a triangle (a node in none would carry no basis function
+    and a zero mean-vector entry), the triangles forming one piece through
+    shared nodes (``_pieces``; a second piece would carry a constant
+    magnetic field that the one zero-mean constraint leaves), region tags
+    1 or 2, known edge tags, counterclockwise orientation (positive
+    areas); then the tagged edges, each tagged once, lying on a triangle,
+    gamma edges separating exactly one region-1 from one region-2
+    triangle and gamma0/gammaprime edges on the boundary; then the edges
+    of the triangles, every boundary edge tagged, every region-change
+    edge tagged gamma and no edge shared by more than two triangles;
+    then ``interface_edges`` holding each gamma edge exactly once, and
+    every gamma edge stored with region 1 on its left
+    (``_orientation_errors``).
+
+    The edges are read from one stable sort of the triangles' half-edge
+    keys (``_edge_table``), and the tagged and interface edges are looked
+    up in it.  Where a check fails for several items, the message names
+    the first: the first node, the first unknown tag, the first tagged
+    edge in ``edges`` order (a repeat at its second row), the first edge
+    in the order the triangles first meet it, and the first row of
+    ``interface_edges``.
     """
     n = mesh.n_nodes
+    for name, cols, rows in (("nodes", 2, "N"), ("triangles", 3, "M"),
+                             ("edges", 2, "E"), ("interface_edges", 2, "K")):
+        shape = getattr(mesh, name).shape
+        if len(shape) != 2 or shape[1] != cols:
+            raise MeshError(f"{name} has shape {shape}; expected "
+                            f"({rows}, {cols})")
+    if mesh.regions.shape != (mesh.n_triangles,):
+        raise MeshError(f"regions has shape {mesh.regions.shape}; expected "
+                        f"({mesh.n_triangles},), one tag per triangle")
+    if len(mesh.edge_tags) != len(mesh.edges):
+        raise MeshError(f"{len(mesh.edge_tags)} edge tags for "
+                        f"{len(mesh.edges)} edges")
     finite = np.isfinite(mesh.nodes).all(axis=1)
     if not finite.all():
         raise MeshError(f"node {int(np.argmin(finite))} has a non-finite "
@@ -134,54 +201,67 @@ def validate(mesh):
                         f"{int(apart[0])} is not joined to node 0")
     if not np.all((mesh.regions == 1) | (mesh.regions == 2)):
         raise MeshError("region tags must be 1 or 2")
-    for tag in mesh.edge_tags:
-        if tag not in _KNOWN_TAGS:
-            raise MeshError(f"unknown edge tag {tag!r}")
+    tags = np.array(mesh.edge_tags, dtype=object)
+    known = np.isin(tags, _KNOWN_TAGS)
+    if not known.all():
+        tag = mesh.edge_tags[np.argmin(known)]
+        raise MeshError(f"unknown edge tag {tag!r}")
 
     areas = mesh.triangle_areas()
     if np.any(areas <= 0.0):
         raise MeshError("triangle with non-positive signed area (nodes must be CCW)")
 
-    adj = _edge_triangle_map(mesh)
+    table = _edge_table(mesh)
 
-    tagged = {}
-    for (i, j), tag in zip(mesh.edges, mesh.edge_tags):
-        key = _edge_key(int(i), int(j))
-        if key in tagged:
-            raise MeshError(f"edge {key} tagged more than once")
-        tagged[key] = tag
+    keys = _edge_keys(mesh.edges, n)
+    order = np.argsort(keys, kind="stable")
+    repeats = order[np.diff(keys[order], prepend=-1) == 0]
+    if len(repeats):
+        key = divmod(int(keys[repeats.min()]), n)
+        raise MeshError(f"edge {key} tagged more than once")
 
-    for key, tag in tagged.items():
-        tris = adj.get(key)
-        if tris is None:
-            raise MeshError(f"tagged edge {key} is not an edge of any triangle")
-        if tag == GAMMA:
-            if len(tris) != 2:
-                raise MeshError(f"gamma edge {key} must separate two triangles")
-            regs = {int(mesh.regions[t]) for t in tris}
-            if regs != {1, 2}:
-                raise MeshError(f"gamma edge {key} is interior to one region")
-        else:
-            if len(tris) != 1:
-                raise MeshError(f"{tag} edge {key} must lie on the boundary")
+    at, found = _find(table.keys, keys)
+    count = np.where(found, table.counts[at], 0)
+    regs = mesh.regions[table.tris[at]]
+    gamma = tags == GAMMA
+    wrong = ~found | np.where(gamma, (count != 2) | (regs[:, 0] == regs[:, 1]),
+                              count != 1)
+    if wrong.any():
+        row = int(np.argmax(wrong))
+        key = divmod(int(keys[row]), n)
+        if not found[row]:
+            raise MeshError(f"tagged edge {key} is not an edge of any "
+                            "triangle")
+        if not gamma[row]:
+            raise MeshError(f"{mesh.edge_tags[row]} edge {key} must lie on "
+                            "the boundary")
+        if count[row] != 2:
+            raise MeshError(f"gamma edge {key} must separate two triangles")
+        raise MeshError(f"gamma edge {key} is interior to one region")
 
-    for key, tris in adj.items():
-        if len(tris) == 1 and key not in tagged:
+    # Past the checks above a tagged edge of two triangles is a gamma edge.
+    tagged = np.zeros(len(table.keys), dtype=bool)
+    tagged[at] = True
+    regs = mesh.regions[table.tris]
+    wrong = ((table.counts == 1) & ~tagged) | (table.counts > 2) | (
+        (table.counts == 2) & (regs[:, 0] != regs[:, 1]) & ~tagged)
+    if wrong.any():
+        edge = np.flatnonzero(wrong)[np.argmin(table.first[wrong])]
+        key = divmod(int(table.keys[edge]), n)
+        if table.counts[edge] == 1:
             raise MeshError(f"untagged boundary edge {key}")
-        if len(tris) == 2:
-            r0, r1 = int(mesh.regions[tris[0]]), int(mesh.regions[tris[1]])
-            if r0 != r1 and tagged.get(key) != GAMMA:
-                raise MeshError(f"region-change edge {key} not tagged gamma")
-        if len(tris) > 2:
-            raise MeshError(f"edge {key} shared by more than two triangles")
+        if table.counts[edge] == 2:
+            raise MeshError(f"region-change edge {key} not tagged gamma")
+        raise MeshError(f"edge {key} shared by more than two triangles")
 
-    gamma_keys = {k for k, tag in tagged.items() if tag == GAMMA}
-    iface_keys = {_edge_key(int(i), int(j)) for i, j in mesh.interface_edges}
-    if gamma_keys != iface_keys:
+    iface = mesh.interface_edges
+    outside = iface.size and (iface.min() < 0 or iface.max() >= n)
+    if outside or not np.array_equal(np.sort(keys[gamma]),
+                                     np.sort(_edge_keys(iface, n))):
         raise MeshError("interface_edges and gamma-tagged edges disagree")
-    bad = _orientation_errors(mesh, adj)
-    if bad:
-        i, j = bad[0]
+    bad = _orientation_errors(mesh, table)
+    if bad.any():
+        i, j = iface[np.argmax(bad)]
         raise MeshError(f"gamma edge {i} -> {j} is misoriented: region 1 "
                         f"must lie on its left")
     return mesh
@@ -199,38 +279,37 @@ def _pieces(n, triangles):
     operations.
     """
     label = np.arange(n)
+    corners = triangles.ravel()
     while True:
         labels = label[triangles]
-        low = labels.min(axis=1, keepdims=True)
-        if np.all(labels == low):
+        low = np.minimum(np.minimum(labels[:, 0], labels[:, 1]), labels[:, 2])
+        if np.all(labels == low[:, None]):
             return label
-        np.minimum.at(label, labels, low)
+        # flat indices and values: ufunc.at's fast path, 4x the 2-D form
+        np.minimum.at(label, corners, np.repeat(low, 3))
         label = label[label]
 
 
-def _orientation_errors(mesh, adj):
-    """Return gamma edges whose stored orientation breaks the convention.
+def _orientation_errors(mesh, edges):
+    """True for each gamma edge whose stored orientation breaks the convention.
 
     For an edge stored as ``i -> j`` the normal n = rot90(tangent) must
     point from the region-2 triangle into the region-1 triangle; this is
-    checked against the adjacent triangle centroids, read through the
-    edge -> triangle map ``adj``.
+    checked against the centroids of the two triangles that ``edges``, the
+    ``_edge_table`` of the mesh, gives for the edge.  One flag per row of
+    ``interface_edges``.
     """
-    bad = []
-    for i, j in mesh.interface_edges:
-        key = _edge_key(int(i), int(j))
-        tris = adj[key]
-        tau = mesh.nodes[j] - mesh.nodes[i]
-        normal = np.array([-tau[1], tau[0]])
-        mid = 0.5 * (mesh.nodes[i] + mesh.nodes[j])
-        for t in tris:
-            centroid = mesh.nodes[mesh.triangles[t]].mean(axis=0)
-            side = float(np.dot(normal, centroid - mid))
-            reg = int(mesh.regions[t])
-            if (reg == 1 and side < 0.0) or (reg == 2 and side > 0.0):
-                bad.append((int(i), int(j)))
-                break
-    return bad
+    iface = mesh.interface_edges
+    at, _ = _find(edges.keys, _edge_keys(iface, mesh.n_nodes))
+    tris = edges.tris[at]
+    start, end = mesh.nodes[iface[:, 0]], mesh.nodes[iface[:, 1]]
+    tau = end - start
+    mid = 0.5 * (start + end)
+    offset = mesh.nodes[mesh.triangles[tris]].mean(axis=2) - mid[:, None]
+    side = -tau[:, None, 1] * offset[..., 0] + tau[:, None, 0] * offset[..., 1]
+    reg = mesh.regions[tris]
+    return np.any(((reg == 1) & (side < 0.0)) | ((reg == 2) & (side > 0.0)),
+                  axis=1)
 
 
 def generate_rect_slab(width, height, slab_x, nx, ny):

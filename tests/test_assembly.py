@@ -201,9 +201,9 @@ def test_assembly_working_memory_is_the_four_operators():
 
 def test_assembled_pencil_norms_form_no_operator():
     # Mesh to coefficient norms in O(nnz): no n x n array is formed, and
-    # one dense operator would be n^2 doubles.  The peak measured 6.0% of
+    # one dense operator would be n^2 doubles.  The peak measured 5.0% of
     # that at nx = 28, almost all of it the COO-to-CSR transient of a
-    # nodal kernel call (4.0% each) beside the forms already held.
+    # nodal kernel call (3.1% each) beside the forms already held.
     def norms():
         mesh = wp.generate_rect_slab(PI, PI, PI / 2, 28, 28)
         pen = wp.make_pencil(wp.assemble_matrices(wp.build_spaces(mesh),
@@ -212,7 +212,7 @@ def test_assembled_pencil_norms_form_no_operator():
 
     n = 1569
     assert norms()[0] == n
-    assert traced_peak(norms) <= 0.1 * n * n * 8
+    assert traced_peak(norms) <= 0.06 * n * n * 8
 
 
 def test_operators_are_formed_on_first_read(slab_spaces):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ PI = math.pi
 
 def interface_orientation_errors(mesh):
     """Gamma edges stored against the region-1-on-the-left convention."""
-    return wp.mesh._orientation_errors(mesh, wp.mesh._edge_triangle_map(mesh))
+    bad = wp.mesh._orientation_errors(mesh, wp.mesh._edge_table(mesh))
+    return mesh.interface_edges[bad].tolist()
 
 
 def meshes_equal(a, b):
@@ -281,3 +283,121 @@ def test_node_masks_match_a_per_edge_loop(slit_mesh):
     assert np.array_equal(interface_node_mask(slit_mesh), interface)
     # the slit's four nodes are shielded; the open interface half is not
     assert boundary.sum() == 16 + 3 and interface.sum() == 3
+
+
+# The 2x2 slab's edge rows and tags (test_generator_minimal_grid pins
+# them); the cases below change one or two fields of that mesh and name
+# the first offender in the order validate meets it.
+SLAB_EDGES = [[0, 1], [6, 7], [1, 2], [7, 8], [0, 3], [2, 5], [3, 6], [5, 8],
+              [4, 1], [7, 4]]
+SLAB_TAGS = (GAMMA0,) * 8 + (GAMMA,) * 2
+
+
+def _slab_with(**changes):
+    """The 2x2 slab with the given fields replaced, not validated."""
+    m = wp.generate_rect_slab(PI, PI, PI / 2, 2, 2)
+    arrays = {k: np.array(v) if k != "edge_tags" else v
+              for k, v in changes.items()}
+    return dataclasses.replace(m, **arrays)
+
+
+@pytest.mark.parametrize("changes,message", [
+    (dict(nodes=[[0.0, 0.0, 0.0]] * 9),
+     "nodes has shape (9, 3); expected (N, 2)"),
+    (dict(nodes=np.zeros(18)), "nodes has shape (18,); expected (N, 2)"),
+    (dict(triangles=[[0, 1]] * 8),
+     "triangles has shape (8, 2); expected (M, 3)"),
+    (dict(edges=[e + [0] for e in SLAB_EDGES]),
+     "edges has shape (10, 3); expected (E, 2)"),
+    (dict(interface_edges=[[4, 1, 7]]),
+     "interface_edges has shape (1, 3); expected (K, 2)"),
+    (dict(regions=[2, 2, 1, 1, 2, 2, 1]),
+     "regions has shape (7,); expected (8,), one tag per triangle"),
+    (dict(regions=[2, 2, 1, 1, 2, 2, 1, 1, 1]),
+     "regions has shape (9,); expected (8,), one tag per triangle"),
+    (dict(edge_tags=SLAB_TAGS + (GAMMA0,)), "11 edge tags for 10 edges"),
+    (dict(edge_tags=SLAB_TAGS[:9]), "9 edge tags for 10 edges"),
+])
+def test_validate_rejects_misshapen_arrays(changes, message):
+    with pytest.raises(MeshError) as err:
+        wp.mesh.validate(_slab_with(**changes))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("changes,message", [
+    # a dangling index in a triangle or an edge
+    (dict(triangles=[[0, 1, 9], [0, 4, 3], [1, 2, 5], [1, 5, 4], [3, 4, 7],
+                     [3, 7, 6], [4, 5, 8], [4, 8, 7]]),
+     "triangle refers to a nonexistent node"),
+    (dict(edges=SLAB_EDGES[:9] + [[7, -1]]),
+     "edge refers to a nonexistent node"),
+    (dict(regions=[2, 2, 1, 1, 3, 2, 1, 1]), "region tags must be 1 or 2"),
+    (dict(triangles=[[0, 4, 1], [0, 4, 3], [1, 2, 5], [1, 5, 4], [3, 4, 7],
+                     [3, 7, 6], [4, 5, 8], [4, 8, 7]]),
+     "triangle with non-positive signed area (nodes must be CCW)"),
+    # the first unknown tag in edge order
+    (dict(edge_tags=(GAMMA0,) * 3 + ("wall", GAMMA0, "door") + (GAMMA0,) * 2
+          + (GAMMA,) * 2), "unknown edge tag 'wall'"),
+    # the first repeated edge in edge order, whichever way it runs:
+    # (2, 5) repeats before (0, 1) does
+    (dict(edges=SLAB_EDGES + [[5, 2], [1, 0]],
+          edge_tags=SLAB_TAGS + (GAMMA0, GAMMA0)),
+     "edge (2, 5) tagged more than once"),
+    # tagged edges are checked in edge order, each against every rule
+    # before the next edge: (2, 6) before (0, 5), (3, 4) before (0, 5)
+    (dict(edges=SLAB_EDGES + [[6, 2], [0, 5]],
+          edge_tags=SLAB_TAGS + (GAMMA0, GAMMA0)),
+     "tagged edge (2, 6) is not an edge of any triangle"),
+    (dict(edges=SLAB_EDGES + [[4, 3], [0, 5]],
+          edge_tags=SLAB_TAGS + (GAMMA_PRIME, GAMMA0)),
+     "gammaprime edge (3, 4) must lie on the boundary"),
+    (dict(edge_tags=SLAB_TAGS[:8] + (GAMMA0, GAMMA)),
+     "gamma0 edge (1, 4) must lie on the boundary"),
+    (dict(edge_tags=(GAMMA0, GAMMA, GAMMA) + SLAB_TAGS[3:]),
+     "gamma edge (6, 7) must separate two triangles"),
+    (dict(edges=SLAB_EDGES[:8] + [[5, 4], [3, 4]]),
+     "gamma edge (4, 5) is interior to one region"),
+    # edges of the triangles are checked in the order the triangles
+    # first meet them: (6, 7) in triangle 5 before (5, 8) in triangle 6
+    (dict(edges=[e for e in SLAB_EDGES if e not in ([6, 7], [5, 8])],
+          edge_tags=(GAMMA0,) * 6 + (GAMMA,) * 2),
+     "untagged boundary edge (6, 7)"),
+    # triangles in reverse: (4, 7) in the first triangle before (1, 4)
+    (dict(triangles=[[4, 8, 7], [4, 5, 8], [3, 7, 6], [3, 4, 7], [1, 5, 4],
+                     [1, 2, 5], [0, 4, 3], [0, 1, 4]],
+          regions=[1, 1, 2, 2, 1, 1, 2, 2], edges=SLAB_EDGES[:8],
+          edge_tags=SLAB_TAGS[:8], interface_edges=np.zeros((0, 2), int)),
+     "region-change edge (4, 7) not tagged gamma"),
+    # (1, 4) is met first (triangle 0) though (4, 7) is met twice before
+    # (1, 4) is met again (triangle 3)
+    (dict(triangles=[[0, 1, 4], [4, 8, 7], [3, 4, 7], [1, 5, 4], [0, 4, 3],
+                     [1, 2, 5], [3, 7, 6], [4, 5, 8]],
+          regions=[2, 1, 2, 1, 2, 1, 2, 1], edges=SLAB_EDGES[:8],
+          edge_tags=SLAB_TAGS[:8], interface_edges=np.zeros((0, 2), int)),
+     "region-change edge (1, 4) not tagged gamma"),
+    (dict(nodes=[[x, y] for y in (0.0, PI / 2, PI) for x in (0.0, PI / 2, PI)]
+          + [[0.0, PI / 4]],
+          triangles=[[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4], [3, 4, 7],
+                     [3, 7, 6], [4, 5, 8], [4, 8, 7], [0, 4, 9]],
+          regions=[2, 2, 1, 1, 2, 2, 1, 1, 2]),
+     "edge (0, 4) shared by more than two triangles"),
+    (dict(interface_edges=[[4, 1]]),
+     "interface_edges and gamma-tagged edges disagree"),
+    (dict(interface_edges=[[4, 1], [7, 4], [8, 5]]),
+     "interface_edges and gamma-tagged edges disagree"),
+    # the first misoriented edge in interface order
+    (dict(interface_edges=[[4, 7], [1, 4]]),
+     "gamma edge 4 -> 7 is misoriented: region 1 must lie on its left"),
+])
+def test_validate_names_the_first_offender(changes, message):
+    with pytest.raises(MeshError) as err:
+        wp.mesh.validate(_slab_with(**changes))
+    assert str(err.value) == message
+
+
+def test_validate_rejects_a_repeated_interface_edge():
+    # the interface rows must be the gamma edges one to one
+    assert wp.mesh.validate(_slab_with(interface_edges=[[7, 4], [4, 1]]))
+    with pytest.raises(MeshError) as err:
+        wp.mesh.validate(_slab_with(interface_edges=[[4, 1], [7, 4], [4, 1]]))
+    assert str(err.value) == "interface_edges and gamma-tagged edges disagree"
