@@ -16,7 +16,10 @@ Hermiticity margins are accumulated in one pass over square tiles of the
 operators, which allocates no n x n array.  The parity defects are the
 electric-magnetic blocks of K, A1 and A2 and the diagonal blocks of S,
 read as block slices.  Parity also makes the nullity at -g that at g, so
-the degeneration scan counts it once per |g|.
+the degeneration scan counts it once per |g|.  The gradient operators'
+bounds are statements about the sign of a quadratic form, so where the
+pencil holds its sparse nodal forms each is certified by the inertia of
+one sparse factorization (Sylvester's law), not by an eigensolve.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from enum import Enum
 import numpy as np
 from scipy import linalg
 
-from .assembly import assemble_s_line, assemble_s_volume
+from .assembly import assemble_s_volume, s_line_tiles
 from .eigensolver import null_fields, numerical_nullity
 from .pencil import ExclusionInterval, _terms, degeneration_points
 from .spaces import ROW_BLOCK
@@ -48,6 +51,12 @@ EXCLUSION_MARGIN = 0.1
 #: Edge of the square operator tiles, and the rows of an S difference,
 #: that ``verify_all`` forms at a time.
 TILE = 128
+
+#: Relative residual ||A x - rho G x|| / (||A x|| + |rho| ||G x||) at which
+#: ``_inverse_iteration`` takes rho as the extreme eigenvalue, and its
+#: step cap.
+RESIDUAL_TOL = 1e-10
+MAX_STEPS = 10
 
 
 class SpectrumClass(str, Enum):
@@ -269,7 +278,10 @@ def degeneration_scan(pencils):
     """Numerical nullity of L at each degeneration value, per refinement.
 
     Returns (gammas, table) where table[r][g] is the nullity for the r-th
-    pencil; the counts must be nondecreasing under refinement.  The nullity
+    pencil; the counts must be nondecreasing under refinement.  Each count
+    is ``numerical_nullity``'s: the fields the mesh makes null, plus an
+    inertia count on the rest from two symmetric indefinite
+    factorizations, with no eigensolve.  The nullity
     is counted once per |g| and reported at both signs, on the parity
     premise: where the parity blocks (``_parity_defects``) are exactly zero,
     ``evaluate`` gives L(-g) = P L(g) P bit for bit, with P the diagonal
@@ -302,10 +314,11 @@ def _block_eigvals(op, matrices):
     blocks against the matching Gram blocks; equal to those of the full
     symmetrised operator when its off-diagonal blocks vanish.  A block
     bit-identical to its Gram block has every eigenvalue exactly 1 and
-    takes no eigensolve: A1's magnetic block and A2's electric block are
-    the Gram blocks by construction.  Every other block takes one
-    eigenvalues-only ``eigh`` (LAPACK ``sygvx``), whose cost is the full
-    tridiagonal reduction.
+    takes no eigensolve.  Every other block takes one eigenvalues-only
+    ``eigh`` (LAPACK ``sygvx``), whose cost is the full tridiagonal
+    reduction.  ``k_decay_slope`` reads the K spectrum from here, and
+    ``verify_all`` the A1 and A2 bounds of operators that were supplied
+    as arrays (``_bound_ends``).
     """
     vals = []
     for b, g in zip(matrices.spaces.blocks, matrices.gram):
@@ -316,6 +329,114 @@ def _block_eigvals(op, matrices):
             vals.append(linalg.eigh(block, g, eigvals_only=True,
                                     driver="gvx"))
     return np.sort(np.concatenate(vals))
+
+
+def _definite_factor(matrix):
+    """SuperLU factor of a sparse symmetric matrix if it is positive definite.
+
+    The factor keeps the diagonal pivots (``diag_pivot_thresh=0``) under
+    a symmetric fill-reducing order P, so its U holds on its diagonal the
+    pivots of symmetric Gaussian elimination on P^T A P, and by
+    Sylvester's law of inertia A is positive definite if and only if
+    every pivot is positive.  Returns the factor then, and None when a
+    pivot is negative or zero (SuperLU stops at an exactly zero one).
+    A factor whose row order differs from its column order has pivoted
+    off the diagonal, and its pivots give no inertia: ValueError.
+    ``scipy.sparse.linalg`` is imported here, so ``import wavepencil``
+    does not load it (about 2 MB and 10 ms).
+    """
+    from scipy.sparse.linalg import splu
+
+    try:
+        factor = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        return None
+    if not np.array_equal(factor.perm_r, factor.perm_c):
+        raise ValueError("the factor pivoted off the diagonal, so its "
+                         "pivots give no inertia")
+    return factor if np.all(factor.U.diagonal() > 0.0) else None
+
+
+def _inverse_iteration(factor, a, g):
+    """The eigenvalue of (a, g) nearest the shift of a definite factor.
+
+    ``factor`` is the ``_definite_factor`` of a - s g or of s g - a, so
+    every eigenvalue lies on one side of s, and the nearest is the
+    extreme one on that side.  Each step solves the factor against g x,
+    from a seeded random start, and normalises.  Returns the Rayleigh
+    quotient rho of the first iterate x whose residual ||a x - rho g x||
+    is at most ``RESIDUAL_TOL`` (||a x|| + |rho| ||g x||), or None when
+    ``MAX_STEPS`` steps do not reach it.
+    """
+    x = np.random.default_rng(0).standard_normal(a.shape[0])
+    for _ in range(MAX_STEPS):
+        x = factor.solve(g @ x)
+        x /= np.linalg.norm(x)
+        ax, gx = a @ x, g @ x
+        rho = (x @ ax) / (x @ gx)
+        if np.linalg.norm(ax - rho * gx) <= RESIDUAL_TOL * (
+                np.linalg.norm(ax) + abs(rho) * np.linalg.norm(gx)):
+            return float(rho)
+    return None
+
+
+def _certified_end(a, g, bound, sense):
+    """One end of the spectrum of a sparse pair (a, g) joined with 1.
+
+    ``sense`` ">=" reads the smallest eigenvalue against a lower
+    ``bound``, "<=" the largest against an upper one; the eigenvalue 1,
+    which the bounds contain, is that of the Gram blocks that A1 and A2
+    also hold (``_bound_ends``).  The verdict is the inertia of one
+    factorization: every eigenvalue lies beyond the bound if and only if
+    a - bound g (">=") or bound g - a ("<=") is positive definite
+    (``_definite_factor``).  Inverse iteration on that factor gives the
+    eigenvalue (``_inverse_iteration``).  Where that reaches its step
+    cap, and where the verdict fails, the eigenvalue comes from one dense
+    eigensolve of the pair instead, so the margin is always the end
+    itself.  Returns (end, verdict).
+    """
+    shifted = a - bound * g if sense == ">=" else bound * g - a
+    factor = _definite_factor(shifted)
+    value = None if factor is None else _inverse_iteration(factor, a, g)
+    if value is None:
+        end = 0 if sense == ">=" else a.shape[0] - 1
+        value = linalg.eigh(a.toarray(), g.toarray(), eigvals_only=True,
+                            subset_by_index=(end, end))[0]
+    join = min if sense == ">=" else max
+    return join(float(value), 1.0), factor is not None
+
+
+def _bound_ends(matrices, name, lower, upper):
+    """((smallest, verdict), (largest, verdict)) of A1 or A2 against G.
+
+    The eigenvalues are the union of the two field blocks'.  A1's
+    magnetic and A2's electric block are the Gram blocks, with every
+    eigenvalue 1, inside both bounds.  Where the pencil holds its
+    ``nodal`` forms, the other block is read from them as a sparse pair
+    and each end is certified against its bound (``_certified_end``):
+    A1's electric block is ``stiffness_eps`` against ``stiffness`` on
+    the electric nodes; A2's magnetic block is Z^T X Z against Z^T G Z
+    for X = ``stiffness_inv_eps`` and G = ``stiffness``, and both forms
+    annihilate the constants, so that pair has the spectrum of X and G
+    with the first node dropped (any complement of the constants gives
+    a congruent pair).  Operators supplied as arrays are read densely
+    (``_block_eigvals``), and their verdicts are their margins'.
+    """
+    forms = matrices.nodal
+    if forms is None:
+        eigs = _block_eigvals(getattr(matrices, name), matrices)
+        return (eigs[0], True), (eigs[-1], True)
+    if name == "a1":
+        pi = np.ix_(matrices.spaces.pi_nodes, matrices.spaces.pi_nodes)
+        a, g = forms.stiffness_eps[pi], forms.stiffness[pi]
+    else:
+        a, g = forms.stiffness_inv_eps[1:, 1:], forms.stiffness[1:, 1:]
+    return _certified_end(a, g, lower, ">="), _certified_end(a, g, upper,
+                                                             "<=")
 
 
 def _s_bound(matrices):
@@ -468,6 +589,22 @@ def _max_abs_diff(a, b):
                for r in range(0, len(a), TILE))
 
 
+def _s_line_differences(spaces, *others):
+    """Largest |entry| of S_line - O for each n x n array O of ``others``.
+
+    S_line is ``assemble_s_line``'s coupling, formed ``TILE`` electric
+    columns at a time (``assembly.s_line_tiles``), bit for bit; its
+    diagonal blocks are zero, so there each difference is O itself.
+    """
+    e, m = spaces.blocks
+    worst = [max(_max_abs(o[e, e]), _max_abs(o[m, m])) for o in others]
+    for cols, lower, upper in s_line_tiles(spaces, TILE):
+        for k, o in enumerate(others):
+            worst[k] = max(worst[k], _max_abs(lower - o[m, cols]),
+                           _max_abs(upper - o[cols, m].T))
+    return worst
+
+
 def _form(g, w):
     """w^H g w for a real symmetric positive semidefinite g, clamped at 0."""
     return max(float((w.conj() @ g @ w).real), 0.0)
@@ -505,12 +642,14 @@ def _identity_margins(matrices, g_diag, g_off, g_asym, n_random):
 def working_bytes(n_pi, n_psi):
     """Bytes ``verify_all`` allocates beyond the four operators, bounded.
 
-    The two reassembled S matrices, the Gram blocks, the ``TILE`` rows of
-    an S difference and ``_operator_tiles``' buffers; not the O(N) mesh.
+    The reassembled volume-route S, the Gram blocks, the ``TILE`` rows
+    of an S difference, the two line-route S tiles of ``TILE`` columns
+    with one difference of their size, and ``_operator_tiles``' buffers;
+    not the O(N) mesh, nor the O(nnz) nodal forms and their factors.
     """
     n = n_pi + n_psi
-    return 8 * (2 * n * n + n_pi * n_pi + n_psi * n_psi + TILE * n
-                + 3 * 4 * TILE * TILE)
+    return 8 * (n * n + n_pi * n_pi + n_psi * n_psi + TILE * n
+                + 3 * TILE * n_psi + 3 * 4 * TILE * TILE)
 
 
 def verify_all(matrices, pencil=None, spectrum=None,
@@ -526,11 +665,13 @@ def verify_all(matrices, pencil=None, spectrum=None,
     at ``n_random`` seeded points; both are Gram forms of the operators of
     ``matrices`` (``_identity_margins``), with no L(g) formed.  The
     ``hermiticity_*`` margins and those Gram forms come from one pass over
-    square tiles of the operators (``_operator_tiles``), and the S checks
-    take their differences ``TILE`` rows at a time, so the only n x n
+    square tiles of the operators (``_operator_tiles``).  The S checks
+    reassemble S once by the volume route and compare the line route
+    ``TILE`` electric columns at a time (``_s_line_differences``), and
+    take the other difference ``TILE`` rows at a time, so the only n x n
     arrays allocated (``working_bytes``) are the Gram blocks, formed on
-    first read of ``matrices.gram``, and the two reassembled S matrices,
-    which are dropped before the decay-slope eigensolves.  The symmetry
+    first read of ``matrices.gram``, and the reassembled S, which is
+    dropped before the decay-slope eigensolves.  The symmetry
     checks read the normalized partner distances of ``spectrum.pairing``,
     and ``complex_quadruples`` those of the values ``spectrum.classes``
     marks complex.  On the spectrum of ``eigensolver.solve_pencil``, which
@@ -542,11 +683,16 @@ def verify_all(matrices, pencil=None, spectrum=None,
     elsewhere; the solve's +-gamma spectrum is checked against the
     undeflated 4n companion by
     ``test_deflated_solve_matches_the_undeflated_companion``.
-    The bound eigensolves run only where the result is not known in
-    advance (``_block_eigvals``): the Gram-identical blocks of A1 and A2
-    have every eigenvalue exactly 1, so A1's electric and A2's magnetic
-    block are solved, and ||S|| is an r x r problem on the coupling rows
-    (``_s_bound``).
+    The A1 and A2 bounds (``_bound_ends``) of a pencil that formed its
+    operators from its spaces are certified on the sparse nodal forms:
+    each check's verdict is the inertia of one sparse factorization at
+    its threshold, and its margin the extreme eigenvalue, from inverse
+    iteration on that factor.  The thresholds sit 1e-10 inside the
+    bounds, far above the factorization's backward error of order
+    n u ||A||.  Operators supplied as arrays take the dense eigensolves
+    of ``_block_eigvals``.  K positivity, on both routes, is one dense
+    ``eigh`` per block, and ||S|| is an r x r problem on the coupling
+    rows (``_s_bound``).
     """
     rep = PropertyReport()
     eps_max = matrices.eps_max
@@ -569,25 +715,26 @@ def verify_all(matrices, pencil=None, spectrum=None,
     if k_min <= 0.0:
         rep.checks[-1].passed = False
 
-    a1_eigs = _block_eigvals(matrices.a1, matrices)
-    rep.add("a1_bound_lower", a1_eigs[0], 1.0 - 1e-10, ">=")
-    rep.add("a1_bound_upper", a1_eigs[-1], eps_max + 1e-10, "<=")
-    a2_eigs = _block_eigvals(matrices.a2, matrices)
-    rep.add("a2_bound_lower", a2_eigs[0], 1.0 / eps_max - 1e-10, ">=")
-    rep.add("a2_bound_upper", a2_eigs[-1], 1.0 + 1e-10, "<=")
+    for name, lower, upper in (("a1", 1.0 - 1e-10, eps_max + 1e-10),
+                               ("a2", 1.0 / eps_max - 1e-10, 1.0 + 1e-10)):
+        ends = _bound_ends(matrices, name, lower, upper)
+        for side, bound, sense, (value, verdict) in zip(
+                ("lower", "upper"), (lower, upper), (">=", "<="), ends):
+            rep.add(f"{name}_bound_{side}", value, bound, sense)
+            # a nonpositive pivot fails the check whatever the margin reads
+            rep.checks[-1].passed &= verdict
     rep.add("s_bound", _s_bound(matrices), 0.5 + 1e-10, "<=")
 
     rep.add("parity_block_structure",
             2.0 * max(_parity_defects(matrices).values()), 0.0, "<=")
 
-    s_line = assemble_s_line(matrices.spaces)
     s_vol = assemble_s_volume(matrices.spaces)
-    rep.add("s_line_volume_agreement", _max_abs_diff(s_line, s_vol), 1e-12,
-            "<=")
+    line_vol, line_s = _s_line_differences(matrices.spaces, s_vol,
+                                           matrices.s)
+    rep.add("s_line_volume_agreement", line_vol, 1e-12, "<=")
     rep.add("s_matches_reassembly",
-            min(_max_abs_diff(matrices.s, s_line),
-                _max_abs_diff(matrices.s, s_vol)), 1e-12, "<=")
-    del s_line, s_vol
+            min(line_s, _max_abs_diff(matrices.s, s_vol)), 1e-12, "<=")
+    del s_vol
 
     if pencil is not None:
         rep.add("pencil_selfadjoint", selfadjoint, 1e-13, "<=")

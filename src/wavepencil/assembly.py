@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import assembly_kernels as kernels
+from .mesh import GAMMA, _edge_keys
 from .pencil import coefficients, exclusion_interval
 from .spaces import FieldSpaces, reflector, write_reduced
 
@@ -31,6 +33,26 @@ NORM_ROW_BLOCK = 64
 
 class AssemblyError(ValueError):
     """Invalid material parameters or inconsistent interface data."""
+
+
+class NodalForms(NamedTuple):
+    """The sparse nodal forms a pencil's operators are written from.
+
+    CSR over all mesh nodes, from one ``triangle_geometry``: the gradient
+    form unweighted (``stiffness``, the Gram matrix's), weighted by the
+    permittivity (``stiffness_eps``) and by its inverse
+    (``stiffness_inv_eps``), and the L2 form unweighted (``mass``) and
+    weighted by the permittivity (``mass_eps``).  K's blocks are those of
+    ``mass_eps`` and ``mass``, A1's of ``stiffness_eps`` and
+    ``stiffness``, A2's of ``stiffness`` and ``stiffness_inv_eps``
+    (electric, magnetic).
+    """
+
+    stiffness: object
+    stiffness_eps: object
+    stiffness_inv_eps: object
+    mass: object
+    mass_eps: object
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +70,8 @@ class PencilMatrices:
     ``assemble_k``, ``assemble_a1``, ``assemble_a2`` or
     ``assemble_s_line`` (``__getattr__``), and kept.
     ``dataclasses.replace`` reads every field, so it carries the
-    operators over, formed.
+    operators over, formed.  ``nodal`` holds the sparse nodal forms the
+    operators are formed from, when none was supplied.
     """
 
     spaces: FieldSpaces
@@ -96,13 +119,15 @@ class PencilMatrices:
         """Frobenius norms of the pencil's (C0, C1, C2, C4), for residuals.
 
         When the four operators come from the spaces, the norms are those
-        of the sparse nodal forms (``_nodal_norms``), in O(nnz) and with
-        no operator formed.  Otherwise ||C0||^2 and ||C2||^2 are summed
-        over ``NORM_ROW_BLOCK`` row blocks of ``pencil.coefficients``, so
-        no n x n temporary is formed; ||C1|| = |eps1 - eps2| ||S||.
+        of the sparse nodal forms (``nodal``, ``_nodal_norms``), in O(nnz)
+        and with no operator formed.  Otherwise ||C0||^2 and ||C2||^2 are
+        summed over ``NORM_ROW_BLOCK`` row blocks of
+        ``pencil.coefficients``, so no n x n temporary is formed;
+        ||C1|| = |eps1 - eps2| ||S||.
         """
-        if self._from_spaces:
-            return _nodal_norms(self.spaces, self.eps1, self.eps2)
+        if self.nodal is not None:
+            return _nodal_norms(self.spaces, self.nodal, self.eps1,
+                                self.eps2)
         sq0 = sq2 = 0.0
         for start in range(0, self.n, NORM_ROW_BLOCK):
             c0, _, c2 = (c.ravel() for c in coefficients(
@@ -114,15 +139,35 @@ class PencilMatrices:
                 np.sqrt(sq2), np.linalg.norm(self.k, "fro"))
 
     @cached_property
+    def nodal(self):
+        """``NodalForms`` of the spaces, or None if an operator was supplied.
+
+        Formed on first read, in O(nnz).  The dense operators are written
+        from the same kernel calls, so their blocks are these forms' bit
+        for bit.
+        """
+        if not self._from_spaces:
+            return None
+        mesh = self.spaces.mesh
+        geo = kernels.triangle_geometry(mesh)
+        weights = ((1.0, 1.0), (self.eps1, self.eps2),
+                   (1.0 / self.eps1, 1.0 / self.eps2))
+        return NodalForms(
+            *(kernels.nodal_stiffness(mesh, *w, geo) for w in weights),
+            *(kernels.nodal_mass(mesh, *w, geo) for w in weights[:2]))
+
+    @cached_property
     def gram(self):
         """(G_pi, G_psi): the field blocks of the gradient Gram matrix.
 
         The inner product every operator bound is relative to, formed on
         first read by the kernels that write A1's magnetic and A2's
-        electric block, so those are the Gram blocks bit for bit.
+        electric block, so those are the Gram blocks bit for bit.  The
+        nodal form is ``nodal.stiffness`` where ``nodal`` is held.
         """
         sp = self.spaces
-        stiff = kernels.nodal_stiffness(sp.mesh, 1.0, 1.0)
+        stiff = kernels.nodal_stiffness(sp.mesh, 1.0, 1.0) \
+            if self.nodal is None else self.nodal.stiffness
         g_pi = np.zeros((sp.n_pi, sp.n_pi))
         g_psi = np.empty((sp.n_psi, sp.n_psi))
         sp.scatter_pi(g_pi, stiff)
@@ -180,11 +225,16 @@ def assemble_k(spaces, eps1, eps2):
 
 
 def _check_interface(spaces):
+    """Refuse interface edges that are not the gamma-tagged edges one-to-one.
+
+    The sorted edge keys of both are compared, repeats included, so a mesh
+    built directly and never validated is caught here.
+    """
     mesh = spaces.mesh
-    keys = {tuple(sorted(map(int, e))) for e in mesh.interface_edges}
-    tagged = {tuple(sorted(map(int, e)))
-              for e, tag in zip(mesh.edges, mesh.edge_tags) if tag == "gamma"}
-    if keys != tagged or len(keys) != len(mesh.interface_edges):
+    gamma = np.isin(mesh.edge_tags, GAMMA)
+    if not np.array_equal(
+            np.sort(_edge_keys(mesh.interface_edges, mesh.n_nodes)),
+            np.sort(_edge_keys(mesh.edges[gamma], mesh.n_nodes))):
         raise AssemblyError("inconsistent interface edge data")
 
 
@@ -203,11 +253,29 @@ def _couple(spaces, bottom_nodal, top_nodal):
     """
     e, m = spaces.blocks
     out = np.zeros((spaces.n, spaces.n))
-    write_reduced(out[m, e], spaces.mean_vector,
-                  bottom_nodal[:, spaces.pi_nodes])
-    write_reduced(out[e, m].T, spaces.mean_vector,
-                  top_nodal[spaces.pi_nodes, :].T)
+    _write_coupling(spaces, bottom_nodal, top_nodal, out[m, e], out[e, m].T)
     return out
+
+
+def _write_coupling(spaces, bottom_nodal, top_nodal, lower, upper,
+                    cols=slice(None)):
+    """Write the coupling's electric columns ``cols`` into lower and upper.
+
+    ``lower`` receives S[m, cols] = Z^T bottom[:, pi[cols]] and ``upper``
+    S[cols, m]^T = Z^T top[pi[cols], :]^T, both (n_psi, len(cols)).  Each
+    column of Z^T X is formed from that column of X alone, so a tile is
+    the matching part of the whole block bit for bit.
+    """
+    pi = spaces.pi_nodes[cols]
+    write_reduced(lower, spaces.mean_vector, bottom_nodal[:, pi])
+    write_reduced(upper, spaces.mean_vector, top_nodal[pi, :].T)
+
+
+def _line_nodal(spaces):
+    """The line route's nodal blocks (bottom, top), interface data checked."""
+    _check_interface(spaces)
+    d = kernels.interface_line_matrix(spaces.mesh)
+    return d, (-d).tocsr()
 
 
 def assemble_s_line(spaces):
@@ -218,9 +286,24 @@ def assemble_s_line(spaces):
     terms vanish because the electric field carries no DOFs on the shield,
     which is exactly what makes the matrix Hermitian.
     """
-    _check_interface(spaces)
-    d = kernels.interface_line_matrix(spaces.mesh)
-    return _couple(spaces, d, (-d).tocsr())
+    return _couple(spaces, *_line_nodal(spaces))
+
+
+def s_line_tiles(spaces, width):
+    """``assemble_s_line``'s coupling blocks, ``width`` electric columns at a time.
+
+    Yields (cols, lower, upper): the slice of electric columns, S[m, cols]
+    and S[cols, m]^T, each an (n_psi, len(cols)) array equal bit for bit
+    to that part of ``assemble_s_line`` (``_write_coupling``).  The
+    diagonal blocks of S are zero, so no n x n array is formed.
+    """
+    bottom, top = _line_nodal(spaces)
+    for start in range(0, spaces.n_pi, width):
+        cols = slice(start, min(start + width, spaces.n_pi))
+        shape = (spaces.n_psi, cols.stop - cols.start)
+        lower, upper = np.empty(shape), np.empty(shape)
+        _write_coupling(spaces, bottom, top, lower, upper, cols)
+        yield cols, lower, upper
 
 
 def assemble_s_volume(spaces):
@@ -244,7 +327,7 @@ def assemble_matrices(spaces, eps1, eps2):
     return PencilMatrices(spaces=spaces, eps1=float(eps1), eps2=float(eps2))
 
 
-def _nodal_norms(spaces, eps1, eps2):
+def _nodal_norms(spaces, forms, eps1, eps2):
     """Frobenius norms of (C0, C1, C2, C4) from the sparse nodal forms.
 
     Per block of each coefficient, combined on the nodal forms as
@@ -252,7 +335,8 @@ def _nodal_norms(spaces, eps1, eps2):
     ``X[pi, pi]`` directly, a magnetic block ``Z^T X Z`` as
     ||X||^2 - 2 ||X h||^2 + (h^T X h)^2 and a block ``Z^T Y`` of S as
     ||Y||^2 - ||Y^T h||^2, h = H e_1 being the reflector's first column,
-    which completes Z to the orthogonal H.  O(nnz) work and memory.
+    which completes Z to the orthogonal H.  ``forms`` are the
+    ``NodalForms`` of the pencil.  O(nnz) work and memory.
     """
     mesh, pi = spaces.mesh, spaces.pi_nodes
     v, beta = reflector(spaces.mean_vector)
@@ -273,12 +357,7 @@ def _nodal_norms(spaces, eps1, eps2):
         yh = y.T @ h
         return sq(y) - yh @ yh
 
-    geo = kernels.triangle_geometry(mesh)
-    mass_e = kernels.nodal_mass(mesh, eps1, eps2, geo)
-    mass = kernels.nodal_mass(mesh, 1.0, 1.0, geo)
-    stiff_e = kernels.nodal_stiffness(mesh, eps1, eps2, geo)
-    stiff = kernels.nodal_stiffness(mesh, 1.0, 1.0, geo)
-    stiff_inv = kernels.nodal_stiffness(mesh, 1.0 / eps1, 1.0 / eps2, geo)
+    stiff, stiff_e, stiff_inv, mass, mass_e = forms
     d = kernels.interface_line_matrix(mesh)
     trace = eps1 + eps2
     sq0 = electric(mass_e - stiff) + magnetic(mass - stiff_inv)

@@ -18,7 +18,7 @@ off the square's eigenvectors [y; mu y], y = (v_pi, g v_psi)
 points +-sqrt(eps_j) (``null_fields``) are known before any eigensolve:
 a solve rotates them out of the square before the QR
 (``deflate_square``), and the numerical nullity of the pencil there
-takes them out before its symmetric eigensolve.
+takes them out before it counts the rest by inertia.
 """
 
 from __future__ import annotations
@@ -395,18 +395,51 @@ def _deflate(pencil, gamma, mat, fields, cutoff):
     return block, sp.n - len(idx)
 
 
-def numerical_nullity(pencil, gamma):
-    """Count of |eigenvalues| of L(gamma) at most NULLITY_REL_TOL * scale.
+def _negative_count(b):
+    """Negative eigenvalues of a real symmetric array, by Sylvester's law.
 
-    gamma must be real and L(gamma) exactly symmetric, so that its
-    singular values are its |eigenvalues| from the symmetric eigensolver;
-    otherwise ValueError names gamma.  The scale is
+    One Bunch-Kaufman factorization b = L D L^T (LAPACK ``dsytrf``, lower
+    triangle, the blocked code) overwrites b, which must be
+    C-contiguous: its transpose, the same matrix, is the Fortran array
+    LAPACK factors in place.  D has the inertia of b.  Its 1 x 1 pivots
+    (ipiv > 0) count by sign; each 2 x 2 pivot, a pair of equal negative
+    ipiv entries, has one negative eigenvalue when its determinant is
+    negative, and when it is positive two or none, as its diagonal's
+    sign says.
+    """
+    lwork = int(lapack.dsytrf_lwork(len(b), lower=1)[0])
+    ldu, ipiv, info = lapack.dsytrf(b.T, lower=1, lwork=lwork, overwrite_a=1)
+    if info < 0:
+        raise EigensolverError(f"dsytrf: illegal argument {-info}")
+    d = np.diagonal(ldu)
+    two = ipiv < 0
+    # a 2 x 2 pivot starts at an even offset into a run of negative entries
+    idx = np.arange(len(ipiv))
+    run = np.maximum.accumulate(np.where(two & ~np.r_[False, two[:-1]],
+                                         idx, 0))
+    start = np.flatnonzero(two & ((idx - run) % 2 == 0))
+    a, c, off = d[start], d[start + 1], ldu[start + 1, start]
+    det = a * c - off * off
+    pairs = np.where(det < 0.0, 1, np.where(det > 0.0, 2 * (a < 0.0),
+                                            a + c < 0.0))
+    return int(np.count_nonzero(d[~two] < 0.0) + pairs.sum())
+
+
+def numerical_nullity(pencil, gamma):
+    """Count of eigenvalues of L(gamma) within NULLITY_REL_TOL * scale of 0.
+
+    gamma must be real and L(gamma) exactly symmetric; otherwise
+    ValueError names gamma.  The scale c/``NULLITY_REL_TOL`` is
     ``pencil.coefficient_scale``, which unlike ||L(gamma)|| does not
     collapse when the pencil degenerates.  At a degeneration point
     L(gamma) first loses the fields the mesh makes null
     (``degeneration_null_nodes``, ``_deflate``): they count as null, and
-    the eigensolve runs on the rest, about half of L.  A dropped field
-    whose column is above the cutoff raises ValueError.
+    the rest, about half of L, is counted.  A dropped field whose column
+    is above the cutoff raises ValueError.  The count of the rest B is
+    nu-(B - c I) - nu-(B + c I), the eigenvalues in [-c, c), from two
+    Bunch-Kaufman factorizations (``_negative_count``) with the diagonal
+    shifted in place, where an eigensolve would take the full
+    tridiagonal reduction.
     """
     if complex(gamma).imag != 0.0:
         raise ValueError(f"L({gamma:g}): the nullity is counted at real "
@@ -420,4 +453,7 @@ def numerical_nullity(pencil, gamma):
     fields = null_fields(pencil.spaces, pencil.eps1, pencil.eps2, gamma)
     if fields is not None:
         mat, dropped = _deflate(pencil, gamma, mat, fields, cutoff)
-    return dropped + int(np.sum(np.abs(np.linalg.eigvalsh(mat)) <= cutoff))
+    below = mat.copy()
+    below.flat[::len(mat) + 1] -= cutoff
+    mat.flat[::len(mat) + 1] += cutoff
+    return dropped + _negative_count(below) - _negative_count(mat)

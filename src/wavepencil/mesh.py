@@ -146,8 +146,9 @@ def validate(mesh):
     """Check all structural mesh invariants; raise MeshError on violation.
 
     Checked in this order: array shapes (nodes (N, 2), triangles (M, 3),
-    edges (E, 2) and interface_edges (K, 2), one region per triangle and
-    one tag per edge), finite node coordinates, index ranges, every node
+    edges (E, 2) and interface_edges (K, 2)), integer triangles, edges
+    and interface_edges, one region per triangle and one tag per edge,
+    finite node coordinates, index ranges, every node
     belonging to a triangle (a node in none would carry no basis function
     and a zero mean-vector entry), the triangles forming one piece through
     shared nodes (``_pieces``; a second piece would carry a constant
@@ -177,6 +178,11 @@ def validate(mesh):
         if len(shape) != 2 or shape[1] != cols:
             raise MeshError(f"{name} has shape {shape}; expected "
                             f"({rows}, {cols})")
+    for name in ("triangles", "edges", "interface_edges"):
+        dtype = getattr(mesh, name).dtype
+        if not np.issubdtype(dtype, np.integer):
+            raise MeshError(f"{name} has dtype {dtype}; expected integer "
+                            f"node indices")
     if mesh.regions.shape != (mesh.n_triangles,):
         raise MeshError(f"regions has shape {mesh.regions.shape}; expected "
                         f"({mesh.n_triangles},), one tag per triangle")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import linalg
+from scipy import linalg, sparse
 
 import wavepencil as wp
 from wavepencil import analysis
@@ -807,3 +807,105 @@ def test_degeneration_scan_refuses_a_parity_breaking_pencil(slab_matrices,
                   True)
     with pytest.raises(ValueError, match="A1"):
         degeneration_scan([slab_pencil, wp.make_pencil(bad)])
+
+
+def _break_one_element(monkeypatch, weights, region, factor):
+    """Make ``nodal_stiffness`` with ``weights`` scale one element by factor.
+
+    The element is the first triangle of ``region`` none of whose nodes
+    lies on the shield or is node 0, so both the electric block and the
+    grounded magnetic pair see it.  The dense operators and the pencil's
+    nodal forms are both written through the patched kernel.
+    """
+    kernels = wp.assembly_kernels
+    real = kernels.nodal_stiffness
+
+    def broken(mesh, w1, w2, geometry=None):
+        form = real(mesh, w1, w2, geometry)
+        if (w1, w2) != weights:
+            return form
+        areas, grads = kernels.triangle_geometry(mesh)
+        inside = ~mesh.boundary_node_mask()
+        inside[0] = False
+        t = next(t for t, tri in enumerate(mesh.triangles)
+                 if mesh.regions[t] == region and inside[tri].all())
+        w = (factor - 1.0) * (w1 if region == 1 else w2) * areas[t]
+        tri = mesh.triangles[t]
+        local = np.zeros((mesh.n_nodes, mesh.n_nodes))
+        local[np.ix_(tri, tri)] = w * grads[t] @ grads[t].T
+        return (form + sparse.csr_matrix(local)).tocsr()
+
+    monkeypatch.setattr(kernels, "nodal_stiffness", broken)
+
+
+@pytest.mark.parametrize("name,weights,region", [
+    ("a1", (1.0, 4.0), 1), ("a2", (1.0, 0.25), 2)])
+def test_a_broken_nodal_bound_fails_at_its_extreme_eigenvalue(
+        name, weights, region, monkeypatch):
+    # one element weight halved under the bound's lower end: the check
+    # fails, and its margin is the smallest eigenvalue of the operator
+    _break_one_element(monkeypatch, weights, region, 0.5)
+    mats = wp.assemble_matrices(wp.build_spaces(
+        wp.generate_rect_slab(PI, PI, PI / 2, 8, 8)), 1.0, 4.0)
+    assert mats.nodal is not None
+    rep = verify_all(mats)
+    check = rep[f"{name}_bound_lower"]
+    assert not check.passed
+    assert check.margin < check.threshold
+    assert check.margin == pytest.approx(
+        _dense_bound_margins(mats)[check.name], rel=1e-12, abs=0)
+    assert {c.name for c in rep.failed()} == {check.name}
+
+
+def test_a_nonpositive_pivot_never_passes_a_check(slab_spaces, monkeypatch):
+    # with every factorization reported indefinite, each bound check fails
+    # although its margin, from the dense eigensolve, lies in the bound
+    mats = wp.assemble_matrices(slab_spaces, 1.0, 4.0)
+    clean = verify_all(mats)
+    monkeypatch.setattr(analysis, "_definite_factor", lambda matrix: None)
+    rep = verify_all(mats)
+    for side in ("lower", "upper"):
+        for name in ("a1", "a2"):
+            check = rep[f"{name}_bound_{side}"]
+            assert not check.passed
+            assert check.margin == pytest.approx(
+                clean[check.name].margin, rel=1e-12, abs=0)
+            assert (check.margin >= check.threshold if side == "lower"
+                    else check.margin <= check.threshold)
+
+
+def test_zero_and_negative_pivots_give_no_factor():
+    # SuperLU stops at an exactly zero pivot; a negative one is counted
+    for diag in ([1.0, 0.0, 1.0], [1.0, -1e-300, 1.0], [-2.0, 3.0]):
+        assert analysis._definite_factor(sparse.diags(diag)) is None
+    assert analysis._definite_factor(sparse.diags([1.0, 1e-300])) is not None
+    # the spectrum of (g, g) is all at 1: a bound of exactly 1 is not
+    # certified, though the margin reads exactly 1
+    g = sparse.identity(2, format="csr")
+    for sense in (">=", "<="):
+        assert analysis._certified_end(g, g, 1.0, sense) == (1.0, False)
+        assert analysis._certified_end(g, g, 1.0 - 1e-10, ">=")[1]
+
+
+def test_a_pivoted_factor_raises():
+    # the zero diagonal makes SuperLU pick an off-diagonal pivot
+    swap = sparse.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="no inertia"):
+        analysis._definite_factor(swap)
+
+
+def test_inverse_iteration_reports_none_at_its_step_cap(monkeypatch):
+    # a 1-step cap cannot separate two close eigenvalues, and the end
+    # then comes from the dense eigensolve, joined with the Gram blocks' 1
+    a = sparse.diags([0.75, 0.75 + 1e-3, 3.0]).tocsr()
+    g = sparse.identity(3, format="csr")
+    monkeypatch.setattr(analysis, "MAX_STEPS", 1)
+    factor = analysis._definite_factor(a - 0.5 * g)
+    assert analysis._inverse_iteration(factor, a, g) is None
+    assert analysis._certified_end(a, g, 0.5, ">=") == (0.75, True)
+    assert analysis._certified_end(2.0 * a, g, 0.5, ">=") == (1.0, True)
+    # a shift next to the end separates them within the default cap
+    monkeypatch.setattr(analysis, "MAX_STEPS", 10)
+    near = analysis._definite_factor(a - (0.75 - 1e-9) * g)
+    assert analysis._inverse_iteration(near, a, g) == pytest.approx(
+        0.75, rel=1e-12)

@@ -8,7 +8,8 @@ from scipy import linalg
 import wavepencil as wp
 from wavepencil import assembly_kernels as kernels
 from wavepencil.assembly import (AssemblyError, PencilMatrices,
-                                 assemble_s_line, assemble_s_volume)
+                                 assemble_s_line, assemble_s_volume,
+                                 s_line_tiles)
 from conftest import interface_node_mask, parity_signs, traced_peak
 
 PI = math.pi
@@ -320,3 +321,53 @@ def test_interface_consistency_check(slab_spaces):
     with pytest.raises(AssemblyError):
         assemble_s_line(spaces)
 
+
+
+@pytest.mark.parametrize("width", [1, 5, 128])
+def test_s_line_tiles_are_the_line_route_bit_for_bit(width, slab_spaces,
+                                                     slit_mesh):
+    for spaces in (slab_spaces, wp.build_spaces(slit_mesh)):
+        e, m = spaces.blocks
+        full = assemble_s_line(spaces)
+        seen = 0
+        for cols, lower, upper in s_line_tiles(spaces, width):
+            assert cols.start == seen
+            seen = cols.stop
+            assert np.array_equal(lower, full[m, cols])
+            assert np.array_equal(upper, full[cols, m].T)
+        assert seen == spaces.n_pi
+        assert not full[e, e].any() and not full[m, m].any()
+
+
+def test_nodal_forms_are_held_only_for_operators_from_the_spaces(
+        slab_spaces):
+    mats = wp.assemble_matrices(slab_spaces, 1.0, 4.0)
+    forms = mats.nodal
+    mesh = slab_spaces.mesh
+    for got, want in zip(forms, (
+            kernels.nodal_stiffness(mesh, 1.0, 1.0),
+            kernels.nodal_stiffness(mesh, 1.0, 4.0),
+            kernels.nodal_stiffness(mesh, 1.0, 0.25),
+            kernels.nodal_mass(mesh, 1.0, 1.0),
+            kernels.nodal_mass(mesh, 1.0, 4.0)), strict=True):
+        assert (got != want).nnz == 0
+    assert mats.nodal is forms
+    # the Gram blocks are written from the held stiffness form
+    assert np.array_equal(mats.gram[1], mats.a1[slab_spaces.blocks[1],
+                                                slab_spaces.blocks[1]])
+    supplied = dataclasses.replace(mats, k=mats.k)
+    assert supplied.nodal is None
+    assert np.array_equal(supplied.gram[0], mats.gram[0])
+
+
+def test_a_repeated_gamma_tag_fails_at_assembly(slab_spaces):
+    # the interface rows must be the gamma-tagged edges one to one
+    mesh = slab_spaces.mesh
+    gamma = mesh.edge_tags.index(wp.mesh.GAMMA)
+    bad = wp.Mesh(nodes=mesh.nodes.copy(), triangles=mesh.triangles.copy(),
+                  regions=mesh.regions.copy(),
+                  edges=np.vstack([mesh.edges, mesh.edges[gamma]]),
+                  edge_tags=mesh.edge_tags + (wp.mesh.GAMMA,),
+                  interface_edges=mesh.interface_edges.copy())
+    with pytest.raises(AssemblyError, match="inconsistent interface"):
+        wp.assemble_matrices(wp.build_spaces(bad), 1.0, 4.0)

@@ -561,3 +561,55 @@ def test_null_space_basis_at_a_complex_eigenvalue(slab_pencil, slab_eigenvalues)
     basis = null_space_basis(slab_pencil, g)
     assert basis.shape[1] == _svd_nullity(slab_pencil, g) == 1
     assert residual(slab_pencil, g, basis[:, 0]) <= 1e-12
+
+
+def _eigvalsh_block_count(pencil, gamma):
+    """The deflated block's |eigenvalues| under the cutoff, plus the
+    fields the mesh makes null: the count by a symmetric eigensolve."""
+    cutoff = eigensolver.NULLITY_REL_TOL * pencil_mod.coefficient_scale(
+        pencil, gamma)
+    mat, dropped = wp.evaluate(pencil, gamma), 0
+    fields = eigensolver.null_fields(pencil.spaces, pencil.eps1, pencil.eps2,
+                                     gamma)
+    if fields is not None:
+        mat, dropped = eigensolver._deflate(pencil, gamma, mat, fields,
+                                            cutoff)
+    return dropped + int(np.sum(np.abs(np.linalg.eigvalsh(mat)) <= cutoff))
+
+
+@pytest.mark.parametrize("case,eps", [("slab", (1.0, 4.0)),
+                                      ("slit", (1.0, 4.0)),
+                                      ("homog", (2.0, 2.0))])
+def test_inertia_nullity_equals_the_eigvalsh_count(case, eps, slab_mesh,
+                                                   homog_mesh):
+    # every degeneration point, and the smallest real eigenvalue of the
+    # solve off the degeneration points, where the nullity is not zero
+    mesh = {"slab": lambda: slab_mesh, "homog": lambda: homog_mesh,
+            "slit": lambda: wp.load_mesh(build_slit_mesh_text())}[case]()
+    pen = wp.make_pencil(wp.assemble_matrices(wp.build_spaces(mesh), *eps))
+    vals = solve_pencil(pen).eigenvalues
+    degenerate = wp.pencil.degeneration_points(*eps)
+    off = np.abs(vals[:, None] - np.array(degenerate)).min(axis=1) > 1e-3
+    real = vals.real[off & (vals.imag == 0.0) & (vals.real > 0.0)]
+    gammas = degenerate + [float(real.min())]
+    for g in gammas:
+        count = numerical_nullity(pen, g)
+        assert count == _eigvalsh_block_count(pen, g), g
+        assert count > 0, g
+    assert numerical_nullity(pen, 0.5 * gammas[-1]) == 0
+
+
+def test_negative_count_reads_the_two_by_two_pivots():
+    # a zero diagonal forces Bunch-Kaufman to take 2 x 2 pivots
+    rng = np.random.default_rng(3)
+    for m in (2, 7, 40):
+        b = rng.standard_normal((m, m))
+        b += b.T
+        b[: m // 2, : m // 2] = 0.0
+        want = int(np.sum(np.linalg.eigvalsh(b) < 0.0))
+        assert eigensolver._negative_count(b.copy()) == want
+    for d in ([[0.0, 1.0], [1.0, 0.0]], [[-1.0, 3.0], [3.0, 0.0]],
+              [[-1.0, 0.5], [0.5, -1.0]]):
+        b = np.array(d)
+        want = int(np.sum(np.linalg.eigvalsh(b) < 0.0))
+        assert eigensolver._negative_count(b.copy()) == want

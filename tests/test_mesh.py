@@ -401,3 +401,13 @@ def test_validate_rejects_a_repeated_interface_edge():
     with pytest.raises(MeshError) as err:
         wp.mesh.validate(_slab_with(interface_edges=[[4, 1], [7, 4], [4, 1]]))
     assert str(err.value) == "interface_edges and gamma-tagged edges disagree"
+
+
+@pytest.mark.parametrize("name", ["triangles", "edges", "interface_edges"])
+def test_validate_rejects_non_integer_indices(name):
+    m = wp.generate_rect_slab(PI, PI, PI / 2, 2, 2)
+    floats = getattr(m, name).astype(float)
+    with pytest.raises(MeshError) as err:
+        wp.mesh.validate(dataclasses.replace(m, **{name: floats}))
+    assert str(err.value) == (f"{name} has dtype float64; expected integer "
+                              f"node indices")
