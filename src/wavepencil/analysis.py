@@ -395,13 +395,24 @@ def _certified_end(a, g, bound, sense):
     a - bound g (">=") or bound g - a ("<=") is positive definite
     (``_definite_factor``).  Inverse iteration on that factor gives the
     eigenvalue (``_inverse_iteration``).  Where that reaches its step
-    cap, and where the verdict fails, the eigenvalue comes from one dense
-    eigensolve of the pair instead, so the margin is always the end
+    cap, the end is often one far beyond 1 (A1's electric block at
+    eps_min > 1 starts at eps_min), where the iteration converges
+    slowly; one more factorization, at 1, then shows whether every
+    eigenvalue lies beyond 1 too, and the joined end is exactly 1.
+    Otherwise, and where the verdict fails, the eigenvalue comes from one
+    dense eigensolve of the pair instead, so the margin is always the end
     itself.  Returns (end, verdict).
     """
     shifted = a - bound * g if sense == ">=" else bound * g - a
     factor = _definite_factor(shifted)
     value = None if factor is None else _inverse_iteration(factor, a, g)
+    if value is None and factor is not None:
+        try:
+            beyond_one = _definite_factor(a - g if sense == ">=" else g - a)
+        except ValueError:  # an exactly zero pivot: not definite
+            beyond_one = None
+        if beyond_one is not None:
+            return 1.0, True
     if value is None:
         end = 0 if sense == ">=" else a.shape[0] - 1
         value = linalg.eigh(a.toarray(), g.toarray(), eigvals_only=True,

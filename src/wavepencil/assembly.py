@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import assembly_kernels as kernels
-from .mesh import GAMMA, _edge_keys
+from .mesh import GAMMA, _edge_keys, _tagged
 from .pencil import coefficients, exclusion_interval
 from .spaces import FieldSpaces, reflector, write_reduced
 
@@ -68,7 +68,7 @@ class PencilMatrices:
     ``k``, ``a1``, ``a2`` and ``s`` are dense n x n arrays.  One that is
     not supplied is formed from the spaces on its first read, by
     ``assemble_k``, ``assemble_a1``, ``assemble_a2`` or
-    ``assemble_s_line`` (``__getattr__``), and kept.
+    ``assemble_s_line`` (``_FormedOnRead``), and kept.
     ``dataclasses.replace`` reads every field, so it carries the
     operators over, formed.  ``nodal`` holds the sparse nodal forms the
     operators are formed from, when none was supplied.
@@ -83,22 +83,12 @@ class PencilMatrices:
     s: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        # a read of an operator left unset then finds nothing and goes to
-        # __getattr__, which forms it; a functools.cached_property would
-        # do the same, but before Python 3.12 it holds one lock across all
-        # instances, so the sweep's workers would form operators in turn
+        # a read of an operator left unset then finds the class's
+        # _FormedOnRead, which forms it
         unset = [name for name in _FORMS if self.__dict__[name] is None]
         for name in unset:
             del self.__dict__[name]
         self.__dict__["_from_spaces"] = len(unset) == len(_FORMS)
-
-    def __getattr__(self, name):
-        """Form an operator left unset on its first read, and keep it."""
-        if name not in _FORMS:
-            raise AttributeError(f"{type(self).__name__!r} object has no "
-                                 f"attribute {name!r}")
-        op = self.__dict__[name] = _FORMS[name](self)
-        return op
 
     @property
     def eps_max(self):
@@ -231,7 +221,7 @@ def _check_interface(spaces):
     built directly and never validated is caught here.
     """
     mesh = spaces.mesh
-    gamma = np.isin(mesh.edge_tags, GAMMA)
+    gamma = _tagged(mesh.edge_tags, (GAMMA,))
     if not np.array_equal(
             np.sort(_edge_keys(mesh.interface_edges, mesh.n_nodes)),
             np.sort(_edge_keys(mesh.edges[gamma], mesh.n_nodes))):
@@ -368,6 +358,28 @@ def _nodal_norms(spaces, forms, eps1, eps2):
             np.sqrt(sq2), np.sqrt(sq4))
 
 
+class _FormedOnRead:
+    """An operator of ``PencilMatrices`` formed on its first read and kept.
+
+    A descriptor without ``__set__``: a supplied or formed operator sits
+    in the instance ``__dict__`` and is found before it.  Unlike a
+    ``functools.cached_property`` it takes no lock, which before Python
+    3.12 is one across all instances, so the sweep's workers form their
+    operators at once.  The class defines no ``__getattr__``, so an
+    ``AttributeError`` raised while any attribute is formed propagates
+    as it was raised.
+    """
+
+    def __init__(self, name, form):
+        self.name, self.form = name, form
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        op = obj.__dict__[self.name] = self.form(obj)
+        return op
+
+
 #: How each unset operator is formed on its first read; each assembly
 #: function is looked up by its module name when it is called.
 _FORMS = {"k": lambda m: assemble_k(m.spaces, m.eps1, m.eps2),
@@ -376,7 +388,7 @@ _FORMS = {"k": lambda m: assemble_k(m.spaces, m.eps1, m.eps2),
           "s": lambda m: assemble_s_line(m.spaces)}
 
 # The dataclass leaves each operator's default, None, on the class, where
-# a read would find it before __getattr__.
-for _name in _FORMS:
-    delattr(PencilMatrices, _name)
-del _name
+# a read would find it; the descriptor takes its place.
+for _name, _form in _FORMS.items():
+    setattr(PencilMatrices, _name, _FormedOnRead(_name, _form))
+del _name, _form

@@ -20,6 +20,9 @@ from scipy import sparse
 def triangle_geometry(mesh):
     """Areas and constant P1 basis gradients per triangle.
 
+    The areas are the mesh's own (``Mesh.triangle_areas``), shared, not
+    copied.
+
     Returns
     -------
     areas : (M,) array
@@ -27,7 +30,7 @@ def triangle_geometry(mesh):
         grads[t, a] is the gradient of the basis function of local node a.
     """
     areas = mesh.triangle_areas()
-    p = mesh.nodes[mesh.triangles]
+    p = np.take(mesh.nodes, mesh.triangles, axis=0)
     grads = np.empty((len(areas), 3, 2))
     for a in range(3):
         opp1 = p[:, (a + 1) % 3]

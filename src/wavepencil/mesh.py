@@ -74,18 +74,37 @@ class Mesh:
         return self.triangles.shape[0]
 
     def triangle_areas(self):
-        """Signed areas; positive for counterclockwise triangles."""
-        p = self.nodes[self.triangles]
-        v1 = p[:, 1] - p[:, 0]
-        v2 = p[:, 2] - p[:, 0]
-        return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+        """Signed areas; positive for counterclockwise triangles.
+
+        Computed on the first call from the coordinate columns gathered
+        with ``np.take`` and kept read-only: the mesh is immutable, so every
+        later call returns the same array (``dataclasses.replace`` makes
+        a new mesh, with areas of its own).
+        """
+        areas = self.__dict__.get("_areas")
+        if areas is None:
+            x, y = (np.take(col, self.triangles) for col in self.nodes.T)
+            x1, y1 = x[:, 1] - x[:, 0], y[:, 1] - y[:, 0]
+            x2, y2 = x[:, 2] - x[:, 0], y[:, 2] - y[:, 0]
+            areas = 0.5 * (x1 * y2 - y1 * x2)
+            areas.setflags(write=False)
+            # not a field, so eq, repr and replace ignore it; the frozen
+            # dataclass refuses setattr
+            self.__dict__["_areas"] = areas
+        return areas
 
     def boundary_node_mask(self):
         """True for nodes lying on gamma0 or gammaprime edges."""
-        shielded = np.isin(self.edge_tags, (GAMMA0, GAMMA_PRIME))
+        shielded = _tagged(self.edge_tags, (GAMMA0, GAMMA_PRIME))
         mask = np.zeros(self.n_nodes, dtype=bool)
         mask[self.edges[shielded]] = True
         return mask
+
+
+def _tagged(tags, wanted):
+    """True for each of the edge ``tags`` that is one of ``wanted``."""
+    return np.fromiter((tag in wanted for tag in tags), dtype=bool,
+                       count=len(tags))
 
 
 class _Edges(NamedTuple):
@@ -114,21 +133,28 @@ def _edge_keys(pairs, n):
 def _edge_table(mesh):
     """The triangles' edges from one stable sort of their 3M half-edge keys.
 
-    The half-edges are taken in (triangle, local edge) order, so within a
-    run of equal keys the sort keeps them in that order.
+    Local edge a of a triangle runs from its corner a to corner a + 1
+    (mod 3), so the keys are formed elementwise from the (M, 3) columns
+    of ``triangles`` and of their rotation, and their C order is the
+    (triangle, local edge) order; within a run of equal keys the stable
+    sort keeps the half-edges in that order.
     """
     tri = mesh.triangles
-    half = np.stack((tri, np.roll(tri, -1, axis=1)), axis=-1).reshape(-1, 2)
-    keys = _edge_keys(half, mesh.n_nodes)
+    turned = tri[:, [1, 2, 0]]
+    keys = np.minimum(tri, turned).astype(np.int64)
+    keys *= mesh.n_nodes
+    keys += np.maximum(tri, turned)
+    keys = keys.ravel()
     order = np.argsort(keys, kind="stable")
     ranked = keys[order]
-    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+    new = np.empty(len(ranked), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
     counts = np.diff(starts, append=len(keys))
-    first = order[starts]
-    second = np.where(counts > 1, order[np.minimum(starts + 1, len(keys) - 1)],
-                      first)
-    return _Edges(ranked[starts], counts, first,
-                  np.column_stack((first // 3, second // 3)))
+    # an edge's first and second half-edge (the first again for one)
+    halves = order[np.column_stack((starts, starts + (counts > 1)))]
+    return _Edges(ranked[starts], counts, halves[:, 0], halves // 3)
 
 
 def _find(keys, wanted):
@@ -151,7 +177,7 @@ def validate(mesh):
     finite node coordinates, index ranges, every node
     belonging to a triangle (a node in none would carry no basis function
     and a zero mean-vector entry), the triangles forming one piece through
-    shared nodes (``_pieces``; a second piece would carry a constant
+    their edges (``_pieces``; a second piece would carry a constant
     magnetic field that the one zero-mean constraint leaves), region tags
     1 or 2, known edge tags, counterclockwise orientation (positive
     areas); then the tagged edges, each tagged once, lying on a triangle,
@@ -164,12 +190,16 @@ def validate(mesh):
     (``_orientation_errors``).
 
     The edges are read from one stable sort of the triangles' half-edge
-    keys (``_edge_table``), and the tagged and interface edges are looked
-    up in it.  Where a check fails for several items, the message names
-    the first: the first node, the first unknown tag, the first tagged
-    edge in ``edges`` order (a repeat at its second row), the first edge
-    in the order the triangles first meet it, and the first row of
-    ``interface_edges``.
+    keys (``_edge_table``), built just before the pieces check, which
+    runs over its unique edges; the tagged and interface edges are looked
+    up in it.  The areas are the mesh's own (``Mesh.triangle_areas``),
+    which the spaces and the assembly kernels read again.  Where a check
+    fails for several items, the message names the first: the first node
+    (sought only once a coordinate is found non-finite), the first
+    unknown tag (sought only once the set of tags holds one), the first
+    tagged edge in ``edges`` order (a repeat at its second row), the
+    first edge in the order the triangles first meet it, and the first
+    row of ``interface_edges``.
     """
     n = mesh.n_nodes
     for name, cols, rows in (("nodes", 2, "N"), ("triangles", 3, "M"),
@@ -189,8 +219,8 @@ def validate(mesh):
     if len(mesh.edge_tags) != len(mesh.edges):
         raise MeshError(f"{len(mesh.edge_tags)} edge tags for "
                         f"{len(mesh.edges)} edges")
-    finite = np.isfinite(mesh.nodes).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(mesh.nodes).all():
+        finite = np.isfinite(mesh.nodes).all(axis=1)
         raise MeshError(f"node {int(np.argmin(finite))} has a non-finite "
                         "coordinate")
     if mesh.triangles.size and (mesh.triangles.min() < 0 or mesh.triangles.max() >= n):
@@ -201,23 +231,21 @@ def validate(mesh):
     used[mesh.triangles.ravel()] = True
     if not used.all():
         raise MeshError(f"node {int(np.argmin(used))} belongs to no triangle")
-    apart = np.flatnonzero(_pieces(n, mesh.triangles))
+    table = _edge_table(mesh)
+    apart = np.flatnonzero(_pieces(n, table.keys))
     if len(apart):
         raise MeshError(f"the triangles form more than one piece: node "
                         f"{int(apart[0])} is not joined to node 0")
     if not np.all((mesh.regions == 1) | (mesh.regions == 2)):
         raise MeshError("region tags must be 1 or 2")
-    tags = np.array(mesh.edge_tags, dtype=object)
-    known = np.isin(tags, _KNOWN_TAGS)
-    if not known.all():
-        tag = mesh.edge_tags[np.argmin(known)]
+    unknown = set(mesh.edge_tags).difference(_KNOWN_TAGS)
+    if unknown:
+        tag = next(tag for tag in mesh.edge_tags if tag in unknown)
         raise MeshError(f"unknown edge tag {tag!r}")
 
     areas = mesh.triangle_areas()
     if np.any(areas <= 0.0):
         raise MeshError("triangle with non-positive signed area (nodes must be CCW)")
-
-    table = _edge_table(mesh)
 
     keys = _edge_keys(mesh.edges, n)
     order = np.argsort(keys, kind="stable")
@@ -229,7 +257,7 @@ def validate(mesh):
     at, found = _find(table.keys, keys)
     count = np.where(found, table.counts[at], 0)
     regs = mesh.regions[table.tris[at]]
-    gamma = tags == GAMMA
+    gamma = _tagged(mesh.edge_tags, (GAMMA,))
     wrong = ~found | np.where(gamma, (count != 2) | (regs[:, 0] == regs[:, 1]),
                               count != 1)
     if wrong.any():
@@ -273,27 +301,35 @@ def validate(mesh):
     return mesh
 
 
-def _pieces(n, triangles):
+def _pieces(n, keys):
     """Per node, the smallest node index of its piece.
 
-    A piece is a class of nodes joined through shared triangles (one
-    shared vertex joins two triangles).  Every label is a node of the
-    same piece, no larger than the node itself.  Each round points each
-    of a triangle's labels at the smallest of them and then replaces
-    every label by that node's label (pointer jumping), until the three
-    nodes of every triangle share one label: a few rounds of array
-    operations.
+    A piece is a class of nodes joined through the edges whose ascending
+    ``keys`` (``_edge_table``) are given, so two triangles that share
+    only a vertex are one piece: that vertex ends edges of both.  Each
+    node is first pointed at a smaller neighbour, if it has one.  Each
+    round then replaces every label by its label's label until none
+    changes (pointer jumping), so that each label is a node labelled by
+    itself, and points the larger label of each edge whose ends still
+    differ at the smaller one; an edge whose ends agree keeps them
+    agreeing and is dropped.  Labels only decrease and stay nodes of
+    their piece, so when no edge is left each piece is labelled by its
+    smallest node: a few rounds of array operations over the edges.
     """
+    lo, hi = np.divmod(keys, n)
     label = np.arange(n)
-    corners = triangles.ravel()
+    label[hi] = lo
     while True:
-        labels = label[triangles]
-        low = np.minimum(np.minimum(labels[:, 0], labels[:, 1]), labels[:, 2])
-        if np.all(labels == low[:, None]):
+        jumped = label[label]
+        if not np.array_equal(jumped, label):
+            label = jumped
+            continue
+        a, b = label[lo], label[hi]
+        live = a != b
+        if not live.any():
             return label
-        # flat indices and values: ufunc.at's fast path, 4x the 2-D form
-        np.minimum.at(label, corners, np.repeat(low, 3))
-        label = label[label]
+        lo, hi, a, b = lo[live], hi[live], a[live], b[live]
+        label[np.maximum(a, b)] = np.minimum(a, b)
 
 
 def _orientation_errors(mesh, edges):
@@ -308,10 +344,11 @@ def _orientation_errors(mesh, edges):
     iface = mesh.interface_edges
     at, _ = _find(edges.keys, _edge_keys(iface, mesh.n_nodes))
     tris = edges.tris[at]
-    start, end = mesh.nodes[iface[:, 0]], mesh.nodes[iface[:, 1]]
+    start, end = np.take(mesh.nodes, iface.T, axis=0)
     tau = end - start
     mid = 0.5 * (start + end)
-    offset = mesh.nodes[mesh.triangles[tris]].mean(axis=2) - mid[:, None]
+    corners = np.take(mesh.triangles, tris, axis=0)
+    offset = np.take(mesh.nodes, corners, axis=0).mean(axis=2) - mid[:, None]
     side = -tau[:, None, 1] * offset[..., 0] + tau[:, None, 0] * offset[..., 1]
     reg = mesh.regions[tris]
     return np.any(((reg == 1) & (side < 0.0)) | ((reg == 2) & (side > 0.0)),
@@ -470,6 +507,6 @@ def load_mesh(text):
         regions=cells[:, 3].copy(),
         edges=edges,
         edge_tags=tags,
-        interface_edges=edges[np.isin(tags, GAMMA)],
+        interface_edges=edges[_tagged(tags, (GAMMA,))],
     )
     return validate(mesh)

@@ -909,3 +909,28 @@ def test_inverse_iteration_reports_none_at_its_step_cap(monkeypatch):
     near = analysis._definite_factor(a - (0.75 - 1e-9) * g)
     assert analysis._inverse_iteration(near, a, g) == pytest.approx(
         0.75, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [(2.3, 1.7), (1.5, 6.0)])
+def test_bound_ends_beyond_one_take_no_dense_eigensolve(eps, monkeypatch):
+    # at eps_min > 1, A1's electric block starts at eps_min and A2's
+    # magnetic block ends at 1 / eps_min, far from their thresholds, where
+    # inverse iteration reaches its step cap; one factorization at 1 then
+    # gives the joined end 1 without the dense generalized eigensolve
+    mats = wp.assemble_matrices(wp.build_spaces(
+        wp.generate_rect_slab(PI, PI, PI / 2, 12, 12)), *eps)
+    ref = _dense_bound_margins(mats)
+    real = linalg.eigh
+
+    def standard_only(a, b=None, **kwargs):
+        assert b is None, "a bound end reached the dense eigensolve"
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(analysis.linalg, "eigh", standard_only)
+    rep = verify_all(mats)
+    assert rep.all_passed
+    for name in ("a1_bound_lower", "a1_bound_upper", "a2_bound_lower",
+                 "a2_bound_upper"):
+        assert rep[name].margin == pytest.approx(ref[name], rel=1e-12,
+                                                 abs=0), name
+    assert rep["a1_bound_lower"].margin == rep["a2_bound_upper"].margin == 1.0

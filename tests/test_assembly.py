@@ -371,3 +371,25 @@ def test_a_repeated_gamma_tag_fails_at_assembly(slab_spaces):
                   interface_edges=mesh.interface_edges.copy())
     with pytest.raises(AssemblyError, match="inconsistent interface"):
         wp.assemble_matrices(wp.build_spaces(bad), 1.0, 4.0)
+
+
+@pytest.mark.parametrize("name", ["nodal", "gram", "coefficient_norms", "a1"])
+def test_an_attribute_error_while_forming_keeps_its_message(
+        name, slab_spaces, monkeypatch):
+    # Python retries __getattr__ when a descriptor raises AttributeError;
+    # the message of the error raised inside must still reach the caller
+    def boom(*args, **kwargs):
+        raise AttributeError("boom")
+
+    monkeypatch.setattr(kernels, "nodal_stiffness", boom)
+    mats = wp.assemble_matrices(slab_spaces, 1.0, 4.0)
+    with pytest.raises(AttributeError) as err:
+        getattr(mats, name)
+    messages, exc = [], err.value
+    while exc is not None:
+        messages.append(str(exc))
+        exc = exc.__cause__ or exc.__context__
+    assert "boom" in messages, messages
+    # an attribute the class does not have is still reported by name
+    with pytest.raises(AttributeError, match="no attribute 'nodes'"):
+        mats.nodes

@@ -411,3 +411,109 @@ def test_validate_rejects_non_integer_indices(name):
         wp.mesh.validate(dataclasses.replace(m, **{name: floats}))
     assert str(err.value) == (f"{name} has dtype float64; expected integer "
                               f"node indices")
+
+
+def _edge_table_by_stacking(mesh):
+    """The edge table from stacked (i, j) half-edge pairs and _edge_keys."""
+    tri = mesh.triangles
+    half = np.stack((tri, np.roll(tri, -1, axis=1)), axis=-1).reshape(-1, 2)
+    keys = wp.mesh._edge_keys(half, mesh.n_nodes)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+    counts = np.diff(starts, append=len(keys))
+    first = order[starts]
+    second = np.where(counts > 1,
+                      order[np.minimum(starts + 1, len(keys) - 1)], first)
+    return (ranked[starts], counts, first,
+            np.column_stack((first // 3, second // 3)))
+
+
+def _pieces_over_corners(n, triangles):
+    """Piece labels from every triangle's corners, one jump per round."""
+    label = np.arange(n)
+    while True:
+        labels = label[triangles]
+        low = labels.min(axis=1)
+        if np.all(labels == low[:, None]):
+            return label
+        np.minimum.at(label, triangles.ravel(), np.repeat(low, 3))
+        label = label[label]
+
+
+@pytest.mark.parametrize("case", ["slab", "slit", "homog"])
+def test_edge_table_matches_the_stacked_half_edges(case, slab_mesh,
+                                                   slit_mesh, homog_mesh):
+    mesh = {"slab": slab_mesh, "slit": slit_mesh, "homog": homog_mesh}[case]
+    table = wp.mesh._edge_table(mesh)
+    for name, ref in zip(table._fields, _edge_table_by_stacking(mesh)):
+        got = getattr(table, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+    # each mesh is one piece, labelled by node 0
+    labels = wp.mesh._pieces(mesh.n_nodes, table.keys)
+    assert np.array_equal(labels, np.zeros(mesh.n_nodes, dtype=int))
+
+
+def test_piece_labels_match_the_corner_propagation():
+    # triangle soups over few nodes: repeated and degenerate triangles,
+    # edges of three or more triangles, nodes in none and several pieces
+    rng = np.random.default_rng(7)
+    pieces = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        triangles = rng.integers(0, n, size=(int(rng.integers(0, 20)), 3))
+        soup = wp.Mesh(nodes=np.zeros((n, 2)), triangles=triangles,
+                       regions=np.ones(len(triangles), dtype=int),
+                       edges=np.zeros((0, 2), dtype=int), edge_tags=())
+        for name, ref in zip(wp.mesh._Edges._fields,
+                             _edge_table_by_stacking(soup)):
+            assert np.array_equal(getattr(wp.mesh._edge_table(soup), name),
+                                  ref), name
+        labels = wp.mesh._pieces(n, wp.mesh._edge_table(soup).keys)
+        assert np.array_equal(labels, _pieces_over_corners(n, triangles))
+        pieces.add(len(np.unique(labels)))
+    assert max(pieces) > 10
+
+
+def test_triangles_sharing_one_vertex_are_one_piece():
+    # a bow tie: the two triangles meet only at node 2
+    m = wp.Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                [2.0, 1.0], [2.0, 2.0]]),
+                triangles=np.array([[0, 1, 2], [2, 3, 4]]),
+                regions=np.array([1, 1]),
+                edges=np.array([[0, 1], [1, 2], [2, 0], [2, 3], [3, 4],
+                                [4, 2]]),
+                edge_tags=(GAMMA0,) * 6)
+    assert wp.mesh.validate(m) is m
+    labels = wp.mesh._pieces(m.n_nodes, wp.mesh._edge_table(m).keys)
+    assert labels.tolist() == [0] * 5
+    # without the shared node the second triangle is a piece of its own
+    apart = dataclasses.replace(
+        m, nodes=np.vstack([m.nodes, [[1.5, 1.0]]]),
+        triangles=np.array([[0, 1, 2], [5, 3, 4]]),
+        edges=np.array([[0, 1], [1, 2], [2, 0], [5, 3], [3, 4], [4, 5]]))
+    with pytest.raises(MeshError) as err:
+        wp.mesh.validate(apart)
+    assert str(err.value) == ("the triangles form more than one piece: node 3 "
+                              "is not joined to node 0")
+
+
+def test_triangle_areas_are_formed_once_per_mesh():
+    m = wp.generate_rect_slab(PI, PI, 1.0, 6, 5)
+    areas = m.triangle_areas()
+    assert m.triangle_areas() is areas
+    assert not areas.flags.writeable
+    p = m.nodes[m.triangles]
+    v1, v2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    ref = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+    assert areas.dtype == ref.dtype and areas.tobytes() == ref.tobytes()
+    # the assembly kernels and the mean vector read the same array
+    assert wp.assembly_kernels.triangle_geometry(m)[0] is areas
+    mean = np.bincount(m.triangles.ravel(), weights=np.repeat(ref / 3.0, 3))
+    assert wp.build_spaces(m).mean_vector.tobytes() == mean.tobytes()
+    # a replaced mesh with moved nodes gets areas of its own
+    moved = dataclasses.replace(m, nodes=m.nodes * [2.0, 0.5])
+    assert moved.triangle_areas() is not areas
+    assert np.array_equal(moved.triangle_areas(), areas)
+    skewed = dataclasses.replace(m, nodes=m.nodes * [2.0, 1.0])
+    assert np.array_equal(skewed.triangle_areas(), 2.0 * areas)
