@@ -152,19 +152,48 @@ class PencilMatrices:
 
         The inner product every operator bound is relative to, formed on
         first read by the kernels that write A1's magnetic and A2's
-        electric block, so those are the Gram blocks bit for bit.  The
-        nodal form is ``nodal.stiffness`` where ``nodal`` is held.
+        electric block, so those are the Gram blocks bit for bit
+        (``_gram_block``), and kept read-only.  The nodal form is
+        ``nodal.stiffness`` where ``nodal`` is held.
         """
-        sp = self.spaces
-        stiff = kernels.nodal_stiffness(sp.mesh, 1.0, 1.0) \
+        stiff = kernels.nodal_stiffness(self.spaces.mesh, 1.0, 1.0) \
             if self.nodal is None else self.nodal.stiffness
-        g_pi = np.zeros((sp.n_pi, sp.n_pi))
-        g_psi = np.empty((sp.n_psi, sp.n_psi))
-        sp.scatter_pi(g_pi, stiff)
-        write_reduced(g_psi, sp.mean_vector, stiff, congruence=True)
-        for g in (g_pi, g_psi):
+        blocks = tuple(_gram_block(self.spaces, stiff, b) for b in (0, 1))
+        for g in blocks:
             g.setflags(write=False)
-        return g_pi, g_psi
+        return blocks
+
+    def gram_blocks(self):
+        """G_pi, then G_psi, as ``gram`` holds them, one at a time.
+
+        Where ``nodal`` is held, each block is written afresh from
+        ``nodal.stiffness`` (``_gram_block``): a writable Fortran-ordered
+        array that the caller may overwrite, and that the pencil does not
+        keep, so a caller that drops one block before it takes the next
+        holds one at a time.  Otherwise they are ``gram``'s, read-only.
+        """
+        if self.nodal is None:
+            yield from self.gram
+            return
+        for block in (0, 1):
+            yield _gram_block(self.spaces, self.nodal.stiffness, block)
+
+
+def _gram_block(spaces, stiffness, block):
+    """Field block ``block`` (0 electric, 1 magnetic) of the Gram matrix.
+
+    Written from the nodal ``stiffness`` as ``_block_diagonal`` writes
+    A2's electric and A1's magnetic block (``scatter_pi``,
+    ``write_reduced``), into a new Fortran-ordered array, the layout
+    LAPACK factors in place.
+    """
+    if block == 0:
+        g = np.zeros((spaces.n_pi, spaces.n_pi), order="F")
+        spaces.scatter_pi(g, stiffness)
+    else:
+        g = np.empty((spaces.n_psi, spaces.n_psi), order="F")
+        write_reduced(g, spaces.mean_vector, stiffness, congruence=True)
+    return g
 
 
 def _check_eps(eps1, eps2):

@@ -350,7 +350,7 @@ def cmd_verify(cfg, args):
     if operators + checks > memory:
         raise AssemblyError(
             f"the four dense operators of n = {n} unknowns need {operators} "
-            f"bytes and their checks (one reassembled S, the Gram blocks "
+            f"bytes and their checks (two arrays of the larger field block "
             f"and tile buffers) {checks} more, together more than the "
             f"{memory} bytes of physical memory")
     if mesh is None:

@@ -1,4 +1,4 @@
-"""Dense eigensolver for the companion problem and the numerical nullity.
+"""Dense eigensolver for the companion problem; the nullity by inertia.
 
 The companion of ``pencil.linearize`` is 4n wide, but its spectrum is
 symmetric under g -> -g through the field parity, and it is solved
@@ -10,15 +10,20 @@ stage contract stays independently testable.  A solve allocates the
 companion once and holds no name of it once the square is gathered;
 ``balance`` scales the Fortran-ordered square in place, and the QR's
 LAPACK work copy is the only other array of its size.  The QR stays on
-``numpy.linalg``, which releases the interpreter lock, so
-``cli.sweep``'s workers run their QRs at the same time; scipy's ``geev``
-wrapper holds the lock.  Eigenvectors of the original pencil are read
+``numpy.linalg``, which releases the interpreter lock; scipy's ``geev``
+wrapper holds it.  That does not make ``cli.sweep``'s workers reliably
+run two QRs at once: with one BLAS thread on 2 cores, two threads
+reached 0.57-1.05x one thread's ``eigvals`` throughput at 200-450 rows,
+0.84-2.36x at 578 and 1.27-2.43x at 800 (README "Command line" has the
+measurement).  Eigenvectors of the original pencil are read
 off the square's eigenvectors [y; mu y], y = (v_pi, g v_psi)
 (``solve_pencil``).  The fields the mesh makes null at the degeneration
 points +-sqrt(eps_j) (``null_fields``) are known before any eigensolve:
 a solve rotates them out of the square before the QR
-(``deflate_square``), and the numerical nullity of the pencil there
-takes them out before it counts the rest by inertia.
+(``deflate_square``).  The numerical nullity is counted by inertia, on
+the sparse bordered L(g) (``pencil.bordered``) of a pencil that holds
+its nodal forms, and otherwise on the dense L(g), which first loses
+those fields.
 """
 
 from __future__ import annotations
@@ -425,30 +430,91 @@ def _negative_count(b):
     return int(np.count_nonzero(d[~two] < 0.0) + pairs.sum())
 
 
+def _symmetric_factor(matrix):
+    """SuperLU factor of a sparse symmetric matrix with diagonal pivots only.
+
+    The factor keeps the diagonal pivots (``diag_pivot_thresh=0``,
+    ``SymmetricMode``) under a symmetric fill-reducing order P
+    (``MMD_AT_PLUS_A``), so its U holds on its diagonal the pivots of
+    symmetric Gaussian elimination on P^T A P, and by Sylvester's law of
+    inertia they have the inertia of A.  A factor whose row order differs
+    from its column order has pivoted off the diagonal, and its pivots
+    give no inertia: ValueError.  SuperLU raises RuntimeError at an
+    exactly zero pivot.  ``scipy.sparse.linalg`` is imported here, so
+    ``import wavepencil`` does not load it (about 2 MB and 10 ms).
+    """
+    from scipy.sparse.linalg import splu
+
+    factor = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    if not np.array_equal(factor.perm_r, factor.perm_c):
+        raise ValueError("the factor pivoted off the diagonal, so its "
+                         "pivots give no inertia")
+    return factor
+
+
+def _bordered_nullity(pencil, gamma, cutoff):
+    """``numerical_nullity`` of a pencil that holds its nodal forms.
+
+    B is ``pencil.bordered`` at gamma.  Its null-field columns, those
+    of the nodes ``degeneration_null_nodes`` names (the electric ones off
+    the shield, and every magnetic one), must have field rows below
+    ``cutoff``.  By Haynsworth's theorem nu-(B + s I~) is
+    nu-(L(gamma) + s I) + 1, so the count is nu-(B - c I~) - nu-(B + c I~),
+    from two sparse factorizations (``_symmetric_factor``) of B built at
+    each shift.  A build is O(nnz), a fraction of a factorization.
+    """
+    sp = pencil.spaces
+    mat = pencil_mod.bordered(pencil, gamma)
+    if (mat != mat.T).nnz:
+        raise ValueError(f"L({gamma:g}) is not exactly symmetric, so its "
+                         f"nullity is not counted")
+    null = degeneration_null_nodes(sp.mesh, pencil.eps1, pencil.eps2, gamma)
+    if null is not None:
+        cols = np.concatenate([sp.pi_index[null & (sp.pi_index >= 0)],
+                               sp.n_pi + np.flatnonzero(null)])
+        res = np.linalg.norm(mat[:, cols][:-1].data)
+        if res > cutoff:
+            raise ValueError(
+                f"L({gamma:g}): the fields the mesh makes null leave a "
+                f"residual {res:.3e} above the nullity cutoff {cutoff:.3e}")
+    below, above = (int(np.count_nonzero(_symmetric_factor(
+        pencil_mod.bordered(pencil, gamma, shift)).U.diagonal() < 0.0))
+        for shift in (-cutoff, cutoff))
+    return below - above
+
+
 def numerical_nullity(pencil, gamma):
     """Count of eigenvalues of L(gamma) within NULLITY_REL_TOL * scale of 0.
 
-    gamma must be real and L(gamma) exactly symmetric; otherwise
-    ValueError names gamma.  The scale c/``NULLITY_REL_TOL`` is
+    gamma must be real; a complex one raises ValueError naming it before
+    anything is built.  The scale c/``NULLITY_REL_TOL`` is
     ``pencil.coefficient_scale``, which unlike ||L(gamma)|| does not
-    collapse when the pencil degenerates.  At a degeneration point
-    L(gamma) first loses the fields the mesh makes null
-    (``degeneration_null_nodes``, ``_deflate``): they count as null, and
-    the rest, about half of L, is counted.  A dropped field whose column
-    is above the cutoff raises ValueError.  The count of the rest B is
-    nu-(B - c I) - nu-(B + c I), the eigenvalues in [-c, c), from two
-    Bunch-Kaufman factorizations (``_negative_count``) with the diagonal
-    shifted in place, where an eigensolve would take the full
-    tridiagonal reduction.
+    collapse when the pencil degenerates.  The count is that of the
+    eigenvalues in [-c, c), by Sylvester's law of inertia, with no
+    eigensolve.  A pencil that holds its sparse ``nodal`` forms is
+    counted on the bordered nodal L(gamma) (``pencil.bordered``,
+    ``_bordered_nullity``), by two sparse factorizations, with no dense
+    L(gamma).  Operators supplied as arrays are counted on the dense
+    L(gamma) (``evaluate``): at a degeneration point it first loses the
+    fields the mesh makes null (``degeneration_null_nodes``,
+    ``_deflate``), which count as null, and the rest B, about half of L,
+    is counted as nu-(B - c I) - nu-(B + c I), from two Bunch-Kaufman
+    factorizations (``_negative_count``) with the diagonal shifted in
+    place.  On both routes the matrix counted must be exactly symmetric,
+    and the columns of the null fields below c; otherwise ValueError
+    names gamma.
     """
     if complex(gamma).imag != 0.0:
         raise ValueError(f"L({gamma:g}): the nullity is counted at real "
                          f"gamma only")
+    cutoff = NULLITY_REL_TOL * pencil_mod.coefficient_scale(pencil, gamma)
+    if pencil.nodal is not None:
+        return _bordered_nullity(pencil, complex(gamma).real, cutoff)
     mat = pencil_mod.evaluate(pencil, gamma)
     if not np.array_equal(mat, mat.T):
         raise ValueError(f"L({gamma:g}) is not exactly symmetric, so its "
                          f"nullity is not counted")
-    cutoff = NULLITY_REL_TOL * pencil_mod.coefficient_scale(pencil, gamma)
     dropped = 0
     fields = null_fields(pencil.spaces, pencil.eps1, pencil.eps2, gamma)
     if fields is not None:

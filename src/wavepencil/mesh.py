@@ -31,9 +31,13 @@ class MeshError(ValueError):
     """Invalid geometry parameters or a mesh violating its invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Immutable triangulation with region and boundary tagging.
+
+    A mesh compares and hashes by identity (``eq=False``), as
+    ``assembly.PencilMatrices`` does: a comparison field by field would
+    compare numpy arrays, whose truth value is ambiguous.
 
     Attributes
     ----------

@@ -27,8 +27,10 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, sparse
 from scipy.linalg import blas
+
+from . import assembly_kernels as kernels
 
 
 class PencilError(ValueError):
@@ -115,12 +117,59 @@ def coefficients(pencil, rows=slice(None)):
     yield c
 
 
-def _terms(pencil, g):
-    """(weight, operator) pairs of the factored form at g."""
+def _weights(pencil, g):
+    """Weights of K, A1, S and A2 in the factored form at g."""
     e1, e2 = pencil.eps1, pencil.eps2
     g2 = g * g
-    return (((g2 - e1) * (g2 - e2), pencil.k), (g2, pencil.a1),
-            (g * (e1 - e2), pencil.s), (-e1 * e2, pencil.a2))
+    return (g2 - e1) * (g2 - e2), g2, g * (e1 - e2), -e1 * e2
+
+
+def _terms(pencil, g):
+    """(weight, operator) pairs of the factored form at g."""
+    return tuple(zip(_weights(pencil, g),
+                     (pencil.k, pencil.a1, pencil.s, pencil.a2)))
+
+
+def bordered(pencil, gamma, shift=0.0):
+    """The sparse nodal L(gamma) bordered by the zero-mean row, real gamma.
+
+    Built from the pencil's ``nodal`` forms, the interface line matrix D
+    (``assembly_kernels.interface_line_matrix``) and the mean vector m,
+    with no operator formed.  Rows and columns are the electric (pi)
+    nodes, all N nodes for the magnetic field, and one border:
+
+        B = [[L_pp, C^T, 0], [C, L_qq, m], [0, m^T, 0]] + shift I~,
+
+    with the weights of ``_weights``: L_pp = w mass_eps + mu stiffness_eps
+    - eps1 eps2 stiffness on the pi nodes, L_qq = w mass + mu stiffness
+    - eps1 eps2 stiffness_inv_eps, C = g (eps1 - eps2) D[:, pi], w =
+    (mu - eps1)(mu - eps2) and mu = g^2; I~ is the identity on the field
+    rows.  C^T is C transposed, so B is exactly symmetric.  L(gamma) is
+    Z^T (B's field part) Z on the zero-mean space, so by Haynsworth's
+    inertia theorem B has the inertia of L(gamma) + shift I with one
+    more positive and one more negative eigenvalue.  Only the coupling
+    is odd in gamma, so B(-gamma) = P B(gamma) P exactly, P being -1 on
+    the pi rows.  CSC, the layout SuperLU factors.
+    """
+    forms, sp = pencil.nodal, pencil.spaces
+    w, mu, couple, a2 = _weights(pencil, float(gamma))
+    pi, n_pi, n = sp.pi_nodes, sp.n_pi, len(sp.mean_vector)
+    l_pp = (w * forms.mass_eps + mu * forms.stiffness_eps
+            + a2 * forms.stiffness)[pi][:, pi].tocoo()
+    l_qq = (w * forms.mass + mu * forms.stiffness
+            + a2 * forms.stiffness_inv_eps).tocoo()
+    c = (couple * kernels.interface_line_matrix(sp.mesh)[:, pi]).tocoo()
+    psi, field = n_pi + np.arange(n), np.arange(n_pi + n)
+    border = np.full(n, n_pi + n)
+    # the shift is summed into each field row's stored diagonal entry
+    rows = np.concatenate([l_pp.row, n_pi + l_qq.row, n_pi + c.row, c.col,
+                           psi, border, field])
+    cols = np.concatenate([l_pp.col, n_pi + l_qq.col, c.col, n_pi + c.row,
+                           border, psi, field])
+    vals = np.concatenate([l_pp.data, l_qq.data, c.data, c.data,
+                           sp.mean_vector, sp.mean_vector,
+                           np.full(n_pi + n, float(shift))])
+    return sparse.csc_matrix((vals, (rows, cols)), shape=(n_pi + n + 1,) * 2)
 
 
 def evaluate(pencil, gamma):

@@ -934,3 +934,38 @@ def test_bound_ends_beyond_one_take_no_dense_eigensolve(eps, monkeypatch):
         assert rep[name].margin == pytest.approx(ref[name], rel=1e-12,
                                                  abs=0), name
     assert rep["a1_bound_lower"].margin == rep["a2_bound_upper"].margin == 1.0
+
+
+def _unformed_slab_pencil(nx):
+    """A slab pencil at eps 1/4 that will form its operators on first read."""
+    return wp.make_pencil(wp.assemble_matrices(wp.build_spaces(
+        wp.generate_rect_slab(PI, PI, PI / 2, nx, nx)), 1.0, 4.0))
+
+
+@pytest.mark.parametrize("nx", [20, 40])
+def test_nodal_degeneration_scan_reads_no_dense_operator(nx):
+    pencils = [_unformed_slab_pencil(nx // 2), _unformed_slab_pencil(nx)]
+    # a first scan forms the nodal forms and the coefficient norms, which
+    # the pencils keep, and loads the sparse solver
+    gammas, table = degeneration_scan(pencils)
+    n = pencils[-1].n
+    peak = traced_peak(lambda: degeneration_scan(pencils))
+    assert peak <= 0.1 * n * n * 8
+    for pen, row in zip(pencils, table):
+        assert not {"k", "a1", "a2", "s"} & set(vars(pen))
+        assert row == degeneration_count(pen.spaces, 1.0, 4.0)
+        for g in gammas:
+            if g < 0.0:
+                assert analysis.numerical_nullity(pen, g) == row[-g]
+
+
+def test_verify_holds_the_operators_and_one_block_pair():
+    # a first run loads the modules verify uses; the traced one forms the
+    # four operators, n^2 8 bytes each, and holds at most one field block's
+    # pair of arrays beside them
+    verify_all(_unformed_slab_pencil(4), include_decay_slope=True)
+    pen = _unformed_slab_pencil(20)
+    n = pen.n
+    peak = traced_peak(lambda: verify_all(pen, pencil=pen,
+                                          include_decay_slope=True))
+    assert peak <= 4.8 * n * n * 8

@@ -613,3 +613,80 @@ def test_negative_count_reads_the_two_by_two_pivots():
         b = np.array(d)
         want = int(np.sum(np.linalg.eigvalsh(b) < 0.0))
         assert eigensolver._negative_count(b.copy()) == want
+
+
+def _fresh_pencil(mesh, eps):
+    """A pencil that forms its operators from its spaces, none formed yet."""
+    return wp.make_pencil(wp.assemble_matrices(wp.build_spaces(mesh), *eps))
+
+
+@pytest.mark.parametrize("case,eps", [
+    *((nx, eps) for nx in (8, 12, 16)
+      for eps in ((1.0, 4.0), (1.0, 2.5), (1.5, 6.0))),
+    ("homog", (2.0, 2.0)), ("slit", (1.0, 4.0))])
+def test_sparse_nullity_equals_the_dense_route(case, eps, homog_mesh,
+                                               slit_mesh):
+    # the replaced copy holds the four operators as arrays and no nodal
+    # forms, so it is counted on the dense L(gamma); the pencil itself is
+    # counted on the sparse bordered L(gamma)
+    mesh = {"homog": homog_mesh, "slit": slit_mesh}.get(case) \
+        or wp.generate_rect_slab(PI, PI, PI / 2, case, case)
+    pen = _fresh_pencil(mesh, eps)
+    vals = solve_pencil(pen).eigenvalues
+    degenerate = wp.pencil.degeneration_points(*eps)
+    off = np.abs(vals[:, None] - np.array(degenerate)).min(axis=1) > 1e-3
+    smallest = float(vals.real[off & (vals.imag == 0.0)
+                               & (vals.real > 0.0)].min())
+    dense = dataclasses.replace(pen)
+    assert dense.nodal is None and pen.nodal is not None
+    for g in [*degenerate, smallest, 0.5 * smallest]:
+        assert numerical_nullity(pen, g) == numerical_nullity(dense, g), g
+    assert numerical_nullity(pen, smallest) > 0
+    assert numerical_nullity(pen, 0.5 * smallest) == 0
+
+
+def test_sparse_nullity_forms_no_dense_matrix(slab_mesh, monkeypatch):
+    def evaluate(pencil, gamma):
+        raise AssertionError("L(gamma) evaluated")
+
+    monkeypatch.setattr(pencil_mod, "evaluate", evaluate)
+    pen = _fresh_pencil(slab_mesh, (1.0, 4.0))
+    counts = degeneration_count(pen.spaces, 1.0, 4.0)
+    for g in (1.0, -2.0):
+        assert numerical_nullity(pen, g) == counts[g]
+    assert numerical_nullity(pen, 3.5) == 0
+    assert not {"k", "a1", "a2", "s"} & set(vars(pen))
+
+
+def _with_nodal_entry(spaces, name, i, j, delta):
+    """An unformed slab pencil whose nodal form ``name`` has delta added at
+    (i, j)."""
+    pen = wp.assemble_matrices(spaces, 1.0, 4.0)
+    form = getattr(pen.nodal, name).tolil()
+    form[i, j] += delta
+    pen.__dict__["nodal"] = pen.nodal._replace(**{name: form.tocsr()})
+    return pen
+
+
+@pytest.mark.parametrize("field,name", [("electric", "stiffness_eps"),
+                                        ("magnetic", "stiffness_inv_eps")])
+def test_sparse_nullity_refuses_a_null_field_that_is_not(field, name,
+                                                         slab_spaces):
+    # one diagonal entry of a nodal form at a node the mesh makes null at
+    # gamma = 1, in a form that only that field's block reads: the
+    # bordered L(1) stays symmetric, but the field leaves its kernel
+    null = degeneration_null_nodes(slab_spaces.mesh, 1.0, 4.0, 1.0)
+    node = np.flatnonzero(null & (slab_spaces.pi_index >= 0))[0]
+    bad = _with_nodal_entry(slab_spaces, name, node, node, 1e-3)
+    with pytest.raises(ValueError, match=r"L\(1\): .* residual .*e-0[34]"):
+        numerical_nullity(bad, 1.0)
+
+
+def test_sparse_nullity_refuses_an_asymmetric_form(slab_spaces):
+    form = wp.assemble_matrices(slab_spaces, 1.0, 4.0).nodal.stiffness_inv_eps
+    i = 10
+    j = next(int(c) for c in form[i].indices if c != i)
+    bad = _with_nodal_entry(slab_spaces, "stiffness_inv_eps", i, j, 1.0)
+    with pytest.raises(ValueError,
+                       match=r"L\(1\.5\) is not exactly symmetric"):
+        numerical_nullity(bad, 1.5)

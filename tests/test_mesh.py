@@ -517,3 +517,15 @@ def test_triangle_areas_are_formed_once_per_mesh():
     assert np.array_equal(moved.triangle_areas(), areas)
     skewed = dataclasses.replace(m, nodes=m.nodes * [2.0, 1.0])
     assert np.array_equal(skewed.triangle_areas(), 2.0 * areas)
+
+
+def test_meshes_compare_and_hash_by_identity():
+    # two equal meshes: == is identity, and neither raises on comparing
+    # or hashing numpy fields
+    a, b = (wp.generate_rect_slab(PI, PI, 1, 4, 4) for _ in range(2))
+    assert meshes_equal(a, b)
+    assert not a == b
+    assert a != b
+    assert a == a and b == b
+    both = {a, b}
+    assert len(both) == 2 and a in both and b in both

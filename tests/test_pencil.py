@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from wavepencil.assembly import NORM_ROW_BLOCK, PencilMatrices
-from wavepencil.pencil import (PencilError, apply, coefficient_scale,
-                               coefficients, degeneration_points, evaluate,
+from wavepencil.pencil import (PencilError, apply, bordered,
+                               coefficient_scale, coefficients,
+                               degeneration_points, evaluate,
                                exclusion_interval, linearize, make_pencil,
                                residual)
 from conftest import interface_node_mask, parity_signs
@@ -263,3 +265,34 @@ def test_companion_spectrum_conjugation_closed(slab_pencil):
     a = np.lexsort((ev.imag, ev.real))
     b = np.lexsort(((-ev.imag), ev.real))
     assert np.abs(ev[a] - np.conj(ev[b])).max() <= 1e-10
+
+
+@pytest.mark.parametrize("gamma", [0.7, 1.0, 2.0, -1.3])
+def test_bordered_is_the_pencil_on_the_zero_mean_space(gamma, slab_pencil):
+    sp = slab_pencil.spaces
+    n_pi, n_nodes = sp.n_pi, len(sp.mean_vector)
+    b = bordered(slab_pencil, gamma).toarray()
+    assert b.shape == (n_pi + n_nodes + 1,) * 2
+    assert np.array_equal(b, b.T)
+    # the border row is (0, m^T, 0)
+    assert not b[-1, :n_pi].any() and b[-1, -1] == 0.0
+    assert np.array_equal(b[-1, n_pi:-1], sp.mean_vector)
+    # Z^T B Z on the field rows is L(gamma), Z = diag(I, null basis)
+    z = linalg.block_diag(np.eye(n_pi), sp.null_basis)
+    want = evaluate(slab_pencil, gamma)
+    got = z.T @ b[:-1, :-1] @ z
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # only the coupling is odd in gamma: B(-g) = P B(g) P bit for bit
+    p = np.ones(len(b))
+    p[:n_pi] = -1.0
+    assert np.array_equal(bordered(slab_pencil, -gamma).toarray(),
+                          p[:, None] * b * p)
+    # the shift lands on the field rows' diagonal only
+    shift = bordered(slab_pencil, gamma, 0.25).toarray() - b
+    assert np.allclose(shift, np.diag(np.r_[np.full(len(b) - 1, 0.25), 0.0]),
+                       rtol=0.0, atol=1e-15)
+    if gamma == 0.7:
+        # Haynsworth: the border adds one negative eigenvalue (and one
+        # positive)
+        assert np.sum(np.linalg.eigvalsh(b) < 0.0) == \
+            np.sum(np.linalg.eigvalsh(want) < 0.0) + 1
