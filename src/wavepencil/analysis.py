@@ -323,9 +323,9 @@ def _block_eigvals(op, matrices):
     to its Gram block has every eigenvalue exactly 1 and takes no
     eigensolve.  Every other block takes one eigenvalues-only ``eigh``
     (LAPACK ``sygvx``), whose cost is the full tridiagonal reduction; it
-    overwrites the work array, and the Gram block too where that is
-    written afresh (a pencil that holds its ``nodal`` forms), so a block
-    holds two arrays of its size, and the two blocks take turns.
+    overwrites the work array and the Gram block, which ``gram_blocks``
+    writes afresh, so a block holds two arrays of its size, and the two
+    blocks take turns.
     ``k_decay_slope`` reads the K spectrum from here, and ``verify_all``
     the A1 and A2 bounds of operators that were supplied as arrays
     (``_bound_ends``).
@@ -338,8 +338,7 @@ def _block_eigvals(op, matrices):
             vals.append(np.ones(len(g)))
         else:
             vals.append(linalg.eigh(work, g, eigvals_only=True, driver="gvx",
-                                    overwrite_a=True,
-                                    overwrite_b=g.flags.writeable))
+                                    overwrite_a=True, overwrite_b=True))
         del work, g
     return np.sort(np.concatenate(vals))
 
@@ -492,10 +491,10 @@ def _s_bound(matrices):
 def _cholesky_r(g, rhs):
     """R of the QR of L^-1 rhs, L the lower Cholesky factor of g.
 
-    L is written over g where g is writable (``gram_blocks``), so it is
-    the only array of g's size, and it is dropped on return.
+    L is written over g (``gram_blocks`` writes g afresh), so it is the
+    only array of g's size, and it is dropped on return.
     """
-    factor = linalg.cholesky(g, lower=True, overwrite_a=g.flags.writeable)
+    factor = linalg.cholesky(g, lower=True, overwrite_a=True)
     return np.linalg.qr(linalg.solve_triangular(factor, rhs, lower=True),
                         mode="r")
 
@@ -676,9 +675,12 @@ def working_bytes(n_pi, n_psi):
     Two arrays of the larger field block (``_block_eigvals``' work array
     and its Gram block, or K positivity's copy of a block and LAPACK's
     work) and ``_operator_tiles``' buffers; not the O(N) mesh, nor the
-    O(nnz) nodal forms and their factors.  The S checks run while S is
+    O(nnz) nodal forms and their factors.  On a pencil that forms its
+    operators, as ``cli.cmd_verify`` builds, the S checks run while S is
     the only operator held: the reassembled S and their tiles take less
-    than the other three operators, so they are covered too.
+    than the other three operators, so they are covered too.  Operators
+    supplied as arrays are all held from the start, and the reassembled
+    S adds n^2 doubles beside them.
     """
     return 8 * (2 * max(n_pi, n_psi) ** 2 + 3 * 4 * TILE * TILE)
 
@@ -708,8 +710,7 @@ def verify_all(matrices, pencil=None, spectrum=None,
     ``hermiticity_*`` margins and the identities' Gram forms come from
     one pass over square tiles of the operators (``_operator_tiles``).
     Gram blocks are written where they are used, one at a time
-    (``PencilMatrices.gram_blocks``), and not kept by a pencil that
-    holds its nodal forms.
+    (``PencilMatrices.gram_blocks``), and not kept.
 
     The symmetry checks read the normalized partner distances of
     ``spectrum.pairing``, and ``complex_quadruples`` those of the values

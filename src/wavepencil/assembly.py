@@ -148,35 +148,30 @@ class PencilMatrices:
 
     @cached_property
     def gram(self):
-        """(G_pi, G_psi): the field blocks of the gradient Gram matrix.
+        """(G_pi, G_psi): the field blocks of the Gram matrix, read-only.
 
-        The inner product every operator bound is relative to, formed on
-        first read by the kernels that write A1's magnetic and A2's
-        electric block, so those are the Gram blocks bit for bit
-        (``_gram_block``), and kept read-only.  The nodal form is
-        ``nodal.stiffness`` where ``nodal`` is held.
+        The inner product every operator bound is relative to: the blocks
+        of ``gram_blocks``, formed on first read and kept.
         """
-        stiff = kernels.nodal_stiffness(self.spaces.mesh, 1.0, 1.0) \
-            if self.nodal is None else self.nodal.stiffness
-        blocks = tuple(_gram_block(self.spaces, stiff, b) for b in (0, 1))
+        blocks = tuple(self.gram_blocks())
         for g in blocks:
             g.setflags(write=False)
         return blocks
 
     def gram_blocks(self):
-        """G_pi, then G_psi, as ``gram`` holds them, one at a time.
+        """G_pi, then G_psi, each written afresh, one at a time.
 
-        Where ``nodal`` is held, each block is written afresh from
-        ``nodal.stiffness`` (``_gram_block``): a writable Fortran-ordered
-        array that the caller may overwrite, and that the pencil does not
-        keep, so a caller that drops one block before it takes the next
-        holds one at a time.  Otherwise they are ``gram``'s, read-only.
+        Written by the kernels that write A1's magnetic and A2's electric
+        block (``_gram_block``), so those are the Gram blocks bit for bit,
+        from the nodal form ``nodal.stiffness`` where ``nodal`` is held.
+        Each is a writable Fortran-ordered array that the caller may
+        overwrite and the pencil does not keep, so a caller that drops one
+        block before it takes the next holds one at a time.
         """
-        if self.nodal is None:
-            yield from self.gram
-            return
+        stiff = kernels.nodal_stiffness(self.spaces.mesh, 1.0, 1.0) \
+            if self.nodal is None else self.nodal.stiffness
         for block in (0, 1):
-            yield _gram_block(self.spaces, self.nodal.stiffness, block)
+            yield _gram_block(self.spaces, stiff, block)
 
 
 def _gram_block(spaces, stiffness, block):

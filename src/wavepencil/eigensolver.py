@@ -453,35 +453,79 @@ def _symmetric_factor(matrix):
     return factor
 
 
+def _factor_error(factor):
+    """Bound on the 2-norm backward error of a SuperLU factor.
+
+    The computed factors are exact for Pr (A + E) Pc with |E| <= gamma_n
+    |L||U| entrywise, gamma_n = n u / (1 - n u) and u the unit roundoff
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm. 9.3).  So ||E||_2 <= sqrt(||E||_1 ||E||_inf) is bounded by
+    gamma_n times the geometric mean of the largest row and column sums
+    of |L||U|, read from two sparse products each, with no product
+    matrix formed.  Diagonal pivots bound no element growth on an
+    indefinite matrix; growth shows here as a large bound.
+    """
+    n = factor.shape[0]
+    nu = n * np.finfo(float).eps / 2.0
+    lower, upper = abs(factor.L), abs(factor.U)
+    ones = np.ones(n)
+    rows = (lower @ (upper @ ones)).max()
+    cols = (upper.T @ (lower.T @ ones)).max()
+    return nu / (1.0 - nu) * math.sqrt(rows * cols)
+
+
+def _negative_pivots(matrix, gamma, tol):
+    """nu- of a sparse symmetric matrix, from a factor with error <= tol.
+
+    The negative pivots of ``_symmetric_factor``, which are exactly
+    those of a matrix within ``_factor_error`` of ``matrix``.  A factor
+    whose bound exceeds ``tol`` raises ValueError naming gamma.
+    """
+    factor = _symmetric_factor(matrix)
+    error = _factor_error(factor)
+    if error > tol:
+        raise ValueError(
+            f"L({gamma:g}): the sparse factor's backward error bound "
+            f"{error:.3e} is above {tol:.3e}, so its pivots do not count "
+            f"the nullity")
+    return int(np.count_nonzero(factor.U.diagonal() < 0.0))
+
+
 def _bordered_nullity(pencil, gamma, cutoff):
     """``numerical_nullity`` of a pencil that holds its nodal forms.
 
-    B is ``pencil.bordered`` at gamma.  Its null-field columns, those
-    of the nodes ``degeneration_null_nodes`` names (the electric ones off
-    the shield, and every magnetic one), must have field rows below
-    ``cutoff``.  By Haynsworth's theorem nu-(B + s I~) is
-    nu-(L(gamma) + s I) + 1, so the count is nu-(B - c I~) - nu-(B + c I~),
-    from two sparse factorizations (``_symmetric_factor``) of B built at
-    each shift.  A build is O(nnz), a fraction of a factorization.
+    B is ``pencil.bordered`` at gamma.  By Haynsworth's theorem
+    nu-(B + s I~) is nu-(L(gamma) + s I) + 1, so the count is
+    nu-(B - c I~) - nu-(B + c I~), from two sparse factorizations
+    (``_negative_pivots``) of B built at each shift; a build is O(nnz), a
+    fraction of a factorization.  The shift is diagonal, so the checks
+    read the build at -c: it must be exactly symmetric, and the null-field
+    columns, those of the nodes ``degeneration_null_nodes`` names (the
+    electric ones off the shield, and every magnetic one), must have
+    field rows below c once the shift is taken off their diagonal.  Each
+    factor's backward error bound must be at most c / 2, so the count is
+    that of matrices within c / 2 of B -+ c I~.  At slab nx = 12-300 the
+    bound stays below 0.01 c.
     """
     sp = pencil.spaces
-    mat = pencil_mod.bordered(pencil, gamma)
-    if (mat != mat.T).nnz:
+    below = pencil_mod.bordered(pencil, gamma, -cutoff)
+    if (below != below.T).nnz:
         raise ValueError(f"L({gamma:g}) is not exactly symmetric, so its "
                          f"nullity is not counted")
     null = degeneration_null_nodes(sp.mesh, pencil.eps1, pencil.eps2, gamma)
     if null is not None:
         cols = np.concatenate([sp.pi_index[null & (sp.pi_index >= 0)],
                                sp.n_pi + np.flatnonzero(null)])
-        res = np.linalg.norm(mat[:, cols][:-1].data)
+        field = below[:, cols][:-1].tocoo()
+        field.data[field.row == cols[field.col]] += cutoff
+        res = np.linalg.norm(field.data)
         if res > cutoff:
             raise ValueError(
                 f"L({gamma:g}): the fields the mesh makes null leave a "
                 f"residual {res:.3e} above the nullity cutoff {cutoff:.3e}")
-    below, above = (int(np.count_nonzero(_symmetric_factor(
-        pencil_mod.bordered(pencil, gamma, shift)).U.diagonal() < 0.0))
-        for shift in (-cutoff, cutoff))
-    return below - above
+    above = pencil_mod.bordered(pencil, gamma, cutoff)
+    return (_negative_pivots(below, gamma, 0.5 * cutoff)
+            - _negative_pivots(above, gamma, 0.5 * cutoff))
 
 
 def numerical_nullity(pencil, gamma):
@@ -495,15 +539,18 @@ def numerical_nullity(pencil, gamma):
     eigensolve.  A pencil that holds its sparse ``nodal`` forms is
     counted on the bordered nodal L(gamma) (``pencil.bordered``,
     ``_bordered_nullity``), by two sparse factorizations, with no dense
-    L(gamma).  Operators supplied as arrays are counted on the dense
-    L(gamma) (``evaluate``): at a degeneration point it first loses the
-    fields the mesh makes null (``degeneration_null_nodes``,
-    ``_deflate``), which count as null, and the rest B, about half of L,
-    is counted as nu-(B - c I) - nu-(B + c I), from two Bunch-Kaufman
-    factorizations (``_negative_count``) with the diagonal shifted in
-    place.  On both routes the matrix counted must be exactly symmetric,
-    and the columns of the null fields below c; otherwise ValueError
-    names gamma.
+    L(gamma); their pivots are taken on the diagonal, whose growth an
+    indefinite B does not bound, so each factor's backward error bound
+    must stay below c / 2 (``_factor_error``).  Operators supplied as
+    arrays are counted on the dense L(gamma) (``evaluate``): at a
+    degeneration point it first loses the fields the mesh makes null
+    (``degeneration_null_nodes``, ``_deflate``), which count as null,
+    and the rest B, about half of L, is counted as nu-(B - c I) -
+    nu-(B + c I), from two Bunch-Kaufman factorizations
+    (``_negative_count``) with the diagonal shifted in place, whose
+    pivoting bounds their growth.  On both routes the matrix counted
+    must be exactly symmetric, and the columns of the null fields below
+    c; otherwise ValueError names gamma.
     """
     if complex(gamma).imag != 0.0:
         raise ValueError(f"L({gamma:g}): the nullity is counted at real "

@@ -969,3 +969,11 @@ def test_verify_holds_the_operators_and_one_block_pair():
     peak = traced_peak(lambda: verify_all(pen, pencil=pen,
                                           include_decay_slope=True))
     assert peak <= 4.8 * n * n * 8
+
+
+def test_verify_keeps_no_gram_block_on_either_route():
+    pen = _unformed_slab_pencil(6)
+    supplied = dataclasses.replace(pen)
+    for p in (pen, supplied):
+        verify_all(p, pencil=p, include_decay_slope=True)
+        assert "gram" not in vars(p)

@@ -393,3 +393,20 @@ def test_an_attribute_error_while_forming_keeps_its_message(
     # an attribute the class does not have is still reported by name
     with pytest.raises(AttributeError, match="no attribute 'nodes'"):
         mats.nodes
+
+
+@pytest.mark.parametrize("route", ["nodal", "supplied"])
+def test_gram_blocks_are_written_afresh_on_both_routes(route, slab_spaces):
+    mats = wp.assemble_matrices(slab_spaces, 1.0, 4.0)
+    if route == "supplied":
+        mats = dataclasses.replace(mats)
+        assert mats.nodal is None
+    blocks = list(mats.gram_blocks())
+    assert "gram" not in vars(mats)
+    for g, kept, again in zip(blocks, mats.gram, mats.gram_blocks()):
+        assert g.flags.writeable and g.flags.f_contiguous
+        assert g is not kept and g is not again
+        assert np.array_equal(g, kept) and np.array_equal(g, again)
+    # a caller may overwrite a block: the next one is written afresh
+    blocks[0][:] = 0.0
+    assert np.array_equal(next(mats.gram_blocks()), mats.gram[0])

@@ -623,7 +623,7 @@ def _fresh_pencil(mesh, eps):
 @pytest.mark.parametrize("case,eps", [
     *((nx, eps) for nx in (8, 12, 16)
       for eps in ((1.0, 4.0), (1.0, 2.5), (1.5, 6.0))),
-    ("homog", (2.0, 2.0)), ("slit", (1.0, 4.0))])
+    (24, (1.0, 4.0)), ("homog", (2.0, 2.0)), ("slit", (1.0, 4.0))])
 def test_sparse_nullity_equals_the_dense_route(case, eps, homog_mesh,
                                                slit_mesh):
     # the replaced copy holds the four operators as arrays and no nodal
@@ -639,6 +639,9 @@ def test_sparse_nullity_equals_the_dense_route(case, eps, homog_mesh,
                                & (vals.real > 0.0)].min())
     dense = dataclasses.replace(pen)
     assert dense.nodal is None and pen.nodal is not None
+    counts = degeneration_count(pen.spaces, *eps)
+    for g in degenerate:
+        assert numerical_nullity(pen, g) == counts[g], g
     for g in [*degenerate, smallest, 0.5 * smallest]:
         assert numerical_nullity(pen, g) == numerical_nullity(dense, g), g
     assert numerical_nullity(pen, smallest) > 0
@@ -690,3 +693,38 @@ def test_sparse_nullity_refuses_an_asymmetric_form(slab_spaces):
     with pytest.raises(ValueError,
                        match=r"L\(1\.5\) is not exactly symmetric"):
         numerical_nullity(bad, 1.5)
+
+
+def test_factor_error_bounds_the_factor_backward_error(slab_pencil):
+    # gamma_n times |L||U| in the 1- and inf-norms, against the same
+    # bound computed densely
+    b = pencil_mod.bordered(slab_pencil, 1.0, -1e-3)
+    factor = eigensolver._symmetric_factor(b)
+    lu = np.abs(factor.L.toarray()) @ np.abs(factor.U.toarray())
+    nu = len(lu) * np.finfo(float).eps / 2.0
+    want = nu / (1.0 - nu) * math.sqrt(np.abs(lu).sum(axis=0).max()
+                                        * np.abs(lu).sum(axis=1).max())
+    assert eigensolver._factor_error(factor) == pytest.approx(want,
+                                                              rel=1e-12)
+    # the factors are exact for a matrix that close to b: Pr b Pc = L U
+    n = len(lu)
+    pr = np.zeros((n, n))
+    pr[factor.perm_r, np.arange(n)] = 1.0
+    pc = np.zeros((n, n))
+    pc[np.arange(n), factor.perm_c] = 1.0
+    exact = pr.T @ factor.L.toarray() @ factor.U.toarray() @ pc.T
+    assert np.linalg.norm(exact - b.toarray(), 2) <= want
+
+
+def test_negative_pivots_refuse_a_factor_with_large_growth():
+    from scipy import sparse
+
+    # a pivot of 1e-12 on the diagonal: U grows to 1e12, and the bound
+    # to about 4e-4
+    grown = sparse.csc_matrix([[1e-12, 1.0], [1.0, 1e-12]])
+    with pytest.raises(ValueError,
+                       match=r"L\(0\.5\): the sparse factor's backward "
+                             r"error bound .* is above 1\.000e-06"):
+        eigensolver._negative_pivots(grown, 0.5, 1e-6)
+    assert eigensolver._negative_pivots(
+        sparse.csc_matrix([[2.0, 1.0], [1.0, -3.0]]), 0.5, 1e-6) == 1

@@ -39,6 +39,9 @@ UNREFERENCED_DEFINITIONS = {
                                 "(ROADMAP item 5) will read it",
     "generate_homogeneous_rect": "the benchmark's tracer names it by "
                                  "string (perfbench/tracing.py TARGETS)",
+    "PencilMatrices.gram": "the assembly, spaces and analysis tests read "
+                           "the kept Gram blocks from it; the program "
+                           "writes them afresh (gram_blocks)",
 }
 
 PACKAGE_DIR = Path(wavepencil.__file__).parent
