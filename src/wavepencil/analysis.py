@@ -14,12 +14,15 @@ read as 4x4 Gram forms (Frobenius inner products) of the operators and
 of their defects O - O^T, without forming L(g).  Those forms and the
 Hermiticity margins are accumulated in one pass over square tiles of the
 operators, which allocates no n x n array.  The parity defects are the
-electric-magnetic blocks of K, A1 and A2 and the diagonal blocks of S,
-read as block slices.  Parity also makes the nullity at -g that at g, so
-the degeneration scan counts it once per |g|.  The gradient operators'
-bounds are statements about the sign of a quadratic form, so where the
-pencil holds its sparse nodal forms each is certified by the inertia of
-one sparse factorization (Sylvester's law), not by an eigensolve.
+electric-magnetic blocks of K, A1 and A2 and the diagonal blocks of S.
+Every operator region is read through ``PencilMatrices.block``, which
+writes the blocks of an operator the pencil does not hold, so verifying
+an assembled pencil forms no operator.  Parity also makes the nullity
+at -g that at g, so the degeneration scan counts it once per |g|.  The
+gradient operators' bounds are statements about the sign of a quadratic
+form, so where the pencil holds its sparse nodal forms each is certified
+by the inertia of one sparse factorization (Sylvester's law), not by an
+eigensolve.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from enum import Enum
 import numpy as np
 from scipy import linalg
 
-from .assembly import assemble_s_volume, s_line_tiles
+from .assembly import _line_nodal, assemble_s_volume, write_block
 from .eigensolver import _symmetric_factor, null_fields, numerical_nullity
-from .pencil import ExclusionInterval, _terms, _weights, degeneration_points
+from .pencil import ExclusionInterval, _weights, degeneration_points
 from .spaces import ROW_BLOCK
 
 
@@ -312,35 +315,48 @@ def degeneration_scan(pencils):
     return gammas, table
 
 
-def _block_eigvals(op, matrices):
-    """Generalized eigenvalues of a block-diagonal operator against G.
+def _field_spectra(matrices, name, smallest=False, generalized=True):
+    """(least, eigenvalues) of operator ``name`` from its two field blocks.
 
-    The union, ascending, of the eigenvalues of the symmetrised diagonal
-    blocks against the matching Gram blocks; equal to those of the full
-    symmetrised operator when its off-diagonal blocks vanish.  Each block
-    is symmetrised into one Fortran-ordered work array, and its Gram
-    block is taken from ``matrices.gram_blocks``.  A block bit-identical
-    to its Gram block has every eigenvalue exactly 1 and takes no
-    eigensolve.  Every other block takes one eigenvalues-only ``eigh``
-    (LAPACK ``sygvx``), whose cost is the full tridiagonal reduction; it
+    Each field block is read once (``PencilMatrices.block``).  ``least``,
+    when ``smallest``, is the smallest eigenvalue of a block as read (K
+    positivity, one eigenvalue of LAPACK ``syevr``), else None.
+    ``eigenvalues``, when ``generalized``, is the union, ascending, of
+    the eigenvalues of the symmetrised blocks against the matching Gram
+    blocks; equal to those of the full symmetrised operator when its
+    off-diagonal blocks vanish.  Each block is symmetrised into one
+    Fortran-ordered work array and dropped before its Gram block is
+    taken from ``matrices.gram_blocks``.  A block bit-identical to its
+    Gram block has every eigenvalue exactly 1 and takes no eigensolve.
+    Every other block takes one eigenvalues-only ``eigh`` (LAPACK
+    ``sygvx``), whose cost is the full tridiagonal reduction; it
     overwrites the work array and the Gram block, which ``gram_blocks``
     writes afresh, so a block holds two arrays of its size, and the two
-    blocks take turns.
-    ``k_decay_slope`` reads the K spectrum from here, and ``verify_all``
-    the A1 and A2 bounds of operators that were supplied as arrays
-    (``_bound_ends``).
+    blocks take turns.  ``k_decay_slope`` reads the K spectrum from here,
+    and ``verify_all`` K positivity and the A1 and A2 bounds of operators
+    that were supplied as arrays (``_bound_ends``).
     """
-    vals = []
-    for b, g in zip(matrices.spaces.blocks, matrices.gram_blocks()):
-        work = np.add(op[b, b], op[b, b].T, out=np.empty(g.shape, order="F"))
+    least, vals = None, []
+    grams = matrices.gram_blocks()
+    for b in matrices.spaces.blocks:
+        op = matrices.block(name, b, b)
+        if smallest:
+            low = float(linalg.eigh(op, eigvals_only=True,
+                                    subset_by_index=(0, 0))[0])
+            least = low if least is None else min(least, low)
+        if not generalized:
+            continue
+        work = np.add(op, op.T, out=np.empty(op.shape, order="F"))
         work *= 0.5
+        del op
+        g = next(grams)
         if np.array_equal(work, g):
             vals.append(np.ones(len(g)))
         else:
             vals.append(linalg.eigh(work, g, eigvals_only=True, driver="gvx",
                                     overwrite_a=True, overwrite_b=True))
         del work, g
-    return np.sort(np.concatenate(vals))
+    return least, np.sort(np.concatenate(vals)) if generalized else None
 
 
 def _definite_factor(matrix):
@@ -436,11 +452,11 @@ def _bound_ends(matrices, name, lower, upper):
     annihilate the constants, so that pair has the spectrum of X and G
     with the first node dropped (any complement of the constants gives
     a congruent pair).  Operators supplied as arrays are read densely
-    (``_block_eigvals``), and their verdicts are their margins'.
+    (``_field_spectra``), and their verdicts are their margins'.
     """
     forms = matrices.nodal
     if forms is None:
-        eigs = _block_eigvals(getattr(matrices, name), matrices)
+        eigs = _field_spectra(matrices, name)[1]
         return (eigs[0], True), (eigs[-1], True)
     if name == "a1":
         pi = np.ix_(matrices.spaces.pi_nodes, matrices.spaces.pi_nodes)
@@ -466,14 +482,16 @@ def _s_bound(matrices):
     formed ``TILE`` rows at a time and only its nonzero rows are kept.
     Each Cholesky factor is taken in place of its Gram block
     (``_cholesky_r``) and dropped once its R is formed, so one is alive
-    at a time.  Without a nonzero row the bound is 0.
+    at a time.  Without a nonzero row the bound is 0.  S is read through
+    ``PencilMatrices.block``.
     """
-    sp, s = matrices.spaces, matrices.s
+    sp = matrices.spaces
     m = sp.blocks[1]
     rows, f_rows = [], []
     for start in range(0, sp.n_pi, TILE):
         block = slice(start, min(start + TILE, sp.n_pi))
-        f = 0.5 * (s[block, m] + s[m, block].T)
+        f = 0.5 * (matrices.block("s", block, m)
+                   + matrices.block("s", m, block).T)
         nonzero = np.flatnonzero(np.any(f != 0.0, axis=1))
         rows.append(start + nonzero)
         f_rows.append(f[nonzero])
@@ -499,15 +517,18 @@ def _cholesky_r(g, rhs):
                         mode="r")
 
 
-def k_decay_slope(matrices):
+def k_decay_slope(matrices, eigenvalues=None):
     """Log-log slope of the generalized L2 eigenvalues over the lowest modes.
 
     Eigenvalues of (K, G) sorted descending behave like C/n; the fit runs
     over the first third of the indices, where the continuum decay law is
     resolved by the mesh.  K and G are block diagonal, so the
-    eigenvalues are those of the two field blocks.
+    eigenvalues are those of the two field blocks (``_field_spectra``),
+    or ``eigenvalues`` where the caller has them, ascending.
     """
-    vals = _block_eigvals(matrices.k, matrices)[::-1]
+    if eigenvalues is None:
+        eigenvalues = _field_spectra(matrices, "k")[1]
+    vals = eigenvalues[::-1]
     n_fit = max(len(vals) // 3, 3)
     ns = np.arange(1, n_fit + 1, dtype=float)
     slope = np.polyfit(np.log(ns), np.log(vals[:n_fit]), 1)[0]
@@ -565,74 +586,88 @@ def _parity_defects(matrices):
 
     With P = diag(-1 on pi, +1 on psi), P O P - O is -2x the
     electric-magnetic blocks of K, A1 and A2, and P S P + S is 2x the
-    diagonal blocks of S; this reads those blocks as slices.
+    diagonal blocks of S; this reads those blocks one at a time
+    (``PencilMatrices.block``).
     """
     e, m = matrices.spaces.blocks
     off, diag = ((e, m), (m, e)), ((e, e), (m, m))
-    return {name: max(_max_abs(op[b]) for b in blocks)
-            for name, op, blocks in (("K", matrices.k, off),
-                                     ("A1", matrices.a1, off),
-                                     ("A2", matrices.a2, off),
-                                     ("S", matrices.s, diag))}
+    return {label: max(_max_abs(matrices.block(name, *b)) for b in blocks)
+            for label, name, blocks in (("K", "k", off), ("A1", "a1", off),
+                                        ("A2", "a2", off), ("S", "s", diag))}
 
 
-def _operator_tiles(ops, n_pi):
+def _operator_tiles(matrices, names):
     """Hermiticity defects and Gram forms of the operators in one tiled pass.
 
     Tile edges fall every ``TILE`` rows within each field block, so each
-    tile lies in one block.  For each tile pair (I, J) with I <= J the pass
-    reads O[I, J] and O[J, I] of every operator into one buffer and forms
-    the tile defect D = O[I, J] - O[J, I]^T.  Returns the largest |D| per
-    operator, the Frobenius Gram forms of the operators over the diagonal
-    blocks (``g_diag``) and the electric-magnetic blocks (``g_off``), and
-    that of the defects O - O^T (``g_asym``), where an off-diagonal tile
-    pair stands for both its tiles.  Only tile buffers are allocated.
+    tile lies in one block.  For each tile row I and each field block its
+    tile pairs reach (the rest of I's block, and the magnetic block after
+    the electric one) the pass reads the row panel O[I, J...] and the
+    column panel O[J..., I] of every operator ``names`` names
+    (``PencilMatrices.block``, so an operator the pencil does not hold is
+    written a panel at a time).  For each tile pair (I, J) with I <= J it
+    copies O[I, J] and O[J, I] of every operator from them into one
+    buffer and forms the tile defect D = O[I, J] - O[J, I]^T.  Returns
+    the largest |D| per operator, the Frobenius Gram forms of the
+    operators over the diagonal blocks (``g_diag``) and the
+    electric-magnetic blocks (``g_off``), and that of the defects O - O^T
+    (``g_asym``), where an off-diagonal tile pair stands for both its
+    tiles.  Beside the panels, ``TILE`` x max(n_pi, n_psi) each, only
+    tile buffers are allocated.
     """
-    n, k = len(ops[0]), len(ops)
-    edges = [*range(0, n_pi, TILE), *range(n_pi, n, TILE), n]
-    tiles = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    n, n_pi, k = matrices.n, matrices.spaces.n_pi, len(names)
+    fields = [[slice(a, min(a + TILE, b)) for a in range(lo, b, TILE)]
+              for lo, b in ((0, n_pi), (n_pi, n))]
     pair, defect = np.empty(2 * k * TILE * TILE), np.empty(k * TILE * TILE)
     top = np.zeros(k)
     g_diag, g_off, g_asym = (np.zeros((k, k)) for _ in range(3))
-    for a, rows in enumerate(tiles):
-        for cols in tiles[a:]:
-            shape = (rows.stop - rows.start, cols.stop - cols.start)
-            size = shape[0] * shape[1]
-            both = pair[:2 * k * size].reshape(k, 2 * size)
-            for op, x in zip(ops, both):
-                np.copyto(x[:size].reshape(shape), op[rows, cols])
-                np.copyto(x[size:].reshape(shape), op[cols, rows].T)
-            d = np.subtract(both[:, :size], both[:, size:],
-                            out=defect[:k * size].reshape(k, size))
-            np.maximum(top, np.abs(d.max(axis=1)), out=top)
-            np.maximum(top, np.abs(d.min(axis=1)), out=top)
-            # a diagonal tile's second half is the same tile, transposed
-            tile = both[:, :size] if rows is cols else both
-            g = g_diag if (rows.start < n_pi) == (cols.start < n_pi) else g_off
-            g += tile @ tile.T
-            g_asym += (1.0 if rows is cols else 2.0) * (d @ d.T)
+    for f, row_tiles in enumerate(fields):
+        for a, rows in enumerate(row_tiles):
+            groups = [row_tiles[a:], *fields[f + 1:]]
+            for col_tiles in groups:
+                span = slice(col_tiles[0].start, col_tiles[-1].stop)
+                panels = [(matrices.block(name, rows, span),
+                           matrices.block(name, span, rows)) for name in names]
+                for cols in col_tiles:
+                    shape = (rows.stop - rows.start, cols.stop - cols.start)
+                    size = shape[0] * shape[1]
+                    at = slice(cols.start - span.start, cols.stop - span.start)
+                    both = pair[:2 * k * size].reshape(k, 2 * size)
+                    for (row_panel, col_panel), x in zip(panels, both):
+                        np.copyto(x[:size].reshape(shape), row_panel[:, at])
+                        np.copyto(x[size:].reshape(shape), col_panel[at].T)
+                    d = np.subtract(both[:, :size], both[:, size:],
+                                    out=defect[:k * size].reshape(k, size))
+                    np.maximum(top, np.abs(d.max(axis=1)), out=top)
+                    np.maximum(top, np.abs(d.min(axis=1)), out=top)
+                    # a diagonal tile's second half is the same tile,
+                    # transposed
+                    tile = both[:, :size] if rows is cols else both
+                    g = g_diag if col_tiles is groups[0] else g_off
+                    g += tile @ tile.T
+                    g_asym += (1.0 if rows is cols else 2.0) * (d @ d.T)
+                del panels, row_panel, col_panel
     return top, g_diag, g_off, g_asym
 
 
-def _max_abs_diff(a, b):
-    """Largest |entry| of a - b, formed ``TILE`` rows at a time."""
-    return max(_max_abs(a[r:r + TILE] - b[r:r + TILE])
-               for r in range(0, len(a), TILE))
+def _s_differences(matrices, s_vol):
+    """Largest |entry| of S_line - S_vol, S_line - S and S - S_vol.
 
-
-def _s_line_differences(spaces, *others):
-    """Largest |entry| of S_line - O for each n x n array O of ``others``.
-
-    S_line is ``assemble_s_line``'s coupling, formed ``TILE`` electric
-    columns at a time (``assembly.s_line_tiles``), bit for bit; its
-    diagonal blocks are zero, so there each difference is O itself.
+    S_line is the line route (``assemble_s_line``), S the pencil's
+    (``PencilMatrices.block``) and S_vol the n x n volume route; each is
+    read ``TILE`` rows at a time, S_line written by ``write_block`` bit
+    for bit.
     """
-    e, m = spaces.blocks
-    worst = [max(_max_abs(o[e, e]), _max_abs(o[m, m])) for o in others]
-    for cols, lower, upper in s_line_tiles(spaces, TILE):
-        for k, o in enumerate(others):
-            worst[k] = max(worst[k], _max_abs(lower - o[m, cols]),
-                           _max_abs(upper - o[cols, m].T))
+    sp = matrices.spaces
+    line = _line_nodal(sp)
+    worst = [0.0, 0.0, 0.0]
+    for start in range(0, sp.n, TILE):
+        rows = slice(start, start + TILE)
+        s_line = write_block(sp, line, rows)
+        s, vol = matrices.block("s", rows), s_vol[rows]
+        worst = [max(w, _max_abs(a - b)) for w, (a, b) in zip(
+            worst, ((s_line, vol), (s_line, s), (s, vol)))]
+        del s_line, s
     return worst
 
 
@@ -670,19 +705,23 @@ def _identity_margins(matrices, g_diag, g_off, g_asym, n_random):
 
 
 def working_bytes(n_pi, n_psi):
-    """Bytes ``verify_all`` holds beyond the four operators, bounded.
+    """Bytes ``verify_all`` holds on a pencil that does not hold its operators.
 
-    Two arrays of the larger field block (``_block_eigvals``' work array
-    and its Gram block, or K positivity's copy of a block and LAPACK's
-    work) and ``_operator_tiles``' buffers; not the O(N) mesh, nor the
-    O(nnz) nodal forms and their factors.  On a pencil that forms its
-    operators, as ``cli.cmd_verify`` builds, the S checks run while S is
-    the only operator held: the reassembled S and their tiles take less
-    than the other three operators, so they are covered too.  Operators
-    supplied as arrays are all held from the start, and the reassembled
-    S adds n^2 doubles beside them.
+    The larger of the volume-route S (n^2 doubles, the only n x n array,
+    held while the S checks run) and two arrays of the larger field block
+    (``_field_spectra``' work array and its Gram block, or K positivity's
+    block and LAPACK's copy of it), plus the row and column panels of the
+    four operators (``_operator_tiles``, ``TILE`` x n each, which cover
+    the S checks' row panels) and its tile buffers; not the O(N) mesh,
+    nor the O(nnz) nodal forms and their factors.  This is what
+    ``cli.cmd_verify`` builds: an assembled pencil, whose operators
+    ``verify_all`` reads as written blocks.  A pencil that holds its
+    operators (after a solve, or supplied as arrays) holds their 4 n^2
+    doubles besides, and reads views of them instead of panels.
     """
-    return 8 * (2 * max(n_pi, n_psi) ** 2 + 3 * 4 * TILE * TILE)
+    n = n_pi + n_psi
+    return 8 * (max(n * n, 2 * max(n_pi, n_psi) ** 2) + 2 * 4 * TILE * n
+                + 3 * 4 * TILE * TILE)
 
 
 def verify_all(matrices, pencil=None, spectrum=None,
@@ -698,19 +737,24 @@ def verify_all(matrices, pencil=None, spectrum=None,
     at ``n_random`` seeded points; both are Gram forms of the operators of
     ``matrices`` (``_identity_margins``), with no L(g) formed.
 
-    The memory it holds is the four operators and at most one field
-    block's pair of arrays at a time (``working_bytes``).  The three S
-    checks run first, before K, A1 and A2 are read (and, on a pencil
-    that forms its operators, formed): S is reassembled once by the
-    volume route, the line route is compared with it ``TILE`` electric
-    columns at a time (``_s_line_differences``), the other difference is
-    taken ``TILE`` rows at a time, and the reassembled S is dropped
-    before ||S|| is read, an r x r problem on the coupling rows
-    (``_s_bound``).  Their margins are added in the report's order.  The
-    ``hermiticity_*`` margins and the identities' Gram forms come from
-    one pass over square tiles of the operators (``_operator_tiles``).
-    Gram blocks are written where they are used, one at a time
-    (``PencilMatrices.gram_blocks``), and not kept.
+    Every operator region is read through ``PencilMatrices.block``: a
+    view of an operator the pencil holds (after a solve, or supplied as
+    arrays), otherwise the block written from the nodal forms, bit for
+    bit that part of the formed operator.  So on an assembled pencil it
+    forms and keeps no operator, and the only n x n array is the volume
+    route's S; beside it, it holds at most one field block's pair of
+    arrays at a time and the panels of one tile row (``working_bytes``).
+    The three S checks run first: S is reassembled once by the volume
+    route, the line route, the pencil's S and the reassembly are compared
+    ``TILE`` rows at a time (``_s_differences``), and the reassembled S
+    is dropped before ||S|| is read, an r x r problem on the coupling
+    rows (``_s_bound``).  Their margins are added in the report's order.
+    The ``hermiticity_*`` margins and the identities' Gram forms come
+    from one pass over square tiles of the operators, each row and column
+    panel read once (``_operator_tiles``).  Each field block of K is read
+    once, for both its positivity and the decay slope
+    (``_field_spectra``).  Gram blocks are written where they are used,
+    one at a time (``PencilMatrices.gram_blocks``), and not kept.
 
     The symmetry checks read the normalized partner distances of
     ``spectrum.pairing``, and ``complex_quadruples`` those of the values
@@ -730,7 +774,7 @@ def verify_all(matrices, pencil=None, spectrum=None,
     iteration on that factor.  The thresholds sit 1e-10 inside the
     bounds, far above the factorization's backward error of order
     n u ||A||.  Operators supplied as arrays take the dense eigensolves
-    of ``_block_eigvals``.  K positivity, on both routes, is one dense
+    of ``_field_spectra``.  K positivity, on both routes, is one dense
     ``eigh`` per block.
     """
     rep = PropertyReport()
@@ -738,24 +782,23 @@ def verify_all(matrices, pencil=None, spectrum=None,
     sp = matrices.spaces
 
     s_vol = assemble_s_volume(sp)
-    line_vol, line_s = _s_line_differences(sp, s_vol, matrices.s)
-    s_reassembly = min(line_s, _max_abs_diff(matrices.s, s_vol))
+    line_vol, line_s, s_vol_s = _s_differences(matrices, s_vol)
+    s_reassembly = min(line_s, s_vol_s)
     del s_vol
     s_bound = _s_bound(matrices)
 
-    # K, A1, S, A2: the operator order of ``_terms``
-    ops = [op for _, op in _terms(matrices, 0.0)]
-    top, g_diag, g_off, g_asym = _operator_tiles(ops, sp.n_pi)
-    defect = dict(zip(("k", "a1", "s", "a2"), top))
+    # K, A1, S, A2: the operator order of ``pencil._weights``
+    names = ("k", "a1", "s", "a2")
+    top, g_diag, g_off, g_asym = _operator_tiles(matrices, names)
+    defect = dict(zip(names, top))
     for name in ("k", "a1", "a2", "s"):
         rep.add(f"hermiticity_{name}", defect[name], 1e-14, "<=")
     if pencil is not None:
         selfadjoint, parity = _identity_margins(matrices, g_diag, g_off,
                                                 g_asym, n_random)
 
-    k_min = min(float(linalg.eigh(matrices.k[b, b], eigvals_only=True,
-                                  subset_by_index=(0, 0))[0])
-                for b in sp.blocks)
+    k_min, k_vals = _field_spectra(matrices, "k", smallest=True,
+                                   generalized=include_decay_slope)
     rep.add("k_positive_definite", k_min, 0.0, ">=")
     # strict positivity: flip the pass flag if exactly zero
     if k_min <= 0.0:
@@ -800,7 +843,7 @@ def verify_all(matrices, pencil=None, spectrum=None,
                     1e-8, "<=")
 
     if include_decay_slope:
-        slope = k_decay_slope(matrices)
+        slope = k_decay_slope(matrices, k_vals)
         rep.add("k_decay_slope_dev", abs(slope + 1.0), 0.3, "<=")
 
     return rep

@@ -5,9 +5,13 @@ spaces: two weighted gradient forms, the weighted L2 form, and the
 interface coupling between the two fields.  The coupling is assembled by
 two independent routes -- a line integral over the oriented interface and
 an equivalent signed volume form -- whose agreement is the regression
-test for the orientation convention.  The pencil forms each operator on
-its first read, and takes its coefficient norms from the sparse nodal
-forms, so assembling a pencil forms no n x n array.
+test for the orientation convention.  One writer (``write_block``)
+writes any block of an operator from its sparse nodal parts, and the
+whole operator is that writer over full ranges.  The pencil forms each
+operator on its first read, reads a region of one it does not hold
+without forming it (``PencilMatrices.block``), and takes its
+coefficient norms from the sparse nodal forms, so assembling a pencil
+forms no n x n array.
 
 All assembly is real: the forms have real coefficients, so Hermiticity
 checks are plain symmetry checks.
@@ -71,7 +75,8 @@ class PencilMatrices:
     ``assemble_s_line`` (``_FormedOnRead``), and kept.
     ``dataclasses.replace`` reads every field, so it carries the
     operators over, formed.  ``nodal`` holds the sparse nodal forms the
-    operators are formed from, when none was supplied.
+    operators are formed from, when none was supplied.  ``block`` reads a
+    region of an operator without forming it.
     """
 
     spaces: FieldSpaces
@@ -173,22 +178,35 @@ class PencilMatrices:
         for block in (0, 1):
             yield _gram_block(self.spaces, stiff, block)
 
+    def block(self, name, rows=slice(None), cols=slice(None)):
+        """Region [rows, cols] of operator ``name`` ("k", "a1", "a2", "s").
+
+        A view of the operator where the pencil holds it (after a solve,
+        or supplied as an array); otherwise the block written from the
+        nodal forms (``write_block``, S by the line route), equal to that
+        part of the formed operator bit for bit, and not kept.  A pencil
+        without nodal forms forms the operator (``_FormedOnRead``).
+        """
+        if name in self.__dict__ or self.nodal is None:
+            return getattr(self, name)[rows, cols]
+        if name == "s":
+            parts = _line_nodal(self.spaces)
+        else:
+            parts = Diagonal(*(getattr(self.nodal, form)
+                               for form in _DIAGONAL[name]))
+        return write_block(self.spaces, parts, rows, cols)
+
 
 def _gram_block(spaces, stiffness, block):
     """Field block ``block`` (0 electric, 1 magnetic) of the Gram matrix.
 
-    Written from the nodal ``stiffness`` as ``_block_diagonal`` writes
-    A2's electric and A1's magnetic block (``scatter_pi``,
-    ``write_reduced``), into a new Fortran-ordered array, the layout
-    LAPACK factors in place.
+    Written from the nodal ``stiffness`` as A2's electric and A1's
+    magnetic block are (``write_block``), into a new Fortran-ordered
+    array, the layout LAPACK factors in place.
     """
-    if block == 0:
-        g = np.zeros((spaces.n_pi, spaces.n_pi), order="F")
-        spaces.scatter_pi(g, stiffness)
-    else:
-        g = np.empty((spaces.n_psi, spaces.n_psi), order="F")
-        write_reduced(g, spaces.mean_vector, stiffness, congruence=True)
-    return g
+    b = spaces.blocks[block]
+    return write_block(spaces, Diagonal(stiffness, stiffness), b, b,
+                       order="F")
 
 
 def _check_eps(eps1, eps2):
@@ -196,18 +214,82 @@ def _check_eps(eps1, eps2):
         raise AssemblyError("relative permittivities must be real and >= 1")
 
 
-def _block_diagonal(spaces, form, pi_weights, psi_weights):
-    """Dense block-diagonal operator of a nodal form weighted per block.
+class Diagonal(NamedTuple):
+    """Nodal forms of a block-diagonal operator's two field blocks.
 
-    The electric block is the form with ``pi_weights`` on the electric
-    nodes (``scatter_pi``), the magnetic block the zero-mean congruence of
-    the form with ``psi_weights`` (``write_reduced``).
+    The electric block is ``electric`` on the electric nodes
+    (``scatter_pi``), the magnetic block the zero-mean congruence of
+    ``magnetic`` (``write_reduced``).
     """
-    e, m = spaces.blocks
-    out = np.zeros((spaces.n, spaces.n))
-    spaces.scatter_pi(out[e, e], form(spaces.mesh, *pi_weights))
-    write_reduced(out[m, m], spaces.mean_vector,
-                  form(spaces.mesh, *psi_weights), congruence=True)
+
+    electric: object
+    magnetic: object
+
+
+class Coupling(NamedTuple):
+    """Nodal pairing matrices of the block off-diagonal interface coupling.
+
+    ``bottom[i, j]`` pairs the magnetic test node i with the electric
+    trial node j; ``top`` the electric test with the magnetic trial.
+    """
+
+    bottom: object
+    top: object
+
+
+#: The ``NodalForms`` fields of each block-diagonal operator's blocks.
+_DIAGONAL = {"k": ("mass_eps", "mass"), "a1": ("stiffness_eps", "stiffness"),
+             "a2": ("stiffness", "stiffness_inv_eps")}
+
+
+def _field_parts(span, spaces):
+    """(field, slice within its block, slice within span) per block span meets.
+
+    ``span`` is a range of product-space indices; field 0 is electric.
+    """
+    bounds = ((0, spaces.n_pi), (spaces.n_pi, spaces.n))
+    for fld, (lo, hi) in enumerate(bounds):
+        a, b = max(span.start, lo), min(span.stop, hi)
+        if a < b:
+            yield fld, slice(a - lo, b - lo), slice(a - span.start,
+                                                    b - span.start)
+
+
+def write_block(spaces, parts, rows=slice(None), cols=slice(None),
+                order="C"):
+    """Block [rows, cols] of an operator, written from its nodal ``parts``.
+
+    ``parts`` is a ``Diagonal`` or a ``Coupling``; ``rows`` and ``cols``
+    are slices of the product-space index.  Every part of a field block
+    the block meets is written into one zeroed array: an electric block
+    by ``scatter_pi``, a magnetic one by ``write_reduced``'s congruence,
+    and the coupling's blocks as Z^T X of a sparse nodal column block X,
+    S[m, e] = Z^T bottom[:, pi] and S[e, m]^T = Z^T top[pi, :]^T (through
+    a transposed view), each the reflector's low-rank term, then the
+    stored entries of X.  Each entry is formed from its own row and
+    column alone, so a block is that part of the whole operator bit for
+    bit, and the whole operator is this over full ranges.  Both coupling
+    blocks are assembled from the form itself, so an orientation fault in
+    the mesh surfaces as a Hermiticity violation instead of being
+    silently symmetrised away.  No dense copy of a nodal block is formed.
+    The block is a new array in ``order``.
+    """
+    rows, cols = range(spaces.n)[rows], range(spaces.n)[cols]
+    out = np.zeros((len(rows), len(cols)), order=order)
+    coupling = isinstance(parts, Coupling)
+    m, pi = spaces.mean_vector, spaces.pi_nodes
+    for fr, r, out_r in _field_parts(rows, spaces):
+        for fc, c, out_c in _field_parts(cols, spaces):
+            dst = out[out_r, out_c]
+            if not coupling and fr == fc == 0:
+                spaces.scatter_pi(dst, parts.electric, r, c)
+            elif not coupling and fr == fc == 1:
+                write_reduced(dst, m, parts.magnetic, congruence=True,
+                              rows=r, cols=c)
+            elif coupling and fr == 1 and fc == 0:
+                write_reduced(dst, m, parts.bottom[:, pi[c]], rows=r)
+            elif coupling and fr == 0 and fc == 1:
+                write_reduced(dst.T, m, parts.top[pi[r], :].T, rows=c)
     return out
 
 
@@ -217,8 +299,10 @@ def assemble_a1(spaces, eps1, eps2):
     The unweighted magnetic block is the Gram matrix's own.
     """
     _check_eps(eps1, eps2)
-    return _block_diagonal(spaces, kernels.nodal_stiffness, (eps1, eps2),
-                           (1.0, 1.0))
+    mesh = spaces.mesh
+    return write_block(spaces, Diagonal(
+        kernels.nodal_stiffness(mesh, eps1, eps2),
+        kernels.nodal_stiffness(mesh, 1.0, 1.0)))
 
 
 def assemble_a2(spaces, eps1, eps2):
@@ -227,15 +311,18 @@ def assemble_a2(spaces, eps1, eps2):
     The unweighted electric block is the Gram matrix's own.
     """
     _check_eps(eps1, eps2)
-    return _block_diagonal(spaces, kernels.nodal_stiffness, (1.0, 1.0),
-                           (1.0 / eps1, 1.0 / eps2))
+    mesh = spaces.mesh
+    return write_block(spaces, Diagonal(
+        kernels.nodal_stiffness(mesh, 1.0, 1.0),
+        kernels.nodal_stiffness(mesh, 1.0 / eps1, 1.0 / eps2)))
 
 
 def assemble_k(spaces, eps1, eps2):
     """L2 form, permittivity-weighted on the electric block.  Positive definite."""
     _check_eps(eps1, eps2)
-    return _block_diagonal(spaces, kernels.nodal_mass, (eps1, eps2),
-                           (1.0, 1.0))
+    mesh = spaces.mesh
+    return write_block(spaces, Diagonal(kernels.nodal_mass(mesh, eps1, eps2),
+                                        kernels.nodal_mass(mesh, 1.0, 1.0)))
 
 
 def _check_interface(spaces):
@@ -252,44 +339,11 @@ def _check_interface(spaces):
         raise AssemblyError("inconsistent interface edge data")
 
 
-def _couple(spaces, bottom_nodal, top_nodal):
-    """Assemble the off-diagonal coupling from two nodal pairing matrices.
-
-    ``bottom_nodal[i, j]`` pairs the magnetic test node i with the electric
-    trial node j; ``top_nodal`` the electric test with the magnetic trial.
-    Both blocks are assembled from the form itself, so an orientation
-    fault in the mesh surfaces as a Hermiticity violation instead of being
-    silently symmetrised away.  Each block is Z^T X of a sparse nodal
-    column block X, written in place by ``spaces.write_reduced`` (the
-    top-right one through a transposed view): the reflector's low-rank
-    term, then the stored entries of X.  No dense N x n_pi copy of X is
-    formed.
-    """
-    e, m = spaces.blocks
-    out = np.zeros((spaces.n, spaces.n))
-    _write_coupling(spaces, bottom_nodal, top_nodal, out[m, e], out[e, m].T)
-    return out
-
-
-def _write_coupling(spaces, bottom_nodal, top_nodal, lower, upper,
-                    cols=slice(None)):
-    """Write the coupling's electric columns ``cols`` into lower and upper.
-
-    ``lower`` receives S[m, cols] = Z^T bottom[:, pi[cols]] and ``upper``
-    S[cols, m]^T = Z^T top[pi[cols], :]^T, both (n_psi, len(cols)).  Each
-    column of Z^T X is formed from that column of X alone, so a tile is
-    the matching part of the whole block bit for bit.
-    """
-    pi = spaces.pi_nodes[cols]
-    write_reduced(lower, spaces.mean_vector, bottom_nodal[:, pi])
-    write_reduced(upper, spaces.mean_vector, top_nodal[pi, :].T)
-
-
 def _line_nodal(spaces):
-    """The line route's nodal blocks (bottom, top), interface data checked."""
+    """The line route's ``Coupling``, interface data checked."""
     _check_interface(spaces)
     d = kernels.interface_line_matrix(spaces.mesh)
-    return d, (-d).tocsr()
+    return Coupling(d, (-d).tocsr())
 
 
 def assemble_s_line(spaces):
@@ -300,24 +354,7 @@ def assemble_s_line(spaces):
     terms vanish because the electric field carries no DOFs on the shield,
     which is exactly what makes the matrix Hermitian.
     """
-    return _couple(spaces, *_line_nodal(spaces))
-
-
-def s_line_tiles(spaces, width):
-    """``assemble_s_line``'s coupling blocks, ``width`` electric columns at a time.
-
-    Yields (cols, lower, upper): the slice of electric columns, S[m, cols]
-    and S[cols, m]^T, each an (n_psi, len(cols)) array equal bit for bit
-    to that part of ``assemble_s_line`` (``_write_coupling``).  The
-    diagonal blocks of S are zero, so no n x n array is formed.
-    """
-    bottom, top = _line_nodal(spaces)
-    for start in range(0, spaces.n_pi, width):
-        cols = slice(start, min(start + width, spaces.n_pi))
-        shape = (spaces.n_psi, cols.stop - cols.start)
-        lower, upper = np.empty(shape), np.empty(shape)
-        _write_coupling(spaces, bottom, top, lower, upper, cols)
-        yield cols, lower, upper
+    return write_block(spaces, _line_nodal(spaces))
 
 
 def assemble_s_volume(spaces):
@@ -327,7 +364,7 @@ def assemble_s_volume(spaces):
     without slits; the pair is the orientation-convention oracle.
     """
     v = kernels.volume_skew_matrix(spaces.mesh)
-    return _couple(spaces, v, v.T.tocsr())
+    return write_block(spaces, Coupling(v, v.T.tocsr()))
 
 
 def assemble_matrices(spaces, eps1, eps2):

@@ -343,16 +343,14 @@ def cmd_solve(cfg, args):
 def cmd_verify(cfg, args):
     # what verify would hold is checked before the mesh is built
     mesh, n_pi, n_psi = _unknowns(cfg)
-    n = n_pi + n_psi
-    operators = 4 * n * n * 8
     checks = analysis.working_bytes(n_pi, n_psi)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if operators + checks > memory:
+    if checks > memory:
         raise AssemblyError(
-            f"the four dense operators of n = {n} unknowns need {operators} "
-            f"bytes and their checks (two arrays of the larger field block "
-            f"and tile buffers) {checks} more, together more than the "
-            f"{memory} bytes of physical memory")
+            f"the checks of n = {n_pi + n_psi} unknowns need {checks} bytes "
+            f"(the volume-route S or two arrays of the larger field block, "
+            f"and panel and tile buffers), more than the {memory} bytes of "
+            f"physical memory")
     if mesh is None:
         mesh = build_mesh(cfg)
     pencil = make_pencil(assemble_matrices(build_spaces(mesh), cfg.eps1,

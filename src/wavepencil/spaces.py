@@ -94,13 +94,16 @@ class FieldSpaces:
         """Index slices of the electric and the magnetic field block."""
         return slice(0, self.n_pi), slice(self.n_pi, self.n)
 
-    def scatter_pi(self, dst, nodal):
-        """Write the stored entries of ``M[pi, pi]`` into a zeroed dst.
+    def scatter_pi(self, dst, nodal, rows=slice(None), cols=slice(None)):
+        """Write the stored entries of ``M[pi[rows], pi[cols]]`` into dst.
 
-        dst is the (n_pi, n_pi) electric block of an operator, typically a
-        view; entries M does not store are left as they are.
+        dst is that part of a zeroed (n_pi, n_pi) electric block of an
+        operator, typically a view; entries M does not store are left as
+        they are.  Each entry is copied, so a part is the whole block's
+        bit for bit.
         """
-        _add_stored(dst, nodal[np.ix_(self.pi_nodes, self.pi_nodes)])
+        _add_stored(dst, nodal[np.ix_(self.pi_nodes[rows],
+                                      self.pi_nodes[cols])])
 
     def psi_nodal(self, y):
         """Nodal values Z y of a magnetic-field coordinate vector.
@@ -173,8 +176,9 @@ def _add_stored(dst, matrix):
     dst[coo.row, coo.col] += coo.data
 
 
-def write_reduced(dst, m, nodal, congruence=False):
-    """Write ``Z^T X`` (rows) or ``Z^T M Z`` (congruence) into dst in place.
+def write_reduced(dst, m, nodal, congruence=False, rows=slice(None),
+                  cols=slice(None)):
+    """Write rows ``rows`` of ``Z^T X``, or block [rows, cols] of ``Z^T M Z``.
 
     X is a real sparse (CSR or CSC) matrix; for the congruence M is also
     symmetric, as the ``assembly_kernels`` forms are bit for bit.  Z is
@@ -191,25 +195,34 @@ def write_reduced(dst, m, nodal, congruence=False):
     2. The stored entries of ``X[1:]`` or ``M[1:, 1:]`` are added.
 
     In IEEE arithmetic -d + x equals x - d, so the result is bit for bit
-    ``M[1:, 1:]`` (or ``X[1:]``) minus the update d.  dst is a float view
-    of one block of an operator (a transposed view included), of shape
-    (N - 1, k) for an (N, k) X, or (N - 1, N - 1) for an (N, N) M.
+    ``M[1:, 1:]`` (or ``X[1:]``) minus the update d.  Every entry is
+    formed from its own row and column of each term, so a block
+    [rows, cols] (slices of the reduced index) is that block of the whole
+    product bit for bit; ``cols`` applies to the congruence, and the
+    columns of ``Z^T X`` are those of X.  dst is a float view of one
+    block of an operator (a transposed view included), of shape
+    (len(rows), k) for an (N, k) X, or (len(rows), len(cols)) for an
+    (N, N) M.
     """
     n = len(m)
     k = n if congruence else nodal.shape[1]
-    if nodal.shape != (n, k) or dst.shape != (n - 1, k - congruence):
+    rows = range(n - 1)[rows]
+    cols = range(n - 1)[cols] if congruence else range(k)
+    if nodal.shape != (n, k) or dst.shape != (len(rows), len(cols)):
         raise ValueError(f"cannot reduce a {nodal.shape} nodal matrix "
                          f"into {dst.shape} over {n} nodes")
     v, beta = reflector(m)
+    r = slice(rows.start + 1, rows.stop + 1)
     if not congruence:
-        np.multiply.outer(-beta * v[1:], nodal.T @ v, out=dst)
-        _add_stored(dst, nodal[1:])
+        np.multiply.outer(-beta * v[r], nodal.T @ v, out=dst)
+        _add_stored(dst, nodal[r])
         return
+    c = slice(cols.start + 1, cols.stop + 1)
     p = nodal @ v
     w = beta * p - (0.5 * beta * beta * np.dot(v, p)) * v
-    np.multiply.outer(-w[1:], v[1:], out=dst)
-    neg_v, w = -v[1:], w[1:]
-    for start in range(0, n - 1, ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        dst[rows] += np.multiply.outer(neg_v[rows], w)
-    _add_stored(dst, nodal[1:, 1:])
+    np.multiply.outer(-w[r], v[c], out=dst)
+    neg_v, w = -v[r], w[c]
+    for start in range(0, len(rows), ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        dst[block] += np.multiply.outer(neg_v[block], w)
+    _add_stored(dst, nodal[r, c])

@@ -464,10 +464,11 @@ def test_verify_all_report_json_shape(slab_matrices):
 
 def test_verify_all_working_memory_is_bounded():
     # Beyond the operators and the Gram blocks (both formed here before
-    # the trace), verify_all holds the two reassembled S matrices and its
-    # tile buffers: 2.16 n^2 doubles measured at nx = 20, where holding
-    # the four defects O - O^T at once would take 4.01.  At nx = 12 the
-    # tile buffers are comparable with n^2.
+    # the trace), verify_all holds the reassembled S, row panels of S and
+    # its tile buffers, and reads the held operators as views: 1.32 n^2
+    # doubles measured at nx = 20, where holding the four defects O - O^T
+    # at once would take 4.01.  At nx = 12 the tile buffers are
+    # comparable with n^2.
     for nx, n, bound in ((12, 289, 5.0), (20, 801, 2.25)):
         mats = wp.assemble_matrices(wp.build_spaces(
             wp.generate_rect_slab(PI, PI, PI / 2, nx, nx)), 1.0, 4.0)
@@ -959,16 +960,95 @@ def test_nodal_degeneration_scan_reads_no_dense_operator(nx):
                 assert analysis.numerical_nullity(pen, g) == row[-g]
 
 
-def test_verify_holds_the_operators_and_one_block_pair():
-    # a first run loads the modules verify uses; the traced one forms the
-    # four operators, n^2 8 bytes each, and holds at most one field block's
-    # pair of arrays beside them
+def test_verify_holds_no_operator_and_one_block_pair():
+    # a first run loads the modules verify uses.  On an assembled pencil
+    # the only n x n array is the volume-route S (n^2 8 bytes); beside it
+    # verify holds row panels of S, then the tile pass's panels, at most
+    # one field block's pair of arrays, and its tile buffers.  Measured
+    # 1.52 n^2 8 bytes at nx = 20 (n = 801) and 1.27 at nx = 28
+    # (n = 1569), where forming the four operators gave 4.68 and 4.63;
+    # the bounds leave about 10% headroom.
     verify_all(_unformed_slab_pencil(4), include_decay_slope=True)
-    pen = _unformed_slab_pencil(20)
-    n = pen.n
-    peak = traced_peak(lambda: verify_all(pen, pencil=pen,
-                                          include_decay_slope=True))
-    assert peak <= 4.8 * n * n * 8
+    for nx, n, bound in ((20, 801, 1.7), (28, 1569, 1.4)):
+        pen = _unformed_slab_pencil(nx)
+        assert pen.n == n
+        peak = traced_peak(lambda: verify_all(pen, pencil=pen,
+                                              include_decay_slope=True))
+        assert peak <= bound * n * n * 8, nx
+
+
+def _flipped_slab_mesh():
+    """The 8 x 8 slab with one interface edge's orientation reversed."""
+    mesh = wp.generate_rect_slab(PI, PI, PI / 2, 8, 8)
+    flipped = mesh.interface_edges.copy()
+    flipped[1] = flipped[1][::-1]
+    return wp.Mesh(nodes=mesh.nodes, triangles=mesh.triangles,
+                   regions=mesh.regions, edges=mesh.edges,
+                   edge_tags=mesh.edge_tags, interface_edges=flipped)
+
+
+ROUTE_CASES = {
+    **{f"slab{nx}-eps{e1}/{e2}": (
+        lambda nx=nx: wp.generate_rect_slab(PI, PI, PI / 2, nx, nx), e1, e2)
+       for nx in (8, 12) for e1, e2 in ((1.0, 4.0), (1.5, 6.0))},
+    "homogeneous": (lambda: wp.generate_homogeneous_rect(PI, PI, 8, 8,
+                                                         PI / 2), 2.0, 2.0),
+    "slit": ("slit", 1.0, 4.0),
+    "flipped": (_flipped_slab_mesh, 1.0, 4.0),
+}
+
+
+def _report_rows(rep):
+    return [(c.name, c.margin.hex(), c.threshold, c.sense, c.passed)
+            for c in rep.checks]
+
+
+@pytest.mark.parametrize("case", list(ROUTE_CASES))
+def test_held_and_written_operators_give_the_same_report(case, slit_mesh):
+    make, e1, e2 = ROUTE_CASES[case]
+    mesh = slit_mesh if make == "slit" else make()
+
+    def pencil():
+        return wp.make_pencil(wp.assemble_matrices(wp.build_spaces(mesh),
+                                                   e1, e2))
+
+    def report(p):
+        return _report_rows(verify_all(p, pencil=p, include_decay_slope=True))
+
+    written = pencil()
+    want = report(written)
+    assert not {"k", "a1", "a2", "s"} & set(vars(written))
+    held = pencil()
+    held.k, held.a1, held.a2, held.s
+    assert report(held) == want
+    failed = {row[0] for row in want if not row[4]}
+    if case == "flipped":
+        # a failing check fails identically on both routes
+        assert "hermiticity_s" in failed
+    else:
+        assert not failed
+    # operators supplied as arrays take the dense A1 and A2 eigensolves,
+    # whose margins differ in the last places; all else is the same
+    supplied = report(dataclasses.replace(pencil()))
+    assert len(supplied) == len(want)
+    for got, row in zip(supplied, want):
+        if row[0].startswith(("a1_bound", "a2_bound")):
+            assert got[0] == row[0] and got[2:] == row[2:]
+        else:
+            assert got == row
+
+
+def test_verify_forms_and_keeps_no_operator(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("formed an operator")
+
+    for name in ("assemble_k", "assemble_a1", "assemble_a2",
+                 "assemble_s_line"):
+        monkeypatch.setattr(wp.assembly, name, never)
+    pen = _unformed_slab_pencil(8)
+    rep = verify_all(pen, pencil=pen, include_decay_slope=True)
+    assert rep.all_passed
+    assert not {"k", "a1", "a2", "s"} & set(vars(pen))
 
 
 def test_verify_keeps_no_gram_block_on_either_route():

@@ -8,8 +8,7 @@ from scipy import linalg
 import wavepencil as wp
 from wavepencil import assembly_kernels as kernels
 from wavepencil.assembly import (AssemblyError, PencilMatrices,
-                                 assemble_s_line, assemble_s_volume,
-                                 s_line_tiles)
+                                 assemble_s_line, assemble_s_volume)
 from conftest import interface_node_mask, parity_signs, traced_peak
 
 PI = math.pi
@@ -326,17 +325,42 @@ def test_interface_consistency_check(slab_spaces):
 @pytest.mark.parametrize("width", [1, 5, 128])
 def test_s_line_tiles_are_the_line_route_bit_for_bit(width, slab_spaces,
                                                      slit_mesh):
+    # column and row tiles of S written from the nodal forms, across the
+    # field blocks, are the formed line route's
     for spaces in (slab_spaces, wp.build_spaces(slit_mesh)):
+        mats = wp.assemble_matrices(spaces, 1.0, 4.0)
         e, m = spaces.blocks
         full = assemble_s_line(spaces)
-        seen = 0
-        for cols, lower, upper in s_line_tiles(spaces, width):
-            assert cols.start == seen
-            seen = cols.stop
-            assert np.array_equal(lower, full[m, cols])
-            assert np.array_equal(upper, full[cols, m].T)
-        assert seen == spaces.n_pi
+        for start in range(0, spaces.n, width):
+            tile = slice(start, start + width)
+            assert np.array_equal(mats.block("s", slice(None), tile),
+                                  full[:, tile])
+            assert np.array_equal(mats.block("s", tile), full[tile])
         assert not full[e, e].any() and not full[m, m].any()
+        assert "s" not in vars(mats)
+
+
+@pytest.mark.parametrize("name", ["k", "a1", "a2", "s"])
+def test_written_blocks_are_the_formed_operators_bit_for_bit(
+        name, slab_spaces, slit_mesh):
+    rng = np.random.default_rng(3)
+    for spaces in (slab_spaces, wp.build_spaces(slit_mesh)):
+        mats = wp.assemble_matrices(spaces, 1.5, 6.0)
+        full = getattr(wp.assemble_matrices(spaces, 1.5, 6.0), name)
+        n, n_pi = spaces.n, spaces.n_pi
+        # blocks inside each field block, across the field boundary and
+        # at random
+        spans = [slice(0, n_pi), slice(n_pi, n), slice(n_pi - 3, n_pi + 4),
+                 slice(None), *(slice(*sorted(rng.integers(0, n + 1, 2)))
+                                for _ in range(8))]
+        for rows in spans:
+            for cols in spans:
+                assert np.array_equal(mats.block(name, rows, cols),
+                                      full[rows, cols])
+        assert name not in vars(mats)
+        # a held operator is read as a view of itself
+        held = dataclasses.replace(mats, **{name: full})
+        assert np.shares_memory(held.block(name, slice(2, 9)), full)
 
 
 def test_nodal_forms_are_held_only_for_operators_from_the_spaces(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wavepencil as wp
-from wavepencil import cli, config, eigensolver
+from wavepencil import analysis, cli, config, eigensolver
 from wavepencil.analysis import SpectrumClass
 from wavepencil.cli import _continue_branches, main, sweep
 from wavepencil.config import ConfigError, parse_config
@@ -389,8 +389,10 @@ def test_verify_over_physical_memory_exits_before_the_mesh(
     out = tmp_path / "out"
     code = main(["verify", "--config", str(cfg), "--out", str(out)])
     assert code == 2
-    n = 19999 ** 2 + 20001 ** 2 - 1
-    assert f"operators of n = {n} unknowns need {4 * n * n * 8} bytes" in \
+    n_pi, n_psi = 19999 ** 2, 20001 ** 2 - 1
+    need = analysis.working_bytes(n_pi, n_psi)
+    assert need >= (n_pi + n_psi) ** 2 * 8
+    assert f"checks of n = {n_pi + n_psi} unknowns need {need} bytes" in \
         capsys.readouterr().err
     assert not out.exists()
 
@@ -400,23 +402,22 @@ def _physical_memory(monkeypatch, nbytes):
     monkeypatch.setattr(cli.os, "sysconf", sizes.__getitem__)
 
 
-def test_verify_refuses_what_its_checks_hold_beyond_the_operators(
+def test_verify_refuses_what_its_buffers_hold_beyond_the_volume_s(
         tmp_path, capsys, monkeypatch):
-    # the four operators fit, the reassembled S matrices and the Gram
-    # blocks on top of them do not
+    # the volume-route S fits, the panel and tile buffers beside it do not
     def never(*args, **kwargs):
         raise AssertionError("built past the memory check")
 
     monkeypatch.setattr(cli, "generate_rect_slab", never)
     n_pi, n_psi = 19 * 19, 21 * 21 - 1
     n = n_pi + n_psi
-    _physical_memory(monkeypatch, 4 * n * n * 8 + 1)
+    _physical_memory(monkeypatch, n * n * 8 + 1)
     cfg = write(tmp_path, "cfg.ini", SMALL_SLAB.replace("nx = 6", "nx = 20")
                 .replace("ny = 6", "ny = 20"))
     out = tmp_path / "out"
     code = main(["verify", "--config", str(cfg), "--out", str(out)])
     assert code == 2
-    assert "their checks" in capsys.readouterr().err
+    assert "panel and tile buffers" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -823,3 +824,26 @@ def test_sweep_validates_range(tmp_path):
         sweep(cfg, tmp_path, 2.0, 3.0, 1)
     with pytest.raises(ConfigError, match="at least 1 worker"):
         sweep(cfg, tmp_path, 2.0, 3.0, 3, workers=0)
+
+
+def test_run_forms_each_operator_once(tmp_path, monkeypatch):
+    # the solve forms the four operators and verify reads the held ones;
+    # the volume-route S is verify's own reassembly
+    calls = {}
+    for module, name in ((wp.assembly, "assemble_k"),
+                         (wp.assembly, "assemble_a1"),
+                         (wp.assembly, "assemble_a2"),
+                         (wp.assembly, "assemble_s_line"),
+                         (analysis, "assemble_s_volume")):
+        def counted(*args, _form=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _form(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    cfg = parse_config(SMALL_SLAB.replace("verify_decay_slope = false",
+                                          "verify_decay_slope = true"),
+                       source="inline")
+    result = cli.run(cfg, tmp_path / "out")
+    assert result.report.all_passed
+    assert calls == {"assemble_k": 1, "assemble_a1": 1, "assemble_a2": 1,
+                     "assemble_s_line": 1, "assemble_s_volume": 1}
