@@ -650,24 +650,28 @@ def _operator_tiles(matrices, names):
     return top, g_diag, g_off, g_asym
 
 
-def _s_differences(matrices, s_vol):
+def _s_differences(matrices):
     """Largest |entry| of S_line - S_vol, S_line - S and S - S_vol.
 
     S_line is the line route (``assemble_s_line``), S the pencil's
-    (``PencilMatrices.block``) and S_vol the n x n volume route; each is
-    read ``TILE`` rows at a time, S_line written by ``write_block`` bit
-    for bit.
+    (``PencilMatrices.block``) and S_vol the volume route
+    (``assemble_s_volume``); each is written ``TILE`` rows at a time by
+    ``write_block``, bit for bit those rows of the whole matrix, so no
+    n x n array is formed.  Where the pencil does not hold S, its block is
+    the line route's tile, so that one tile serves as both.
     """
     sp = matrices.spaces
     line = _line_nodal(sp)
+    written = "s" not in vars(matrices) and matrices.nodal is not None
     worst = [0.0, 0.0, 0.0]
     for start in range(0, sp.n, TILE):
         rows = slice(start, start + TILE)
         s_line = write_block(sp, line, rows)
-        s, vol = matrices.block("s", rows), s_vol[rows]
+        s = s_line if written else matrices.block("s", rows)
+        vol = assemble_s_volume(sp, rows)
         worst = [max(w, _max_abs(a - b)) for w, (a, b) in zip(
             worst, ((s_line, vol), (s_line, s), (s, vol)))]
-        del s_line, s
+        del s_line, s, vol
     return worst
 
 
@@ -707,20 +711,20 @@ def _identity_margins(matrices, g_diag, g_off, g_asym, n_random):
 def working_bytes(n_pi, n_psi):
     """Bytes ``verify_all`` holds on a pencil that does not hold its operators.
 
-    The larger of the volume-route S (n^2 doubles, the only n x n array,
-    held while the S checks run) and two arrays of the larger field block
-    (``_field_spectra``' work array and its Gram block, or K positivity's
-    block and LAPACK's copy of it), plus the row and column panels of the
-    four operators (``_operator_tiles``, ``TILE`` x n each, which cover
-    the S checks' row panels) and its tile buffers; not the O(N) mesh,
-    nor the O(nnz) nodal forms and their factors.  This is what
-    ``cli.cmd_verify`` builds: an assembled pencil, whose operators
-    ``verify_all`` reads as written blocks.  A pencil that holds its
-    operators (after a solve, or supplied as arrays) holds their 4 n^2
-    doubles besides, and reads views of them instead of panels.
+    Two arrays of the larger field block (``_field_spectra``' work array
+    and its Gram block, or K positivity's block and LAPACK's copy of it),
+    plus the row and column panels of the four operators
+    (``_operator_tiles``, ``TILE`` x n each, which cover the S checks'
+    row tiles) and its tile buffers; not the O(N) mesh, nor the O(nnz)
+    nodal forms and their factors.  No n x n array is counted, because
+    none is formed.  This is what ``cli.cmd_verify`` builds: an assembled
+    pencil, whose operators ``verify_all`` reads as written blocks.  A
+    pencil that holds its operators (after a solve, or supplied as
+    arrays) holds their 4 n^2 doubles besides, and reads views of them
+    instead of panels.
     """
     n = n_pi + n_psi
-    return 8 * (max(n * n, 2 * max(n_pi, n_psi) ** 2) + 2 * 4 * TILE * n
+    return 8 * (2 * max(n_pi, n_psi) ** 2 + 2 * 4 * TILE * n
                 + 3 * 4 * TILE * TILE)
 
 
@@ -741,14 +745,13 @@ def verify_all(matrices, pencil=None, spectrum=None,
     view of an operator the pencil holds (after a solve, or supplied as
     arrays), otherwise the block written from the nodal forms, bit for
     bit that part of the formed operator.  So on an assembled pencil it
-    forms and keeps no operator, and the only n x n array is the volume
-    route's S; beside it, it holds at most one field block's pair of
-    arrays at a time and the panels of one tile row (``working_bytes``).
-    The three S checks run first: S is reassembled once by the volume
-    route, the line route, the pencil's S and the reassembly are compared
-    ``TILE`` rows at a time (``_s_differences``), and the reassembled S
-    is dropped before ||S|| is read, an r x r problem on the coupling
-    rows (``_s_bound``).  Their margins are added in the report's order.
+    forms and keeps no operator and allocates no n x n array: it holds at
+    most one field block's pair of arrays at a time and the panels of one
+    tile row (``working_bytes``).  The three S checks run first: the line
+    route, the pencil's S and the volume route are written and compared
+    ``TILE`` rows at a time (``_s_differences``), then ||S|| is read, an
+    r x r problem on the coupling rows (``_s_bound``).  Their margins are
+    added in the report's order.
     The ``hermiticity_*`` margins and the identities' Gram forms come
     from one pass over square tiles of the operators, each row and column
     panel read once (``_operator_tiles``).  Each field block of K is read
@@ -779,12 +782,9 @@ def verify_all(matrices, pencil=None, spectrum=None,
     """
     rep = PropertyReport()
     eps_max = matrices.eps_max
-    sp = matrices.spaces
 
-    s_vol = assemble_s_volume(sp)
-    line_vol, line_s, s_vol_s = _s_differences(matrices, s_vol)
+    line_vol, line_s, s_vol_s = _s_differences(matrices)
     s_reassembly = min(line_s, s_vol_s)
-    del s_vol
     s_bound = _s_bound(matrices)
 
     # K, A1, S, A2: the operator order of ``pencil._weights``

@@ -137,9 +137,9 @@ class PencilMatrices:
     def nodal(self):
         """``NodalForms`` of the spaces, or None if an operator was supplied.
 
-        Formed on first read, in O(nnz).  The dense operators are written
-        from the same kernel calls, so their blocks are these forms' bit
-        for bit.
+        Formed on first read, in O(nnz).  K, A1 and A2 are formed from
+        these forms (``_FORMS``), so their blocks are these forms' bit for
+        bit.
         """
         if not self._from_spaces:
             return None
@@ -189,11 +189,8 @@ class PencilMatrices:
         """
         if name in self.__dict__ or self.nodal is None:
             return getattr(self, name)[rows, cols]
-        if name == "s":
-            parts = _line_nodal(self.spaces)
-        else:
-            parts = Diagonal(*(getattr(self.nodal, form)
-                               for form in _DIAGONAL[name]))
+        parts = _line_nodal(self.spaces) if name == "s" \
+            else _diagonal(self.nodal, name)
         return write_block(self.spaces, parts, rows, cols)
 
 
@@ -240,6 +237,11 @@ class Coupling(NamedTuple):
 #: The ``NodalForms`` fields of each block-diagonal operator's blocks.
 _DIAGONAL = {"k": ("mass_eps", "mass"), "a1": ("stiffness_eps", "stiffness"),
              "a2": ("stiffness", "stiffness_inv_eps")}
+
+
+def _diagonal(nodal, name):
+    """``Diagonal`` of block-diagonal operator ``name`` from ``NodalForms``."""
+    return Diagonal(*(getattr(nodal, form) for form in _DIAGONAL[name]))
 
 
 def _field_parts(span, spaces):
@@ -293,33 +295,46 @@ def write_block(spaces, parts, rows=slice(None), cols=slice(None),
     return out
 
 
-def assemble_a1(spaces, eps1, eps2):
+def assemble_a1(spaces, eps1, eps2, nodal=None):
     """Gradient form weighted by the permittivity on the electric block.
 
-    The unweighted magnetic block is the Gram matrix's own.
+    The unweighted magnetic block is the Gram matrix's own.  ``nodal``,
+    where given, is the pencil's ``NodalForms`` of (eps1, eps2), and the
+    blocks are read from it; otherwise both forms are computed as it holds
+    them, so the operator is the same bit for bit.
     """
     _check_eps(eps1, eps2)
+    if nodal is not None:
+        return write_block(spaces, _diagonal(nodal, "a1"))
     mesh = spaces.mesh
     return write_block(spaces, Diagonal(
         kernels.nodal_stiffness(mesh, eps1, eps2),
         kernels.nodal_stiffness(mesh, 1.0, 1.0)))
 
 
-def assemble_a2(spaces, eps1, eps2):
+def assemble_a2(spaces, eps1, eps2, nodal=None):
     """Gradient form weighted by the inverse permittivity on the magnetic block.
 
-    The unweighted electric block is the Gram matrix's own.
+    The unweighted electric block is the Gram matrix's own.  ``nodal`` is
+    read as by ``assemble_a1``.
     """
     _check_eps(eps1, eps2)
+    if nodal is not None:
+        return write_block(spaces, _diagonal(nodal, "a2"))
     mesh = spaces.mesh
     return write_block(spaces, Diagonal(
         kernels.nodal_stiffness(mesh, 1.0, 1.0),
         kernels.nodal_stiffness(mesh, 1.0 / eps1, 1.0 / eps2)))
 
 
-def assemble_k(spaces, eps1, eps2):
-    """L2 form, permittivity-weighted on the electric block.  Positive definite."""
+def assemble_k(spaces, eps1, eps2, nodal=None):
+    """L2 form, permittivity-weighted on the electric block.  Positive definite.
+
+    ``nodal`` is read as by ``assemble_a1``.
+    """
     _check_eps(eps1, eps2)
+    if nodal is not None:
+        return write_block(spaces, _diagonal(nodal, "k"))
     mesh = spaces.mesh
     return write_block(spaces, Diagonal(kernels.nodal_mass(mesh, eps1, eps2),
                                         kernels.nodal_mass(mesh, 1.0, 1.0)))
@@ -357,14 +372,18 @@ def assemble_s_line(spaces):
     return write_block(spaces, _line_nodal(spaces))
 
 
-def assemble_s_volume(spaces):
-    """Interface coupling from the signed volume form (no line integrals).
+def assemble_s_volume(spaces, rows=slice(None)):
+    """Rows ``rows`` of the interface coupling from the signed volume form.
 
-    Must agree with assemble_s_line entrywise to rounding on meshes
-    without slits; the pair is the orientation-convention oracle.
+    No line integrals.  Must agree with assemble_s_line entrywise to
+    rounding on meshes without slits; the pair is the
+    orientation-convention oracle.  The rows are written by
+    ``write_block``, so they are that part of the whole matrix (the
+    default) bit for bit, and a caller that reads the matrix a row block
+    at a time holds no n x n array.
     """
     v = kernels.volume_skew_matrix(spaces.mesh)
-    return write_block(spaces, Coupling(v, v.T.tocsr()))
+    return write_block(spaces, Coupling(v, v.T.tocsr()), rows)
 
 
 def assemble_matrices(spaces, eps1, eps2):
@@ -441,11 +460,12 @@ class _FormedOnRead:
         return op
 
 
-#: How each unset operator is formed on its first read; each assembly
-#: function is looked up by its module name when it is called.
-_FORMS = {"k": lambda m: assemble_k(m.spaces, m.eps1, m.eps2),
-          "a1": lambda m: assemble_a1(m.spaces, m.eps1, m.eps2),
-          "a2": lambda m: assemble_a2(m.spaces, m.eps1, m.eps2),
+#: How each unset operator is formed on its first read, K, A1 and A2 from
+#: the nodal forms the pencil holds; each assembly function is looked up
+#: by its module name when it is called.
+_FORMS = {"k": lambda m: assemble_k(m.spaces, m.eps1, m.eps2, m.nodal),
+          "a1": lambda m: assemble_a1(m.spaces, m.eps1, m.eps2, m.nodal),
+          "a2": lambda m: assemble_a2(m.spaces, m.eps1, m.eps2, m.nodal),
           "s": lambda m: assemble_s_line(m.spaces)}
 
 # The dataclass leaves each operator's default, None, on the class, where

@@ -348,9 +348,8 @@ def cmd_verify(cfg, args):
     if checks > memory:
         raise AssemblyError(
             f"the checks of n = {n_pi + n_psi} unknowns need {checks} bytes "
-            f"(the volume-route S or two arrays of the larger field block, "
-            f"and panel and tile buffers), more than the {memory} bytes of "
-            f"physical memory")
+            f"(two arrays of the larger field block, and panel and tile "
+            f"buffers), more than the {memory} bytes of physical memory")
     if mesh is None:
         mesh = build_mesh(cfg)
     pencil = make_pencil(assemble_matrices(build_spaces(mesh), cfg.eps1,

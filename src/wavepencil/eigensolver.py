@@ -10,12 +10,13 @@ stage contract stays independently testable.  A solve allocates the
 companion once and holds no name of it once the square is gathered;
 ``balance`` scales the Fortran-ordered square in place, and the QR's
 LAPACK work copy is the only other array of its size.  The QR stays on
-``numpy.linalg``, which releases the interpreter lock; scipy's ``geev``
-wrapper holds it.  That does not make ``cli.sweep``'s workers reliably
-run two QRs at once: with one BLAS thread on 2 cores, two threads
-reached 0.57-1.05x one thread's ``eigvals`` throughput at 200-450 rows,
-0.84-2.36x at 578 and 1.27-2.43x at 800 (README "Command line" has the
-measurement).  Eigenvectors of the original pencil are read
+``numpy.linalg.eigvals``, which releases the interpreter lock only above
+500 rows (the 578-row square of slab nx = 12 is above it; its 315-row
+active block would not be); scipy's ``geev`` wrapper holds it.  Even so
+``cli.sweep``'s workers do not reliably run two QRs at once: with one
+BLAS thread on 2 cores, two threads reached 0.57-1.05x one thread's
+``eigvals`` throughput at 200-450 rows, 0.84-2.36x at 578 and
+1.27-2.43x at 800 (README "Command line" has the measurements).  Eigenvectors of the original pencil are read
 off the square's eigenvectors [y; mu y], y = (v_pi, g v_psi)
 (``solve_pencil``).  The fields the mesh makes null at the degeneration
 points +-sqrt(eps_j) (``null_fields``) are known before any eigensolve:

@@ -464,12 +464,12 @@ def test_verify_all_report_json_shape(slab_matrices):
 
 def test_verify_all_working_memory_is_bounded():
     # Beyond the operators and the Gram blocks (both formed here before
-    # the trace), verify_all holds the reassembled S, row panels of S and
-    # its tile buffers, and reads the held operators as views: 1.32 n^2
-    # doubles measured at nx = 20, where holding the four defects O - O^T
-    # at once would take 4.01.  At nx = 12 the tile buffers are
-    # comparable with n^2.
-    for nx, n, bound in ((12, 289, 5.0), (20, 801, 2.25)):
+    # the trace), verify_all holds row tiles of the line and volume
+    # routes of S, one field block's pair of arrays and its tile buffers,
+    # and reads the held operators as views: 0.48 n^2 doubles measured
+    # at nx = 20, where holding the four defects O - O^T at once would
+    # take 4.01.  At nx = 12 the tile buffers are comparable with n^2.
+    for nx, n, bound in ((12, 289, 5.0), (20, 801, 0.55)):
         mats = wp.assemble_matrices(wp.build_spaces(
             wp.generate_rect_slab(PI, PI, PI / 2, nx, nx)), 1.0, 4.0)
         assert mats.n == n
@@ -962,14 +962,14 @@ def test_nodal_degeneration_scan_reads_no_dense_operator(nx):
 
 def test_verify_holds_no_operator_and_one_block_pair():
     # a first run loads the modules verify uses.  On an assembled pencil
-    # the only n x n array is the volume-route S (n^2 8 bytes); beside it
-    # verify holds row panels of S, then the tile pass's panels, at most
-    # one field block's pair of arrays, and its tile buffers.  Measured
-    # 1.52 n^2 8 bytes at nx = 20 (n = 801) and 1.27 at nx = 28
-    # (n = 1569), where forming the four operators gave 4.68 and 4.63;
-    # the bounds leave about 10% headroom.
+    # verify allocates no n x n array: it holds row tiles of the line and
+    # volume routes of S, then the tile pass's panels, at most one field
+    # block's pair of arrays, and its tile buffers.  Measured 1.10 n^2 8
+    # bytes at nx = 20 (n = 801) and 0.63 at nx = 28 (n = 1569), where
+    # forming the four operators gave 4.68 and 4.63; the bounds leave
+    # about 10% headroom.
     verify_all(_unformed_slab_pencil(4), include_decay_slope=True)
-    for nx, n, bound in ((20, 801, 1.7), (28, 1569, 1.4)):
+    for nx, n, bound in ((20, 801, 1.2), (28, 1569, 0.7)):
         pen = _unformed_slab_pencil(nx)
         assert pen.n == n
         peak = traced_peak(lambda: verify_all(pen, pencil=pen,

@@ -340,6 +340,19 @@ def test_s_line_tiles_are_the_line_route_bit_for_bit(width, slab_spaces,
         assert "s" not in vars(mats)
 
 
+@pytest.mark.parametrize("width", [1, 5, 128])
+def test_s_volume_tiles_are_the_volume_route_bit_for_bit(width, slab_spaces,
+                                                         slit_mesh):
+    # row blocks of the volume route, inside each field block and across
+    # the split, are the same rows of the whole matrix
+    for spaces in (slab_spaces, wp.build_spaces(slit_mesh)):
+        full = assemble_s_volume(spaces)
+        for start in (*range(0, spaces.n, width),
+                      max(spaces.n_pi - width // 2, 0)):
+            tile = slice(start, start + width)
+            assert np.array_equal(assemble_s_volume(spaces, tile), full[tile])
+
+
 @pytest.mark.parametrize("name", ["k", "a1", "a2", "s"])
 def test_written_blocks_are_the_formed_operators_bit_for_bit(
         name, slab_spaces, slit_mesh):

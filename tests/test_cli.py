@@ -391,7 +391,8 @@ def test_verify_over_physical_memory_exits_before_the_mesh(
     assert code == 2
     n_pi, n_psi = 19999 ** 2, 20001 ** 2 - 1
     need = analysis.working_bytes(n_pi, n_psi)
-    assert need >= (n_pi + n_psi) ** 2 * 8
+    # verify holds no n x n array; the larger field block's pair is counted
+    assert need >= 2 * max(n_pi, n_psi) ** 2 * 8
     assert f"checks of n = {n_pi + n_psi} unknowns need {need} bytes" in \
         capsys.readouterr().err
     assert not out.exists()
@@ -402,16 +403,16 @@ def _physical_memory(monkeypatch, nbytes):
     monkeypatch.setattr(cli.os, "sysconf", sizes.__getitem__)
 
 
-def test_verify_refuses_what_its_buffers_hold_beyond_the_volume_s(
+def test_verify_refuses_what_its_buffers_hold_beyond_the_block_pair(
         tmp_path, capsys, monkeypatch):
-    # the volume-route S fits, the panel and tile buffers beside it do not
+    # the larger field block's pair of arrays fits, the panel and tile
+    # buffers beside it do not
     def never(*args, **kwargs):
         raise AssertionError("built past the memory check")
 
     monkeypatch.setattr(cli, "generate_rect_slab", never)
     n_pi, n_psi = 19 * 19, 21 * 21 - 1
-    n = n_pi + n_psi
-    _physical_memory(monkeypatch, n * n * 8 + 1)
+    _physical_memory(monkeypatch, 2 * max(n_pi, n_psi) ** 2 * 8 + 1)
     cfg = write(tmp_path, "cfg.ini", SMALL_SLAB.replace("nx = 6", "nx = 20")
                 .replace("ny = 6", "ny = 20"))
     out = tmp_path / "out"
@@ -847,3 +848,23 @@ def test_run_forms_each_operator_once(tmp_path, monkeypatch):
     assert result.report.all_passed
     assert calls == {"assemble_k": 1, "assemble_a1": 1, "assemble_a2": 1,
                      "assemble_s_line": 1, "assemble_s_volume": 1}
+
+
+def test_run_computes_each_nodal_form_once(tmp_path, monkeypatch):
+    # K, A1 and A2 are formed from the pencil's nodal forms, and verify
+    # and the Gram blocks read the same ones: three stiffness and two mass
+    # forms in all
+    calls = {}
+    for name in ("nodal_stiffness", "nodal_mass"):
+        def counted(*args, _form=getattr(wp.assembly_kernels, name),
+                    _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _form(*args)
+
+        monkeypatch.setattr(wp.assembly_kernels, name, counted)
+    cfg = parse_config(SMALL_SLAB.replace("verify_decay_slope = false",
+                                          "verify_decay_slope = true"),
+                       source="inline")
+    result = cli.run(cfg, tmp_path / "out")
+    assert result.report.all_passed
+    assert calls == {"nodal_stiffness": 3, "nodal_mass": 2}
