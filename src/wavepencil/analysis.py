@@ -35,7 +35,8 @@ from enum import Enum
 import numpy as np
 from scipy import linalg
 
-from .assembly import _line_nodal, assemble_s_volume, write_block
+from .assembly import (_line_coupling, _volume_coupling, assemble_s_volume,
+                       write_block)
 from .eigensolver import _symmetric_factor, null_fields, numerical_nullity
 from .pencil import ExclusionInterval, _weights, degeneration_points
 from .spaces import ROW_BLOCK
@@ -657,18 +658,20 @@ def _s_differences(matrices):
     (``PencilMatrices.block``) and S_vol the volume route
     (``assemble_s_volume``); each is written ``TILE`` rows at a time by
     ``write_block``, bit for bit those rows of the whole matrix, so no
-    n x n array is formed.  Where the pencil does not hold S, its block is
-    the line route's tile, so that one tile serves as both.
+    n x n array is formed.  Each route's nodal coupling is built once per
+    call, the line route's from the pencil's ``line``.  Where the pencil
+    does not hold S, its block is the line route's tile, so that one tile
+    serves as both.
     """
     sp = matrices.spaces
-    line = _line_nodal(sp)
+    line, volume = _line_coupling(matrices.line), _volume_coupling(sp)
     written = "s" not in vars(matrices) and matrices.nodal is not None
     worst = [0.0, 0.0, 0.0]
     for start in range(0, sp.n, TILE):
         rows = slice(start, start + TILE)
         s_line = write_block(sp, line, rows)
         s = s_line if written else matrices.block("s", rows)
-        vol = assemble_s_volume(sp, rows)
+        vol = assemble_s_volume(sp, rows, volume)
         worst = [max(w, _max_abs(a - b)) for w, (a, b) in zip(
             worst, ((s_line, vol), (s_line, s), (s, vol)))]
         del s_line, s, vol

@@ -75,8 +75,9 @@ class PencilMatrices:
     ``assemble_s_line`` (``_FormedOnRead``), and kept.
     ``dataclasses.replace`` reads every field, so it carries the
     operators over, formed.  ``nodal`` holds the sparse nodal forms the
-    operators are formed from, when none was supplied.  ``block`` reads a
-    region of an operator without forming it.
+    operators are formed from, when none was supplied, and ``line`` the
+    interface line matrix S is written from.  ``block`` reads a region of
+    an operator without forming it.
     """
 
     spaces: FieldSpaces
@@ -121,8 +122,8 @@ class PencilMatrices:
         ||C1|| = |eps1 - eps2| ||S||.
         """
         if self.nodal is not None:
-            return _nodal_norms(self.spaces, self.nodal, self.eps1,
-                                self.eps2)
+            return _nodal_norms(self.spaces, self.nodal, self.line,
+                                self.eps1, self.eps2)
         sq0 = sq2 = 0.0
         for start in range(0, self.n, NORM_ROW_BLOCK):
             c0, _, c2 = (c.ravel() for c in coefficients(
@@ -150,6 +151,17 @@ class PencilMatrices:
         return NodalForms(
             *(kernels.nodal_stiffness(mesh, *w, geo) for w in weights),
             *(kernels.nodal_mass(mesh, *w, geo) for w in weights[:2]))
+
+    @cached_property
+    def line(self):
+        """The interface line matrix D of the spaces (``_interface_line``).
+
+        Built on first read, after the interface check, and kept: S's
+        blocks (``block``, ``assemble_s_line``), ``pencil.bordered`` and
+        the coefficient norms all read this one, O(interface edges) in
+        size.
+        """
+        return _interface_line(self.spaces)
 
     @cached_property
     def gram(self):
@@ -189,7 +201,7 @@ class PencilMatrices:
         """
         if name in self.__dict__ or self.nodal is None:
             return getattr(self, name)[rows, cols]
-        parts = _line_nodal(self.spaces) if name == "s" \
+        parts = _line_coupling(self.line) if name == "s" \
             else _diagonal(self.nodal, name)
         return write_block(self.spaces, parts, rows, cols)
 
@@ -354,25 +366,39 @@ def _check_interface(spaces):
         raise AssemblyError("inconsistent interface edge data")
 
 
-def _line_nodal(spaces):
-    """The line route's ``Coupling``, interface data checked."""
+def _interface_line(spaces):
+    """``interface_line_matrix`` of the mesh, interface data checked."""
     _check_interface(spaces)
-    d = kernels.interface_line_matrix(spaces.mesh)
-    return Coupling(d, (-d).tocsr())
+    return kernels.interface_line_matrix(spaces.mesh)
 
 
-def assemble_s_line(spaces):
+def _line_coupling(line):
+    """The line route's ``Coupling`` of the interface line matrix D."""
+    return Coupling(line, (-line).tocsr())
+
+
+def _volume_coupling(spaces):
+    """The volume route's ``Coupling``, from ``volume_skew_matrix``."""
+    v = kernels.volume_skew_matrix(spaces.mesh)
+    return Coupling(v, v.T.tocsr())
+
+
+def assemble_s_line(spaces, line=None):
     """Interface coupling from the oriented line integral.
 
     The electric trial derivative pairs against the magnetic test trace
     with a positive sign and vice versa with a negative one.  Endpoint
     terms vanish because the electric field carries no DOFs on the shield,
-    which is exactly what makes the matrix Hermitian.
+    which is exactly what makes the matrix Hermitian.  ``line``, where
+    given, is the pencil's checked line matrix (``PencilMatrices.line``);
+    otherwise it is built here after the same check.
     """
-    return write_block(spaces, _line_nodal(spaces))
+    if line is None:
+        line = _interface_line(spaces)
+    return write_block(spaces, _line_coupling(line))
 
 
-def assemble_s_volume(spaces, rows=slice(None)):
+def assemble_s_volume(spaces, rows=slice(None), coupling=None):
     """Rows ``rows`` of the interface coupling from the signed volume form.
 
     No line integrals.  Must agree with assemble_s_line entrywise to
@@ -380,10 +406,12 @@ def assemble_s_volume(spaces, rows=slice(None)):
     orientation-convention oracle.  The rows are written by
     ``write_block``, so they are that part of the whole matrix (the
     default) bit for bit, and a caller that reads the matrix a row block
-    at a time holds no n x n array.
+    at a time holds no n x n array.  ``coupling``, where given, is the
+    spaces' ``_volume_coupling``, so such a caller builds it once.
     """
-    v = kernels.volume_skew_matrix(spaces.mesh)
-    return write_block(spaces, Coupling(v, v.T.tocsr()), rows)
+    if coupling is None:
+        coupling = _volume_coupling(spaces)
+    return write_block(spaces, coupling, rows)
 
 
 def assemble_matrices(spaces, eps1, eps2):
@@ -397,7 +425,7 @@ def assemble_matrices(spaces, eps1, eps2):
     return PencilMatrices(spaces=spaces, eps1=float(eps1), eps2=float(eps2))
 
 
-def _nodal_norms(spaces, forms, eps1, eps2):
+def _nodal_norms(spaces, forms, d, eps1, eps2):
     """Frobenius norms of (C0, C1, C2, C4) from the sparse nodal forms.
 
     Per block of each coefficient, combined on the nodal forms as
@@ -406,9 +434,10 @@ def _nodal_norms(spaces, forms, eps1, eps2):
     ||X||^2 - 2 ||X h||^2 + (h^T X h)^2 and a block ``Z^T Y`` of S as
     ||Y||^2 - ||Y^T h||^2, h = H e_1 being the reflector's first column,
     which completes Z to the orthogonal H.  ``forms`` are the
-    ``NodalForms`` of the pencil.  O(nnz) work and memory.
+    ``NodalForms`` of the pencil and ``d`` its interface line matrix.
+    O(nnz) work and memory.
     """
-    mesh, pi = spaces.mesh, spaces.pi_nodes
+    pi = spaces.pi_nodes
     v, beta = reflector(spaces.mean_vector)
     h = (-beta * v[0]) * v
     h[0] += 1.0
@@ -428,7 +457,6 @@ def _nodal_norms(spaces, forms, eps1, eps2):
         return sq(y) - yh @ yh
 
     stiff, stiff_e, stiff_inv, mass, mass_e = forms
-    d = kernels.interface_line_matrix(mesh)
     trace = eps1 + eps2
     sq0 = electric(mass_e - stiff) + magnetic(mass - stiff_inv)
     sq1 = coupling(d[:, pi]) + coupling(d[pi, :].T)
@@ -466,7 +494,7 @@ class _FormedOnRead:
 _FORMS = {"k": lambda m: assemble_k(m.spaces, m.eps1, m.eps2, m.nodal),
           "a1": lambda m: assemble_a1(m.spaces, m.eps1, m.eps2, m.nodal),
           "a2": lambda m: assemble_a2(m.spaces, m.eps1, m.eps2, m.nodal),
-          "s": lambda m: assemble_s_line(m.spaces)}
+          "s": lambda m: assemble_s_line(m.spaces, m.line)}
 
 # The dataclass leaves each operator's default, None, on the class, where
 # a read would find it; the descriptor takes its place.

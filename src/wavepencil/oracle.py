@@ -9,8 +9,9 @@ equivalent product form with the tangents cleared, which is entire in
 gamma^2 (no poles on the search axes) and therefore safe to bracket.
 It is one branch-free array expression: sin(kx)/k and cos(kx) are even
 in k, so they are evaluated at the complex square root of k^2 on either
-sign of k^2.  Brent's method on each bracketing grid interval is the
-only root refinement.
+sign of k^2.  Brent's method, run on every bracketing grid interval at
+once as array operations (``_brent``), is the only root refinement, so
+finding the roots loads no module beyond numpy.
 Both families reduce to k_x a = m pi when the permittivities coincide,
 which is the validation identity for the determinants.
 
@@ -121,6 +122,75 @@ def normalized_determinant(family, u, a, b, d, eps1, eps2, n):
     return (t_left + t_right) / (1.0 + abs(t_left) + abs(t_right))
 
 
+#: Brent's bracket tolerances, absolute and relative to |u|, and its
+#: iteration cap; the relative one is the default of SciPy's ``brentq``.
+XTOL, RTOL, MAXITER = 1e-15, 4.0 * np.finfo(float).eps, 200
+
+
+def _brent(f, xa, xb, fa, fb):
+    """Brent's method on every bracket [xa[i], xb[i]] at once.
+
+    ``fa`` and ``fb`` are ``f`` at the ends, of opposite signs or with a
+    0.  Each bracket takes the steps of SciPy's ``brentq`` (Brent,
+    "Algorithms for Minimization without Derivatives", 1973, ch. 4):
+    inverse quadratic or secant interpolation where that is a short step
+    inside the bracket, bisection otherwise, and never a step shorter
+    than the tolerance.  A bracket is done when f is exactly 0 at its
+    better end, the one with the smaller |f|, or when its width is below
+    XTOL + RTOL |u| at that end; the better end is its root.  An end
+    where f is exactly 0 is the root as it is.  Each iteration calls
+    ``f`` once, on the brackets not yet done.
+    """
+    out = np.where(fa == 0.0, xa, xb)
+    live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    xpre, xcur, fpre, fcur = xa[live], xb[live], fa[live], fb[live]
+    xblk, fblk = xpre, fpre
+    spre = scur = xcur - xpre
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAXITER):
+            # the bracket is [xcur, xblk]; xpre is the previous point
+            flip = ((fpre != 0.0) & (fcur != 0.0)
+                    & (np.signbit(fpre) != np.signbit(fcur)))
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            step = xcur - xpre
+            spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre),
+                                np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre),
+                                np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+            delta = (XTOL + RTOL * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            out[live[done]] = xcur[done]
+            if done.all():
+                return out
+            if done.any():
+                keep = ~done
+                (live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+                 sbis) = (v[keep] for v in (live, xpre, xcur, xblk, fpre,
+                                            fcur, fblk, spre, scur, delta,
+                                            sbis))
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre)
+                / (dblk * dpre * (fblk - fpre)))
+            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2 * np.abs(stry)
+                        < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                                   np.where(sbis > 0, delta, -delta))
+            fcur = f(xcur)
+    raise OracleError(f"root refinement did not converge in {MAXITER} "
+                      "iterations")
+
+
 def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
                           gamma_max=4.0):
     """Real- and imaginary-axis slab eigenvalues by bracketing in gamma^2.
@@ -133,16 +203,16 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
     dropped.  Each grid interval
     whose end signs differ or include a 0 (signs, not products, which
     could underflow) is refined by Brent's method to the rounding level of
-    u; the cleared form has no tangent poles, so such an interval holds a
-    root, and a root on a grid point is kept once.  Roots come back
-    as +- pairs ordered from the most propagating downwards.
+    u, all such intervals together (``_brent``); the cleared form has no
+    tangent poles, so such an interval holds a root, and a root on a grid
+    point is kept once.  The residuals are evaluated in one array call.
+    Roots come back as +- pairs ordered from the most propagating
+    downwards.
 
     LSM at n = 0 returns no roots: the LSM potential carries the factor
     sin(n pi y / b), so that family is empty and the roots of its
     determinant are not eigenvalues.
     """
-    from scipy.optimize import brentq
-
     family = _family(family)
     if not 0.0 < d < a:
         raise OracleError("slab boundary must satisfy 0 < d < a")
@@ -156,7 +226,7 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
     def f(u):
         return normalized_determinant(family, u, a, b, d, eps1, eps2, n)
 
-    u_roots = []
+    brackets = []
     umax = gamma_max * gamma_max
     for lo, hi in ((-umax, 0.0), (0.0, umax)):
         us = np.linspace(lo, hi, 2001)
@@ -164,11 +234,12 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
         step = us[1] - us[0]
         us = np.concatenate(([lo - step], us)) if lo < 0.0 \
             else np.append(us, hi + step)
-        signs = np.sign(f(us))
-        for i in np.flatnonzero(signs[:-1] * signs[1:] <= 0.0):
-            u0, u1 = float(us[i]), float(us[i + 1])
-            u_star = brentq(f, u0, u1, xtol=1e-15, maxiter=200)
-            u_roots.append((u_star, abs(float(f(u_star)))))
+        fs = f(us)
+        signs = np.sign(fs)
+        i = np.flatnonzero(signs[:-1] * signs[1:] <= 0.0)
+        brackets.append((us[i], us[i + 1], fs[i], fs[i + 1]))
+    u_star = _brent(f, *(np.concatenate(ends) for ends in zip(*brackets)))
+    u_roots = list(zip(u_star.tolist(), np.abs(f(u_star)).tolist()))
 
     u_roots.sort(key=lambda r: -r[0])
     deduped = []
@@ -201,9 +272,10 @@ def match_roots(roots, eigenvalues, rel_tol):
     """Nearest finite-element eigenvalue for each oracle root.
 
     Returns (matches, mismatch_count); matches are tuples
-    (root, nearest eigenvalue, relative gap).  The gap is relative to
-    |gamma_oracle| with a tiny floor so a root at the origin compares
-    absolutely.
+    (root, nearest eigenvalue, gap).  The gap is |gamma_fem - gamma| /
+    |gamma| relative to a root gamma != 0, and |gamma_fem| absolute for
+    the root gamma = 0, which no relative measure can compare; a gap
+    above ``rel_tol`` counts as a mismatch.
     """
     vals = np.asarray(eigenvalues, dtype=complex)
     matches = []
@@ -211,9 +283,9 @@ def match_roots(roots, eigenvalues, rel_tol):
     for root in roots:
         gaps = np.abs(vals - root.gamma)
         j = int(np.argmin(gaps))
-        rel = float(gaps[j] / max(abs(root.gamma), 1e-12))
-        matches.append((root, complex(vals[j]), rel))
-        if rel > rel_tol:
+        gap = float(gaps[j] / abs(root.gamma) if root.gamma else gaps[j])
+        matches.append((root, complex(vals[j]), gap))
+        if gap > rel_tol:
             mismatches += 1
     return matches, mismatches
 

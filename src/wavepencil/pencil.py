@@ -30,8 +30,6 @@ import numpy as np
 from scipy import linalg, sparse
 from scipy.linalg import blas
 
-from . import assembly_kernels as kernels
-
 
 class PencilError(ValueError):
     pass
@@ -133,10 +131,10 @@ def _terms(pencil, g):
 def bordered(pencil, gamma, shift=0.0):
     """The sparse nodal L(gamma) bordered by the zero-mean row, real gamma.
 
-    Built from the pencil's ``nodal`` forms, the interface line matrix D
-    (``assembly_kernels.interface_line_matrix``) and the mean vector m,
-    with no operator formed.  Rows and columns are the electric (pi)
-    nodes, all N nodes for the magnetic field, and one border:
+    Built from the pencil's ``nodal`` forms, its interface line matrix D
+    (``line``) and the mean vector m, with no operator formed.  Rows and
+    columns are the electric (pi) nodes, all N nodes for the magnetic
+    field, and one border:
 
         B = [[L_pp, C^T, 0], [C, L_qq, m], [0, m^T, 0]] + shift I~,
 
@@ -158,7 +156,7 @@ def bordered(pencil, gamma, shift=0.0):
             + a2 * forms.stiffness)[pi][:, pi].tocoo()
     l_qq = (w * forms.mass + mu * forms.stiffness
             + a2 * forms.stiffness_inv_eps).tocoo()
-    c = (couple * kernels.interface_line_matrix(sp.mesh)[:, pi]).tocoo()
+    c = (couple * pencil.line[:, pi]).tocoo()
     psi, field = n_pi + np.arange(n), np.arange(n_pi + n)
     border = np.full(n, n_pi + n)
     # the shift is summed into each field row's stored diagonal entry

@@ -206,6 +206,51 @@ def test_roots_are_bracketed_by_sign_not_by_product(monkeypatch):
         (-complex(math.sqrt(u_root)), 1, 0.0)]
 
 
+def test_array_refinement_matches_brentq(monkeypatch):
+    # the refinement of every bracket at once against scipy's brentq on
+    # each bracket alone, with its tolerances: 12 slab permittivities, both
+    # families, n = 0..5
+    from scipy.optimize import brentq
+
+    cases = [(eps2, fam, n) for eps2 in np.linspace(1.0, 4.0, 12)
+             for fam in OracleFamily for n in range(6)]
+
+    def roots():
+        return [slab_dispersion_roots(PI, PI, PI / 2, 1.0, eps2, n=n,
+                                      family=fam, gamma_max=6.0)
+                for eps2, fam, n in cases]
+
+    def each(f, xa, xb, fa, fb):
+        return np.array([brentq(f, a, b, xtol=1e-15, maxiter=200)
+                         for a, b in zip(xa, xb)])
+
+    got = roots()
+    monkeypatch.setattr(oracle, "_brent", each)
+    want = roots()
+    assert sum(map(len, want)) > 1000
+    eps = np.finfo(float).eps
+    for case, g, w in zip(cases, got, want, strict=True):
+        assert [(r.family, r.m, r.n) for r in g] == \
+            [(r.family, r.m, r.n) for r in w], case
+        for r, s in zip(g, w):
+            u, v = ((x.gamma.real ** 2 - x.gamma.imag ** 2) for x in (r, s))
+            assert abs(u - v) <= 1e-15 + 4.0 * eps * abs(v), (case, r, s)
+
+
+def test_the_cutoff_root_is_one_root_at_zero():
+    # at eps1 = eps2, LSE n = 0, the determinant changes sign at
+    # u = -3.3e-16, not at the grid point 0; Brent's stopping rule returns
+    # 0, the end with the smaller |f|, so the cutoff is the one root
+    # gamma = 0 and not a pair +-1.8e-8i
+    f = normalized_determinant(OracleFamily.LSE, np.array([-3.4e-16, 0.0]),
+                               PI, PI, PI / 2, 1.0, 1.0, 0)
+    assert f[0] < 0.0 < f[1]
+    roots = slab_dispersion_roots(PI, PI, PI / 2, 1.0, 1.0, n=0,
+                                  family=OracleFamily.LSE, gamma_max=4.0)
+    assert [(r.gamma, r.m) for r in roots if abs(r.gamma) < 0.5] == [(0, 1)]
+    assert [r.m for r in roots] == [1, 2, 2, 3, 3, 4, 4]
+
+
 def test_slab_argument_validation():
     with pytest.raises(OracleError):
         slab_dispersion_roots(PI, PI, 0.0, 1.0, 4.0)
@@ -241,8 +286,13 @@ def test_match_roots_accounting():
     assert len(matches) == len(roots)
     by_gamma = {complex(r.gamma): rel for r, _, rel in matches}
     assert by_gamma[complex(1.0)] <= 0.05
-    # the gamma = 0 root compares absolutely against the tiny floor
-    assert mismatches >= 1
+    # a root at gamma = 0 is compared by its absolute gap, |0.02j - 0|
+    assert [rel for r, _, rel in matches if r.gamma == 0] == [0.02, 0.02]
+    assert mismatches == 0
+    # and is a mismatch when that gap exceeds the tolerance
+    matches, mismatches = match_roots(roots[4:5], [0.1, 5.0], rel_tol=0.05)
+    assert [rel for _, _, rel in matches] == [0.1]
+    assert mismatches == 1
 
 
 def test_csv_output_format(tmp_path):
