@@ -283,31 +283,19 @@ def degeneration_scan(pencils):
 
     Returns (gammas, table) where table[r][g] is the nullity for the r-th
     pencil; the counts must be nondecreasing under refinement.  Each count
-    is ``numerical_nullity``'s, by inertia with no eigensolve: on the
-    sparse bordered L(g) (``pencil.bordered``) of a pencil that holds its
-    nodal forms, so no dense operator is read or formed, and on the dense
-    L(g) of operators supplied as arrays.  The nullity is counted once
-    per |g| and reported at both signs, on the parity premise.  Only the
-    coupling is odd in g, so the bordered matrix has B(-g) = P B(g) P
-    exactly, P being -1 on the electric rows.  For supplied operators the
-    premise is checked: where their parity blocks (``_parity_defects``)
-    are exactly zero, ``evaluate`` gives L(-g) = P L(g) P bit for bit,
-    and a pencil whose parity blocks are not exactly zero raises
-    ValueError naming the operator.
+    is ``numerical_nullity``'s, by inertia with no eigensolve, on the
+    sparse bordered L(g) (``pencil.bordered``), so no dense operator is
+    read or formed; a pencil of operators supplied as arrays has no nodal
+    forms, and its ValueError propagates.  The nullity is counted once
+    per |g| and reported at both signs: only the coupling is odd in g, so
+    the bordered matrix has B(-g) = P B(g) P exactly, P being -1 on the
+    electric rows.
     """
     if len(pencils) < 2:
         raise ValueError("need at least two refinement levels")
     eps = (pencils[0].eps1, pencils[0].eps2)
     if any((p.eps1, p.eps2) != eps for p in pencils):
         raise ValueError("all pencils must share the same permittivities")
-    for r, p in enumerate(pencils):
-        if p.nodal is not None:
-            continue
-        broken = [name for name, d in _parity_defects(p).items() if d != 0.0]
-        if broken:
-            raise ValueError(
-                f"pencil {r}: the parity blocks of {', '.join(broken)} are "
-                f"not zero, so the nullity at -g is not that at g")
     gammas = degeneration_points(*eps)
     table = []
     for p in pencils:

@@ -144,13 +144,7 @@ class PencilMatrices:
         """
         if not self._from_spaces:
             return None
-        mesh = self.spaces.mesh
-        geo = kernels.triangle_geometry(mesh)
-        weights = ((1.0, 1.0), (self.eps1, self.eps2),
-                   (1.0 / self.eps1, 1.0 / self.eps2))
-        return NodalForms(
-            *(kernels.nodal_stiffness(mesh, *w, geo) for w in weights),
-            *(kernels.nodal_mass(mesh, *w, geo) for w in weights[:2]))
+        return _nodal_forms(self.spaces, self.eps1, self.eps2)
 
     @cached_property
     def line(self):
@@ -162,18 +156,6 @@ class PencilMatrices:
         size.
         """
         return _interface_line(self.spaces)
-
-    @cached_property
-    def gram(self):
-        """(G_pi, G_psi): the field blocks of the Gram matrix, read-only.
-
-        The inner product every operator bound is relative to: the blocks
-        of ``gram_blocks``, formed on first read and kept.
-        """
-        blocks = tuple(self.gram_blocks())
-        for g in blocks:
-            g.setflags(write=False)
-        return blocks
 
     def gram_blocks(self):
         """G_pi, then G_psi, each written afresh, one at a time.
@@ -204,6 +186,17 @@ class PencilMatrices:
         parts = _line_coupling(self.line) if name == "s" \
             else _diagonal(self.nodal, name)
         return write_block(self.spaces, parts, rows, cols)
+
+
+def _nodal_forms(spaces, eps1, eps2):
+    """``NodalForms`` of the spaces at (eps1, eps2), from one
+    ``triangle_geometry``, in O(nnz)."""
+    mesh = spaces.mesh
+    geo = kernels.triangle_geometry(mesh)
+    weights = ((1.0, 1.0), (eps1, eps2), (1.0 / eps1, 1.0 / eps2))
+    return NodalForms(
+        *(kernels.nodal_stiffness(mesh, *w, geo) for w in weights),
+        *(kernels.nodal_mass(mesh, *w, geo) for w in weights[:2]))
 
 
 def _gram_block(spaces, stiffness, block):
@@ -312,16 +305,14 @@ def assemble_a1(spaces, eps1, eps2, nodal=None):
 
     The unweighted magnetic block is the Gram matrix's own.  ``nodal``,
     where given, is the pencil's ``NodalForms`` of (eps1, eps2), and the
-    blocks are read from it; otherwise both forms are computed as it holds
-    them, so the operator is the same bit for bit.
+    blocks are read from it; otherwise the forms are computed as the
+    pencil computes them (``_nodal_forms``), so the operator is the same
+    bit for bit.
     """
     _check_eps(eps1, eps2)
-    if nodal is not None:
-        return write_block(spaces, _diagonal(nodal, "a1"))
-    mesh = spaces.mesh
-    return write_block(spaces, Diagonal(
-        kernels.nodal_stiffness(mesh, eps1, eps2),
-        kernels.nodal_stiffness(mesh, 1.0, 1.0)))
+    if nodal is None:
+        nodal = _nodal_forms(spaces, eps1, eps2)
+    return write_block(spaces, _diagonal(nodal, "a1"))
 
 
 def assemble_a2(spaces, eps1, eps2, nodal=None):
@@ -331,12 +322,9 @@ def assemble_a2(spaces, eps1, eps2, nodal=None):
     read as by ``assemble_a1``.
     """
     _check_eps(eps1, eps2)
-    if nodal is not None:
-        return write_block(spaces, _diagonal(nodal, "a2"))
-    mesh = spaces.mesh
-    return write_block(spaces, Diagonal(
-        kernels.nodal_stiffness(mesh, 1.0, 1.0),
-        kernels.nodal_stiffness(mesh, 1.0 / eps1, 1.0 / eps2)))
+    if nodal is None:
+        nodal = _nodal_forms(spaces, eps1, eps2)
+    return write_block(spaces, _diagonal(nodal, "a2"))
 
 
 def assemble_k(spaces, eps1, eps2, nodal=None):
@@ -345,11 +333,9 @@ def assemble_k(spaces, eps1, eps2, nodal=None):
     ``nodal`` is read as by ``assemble_a1``.
     """
     _check_eps(eps1, eps2)
-    if nodal is not None:
-        return write_block(spaces, _diagonal(nodal, "k"))
-    mesh = spaces.mesh
-    return write_block(spaces, Diagonal(kernels.nodal_mass(mesh, eps1, eps2),
-                                        kernels.nodal_mass(mesh, 1.0, 1.0)))
+    if nodal is None:
+        nodal = _nodal_forms(spaces, eps1, eps2)
+    return write_block(spaces, _diagonal(nodal, "k"))
 
 
 def _check_interface(spaces):

@@ -23,8 +23,8 @@ points +-sqrt(eps_j) (``null_fields``) are known before any eigensolve:
 a solve rotates them out of the square before the QR
 (``deflate_square``).  The numerical nullity is counted by inertia, on
 the sparse bordered L(g) (``pencil.bordered``) of a pencil that holds
-its nodal forms, and otherwise on the dense L(g), which first loses
-those fields.
+its nodal forms; operators supplied as arrays have none, and their
+nullity is not counted.
 """
 
 from __future__ import annotations
@@ -364,73 +364,6 @@ def _restore_vectors(vecs, mu, planes, tol):
         vecs[idx] = x.reshape(2 * m, -1)
 
 
-def _deflate(pencil, gamma, mat, fields, cutoff):
-    """L(gamma) without its explicit null fields, and how many were dropped.
-
-    ``fields`` (``null_fields``) names them: the electric unit fields of
-    the null nodes off the shield, and over the magnetic coordinates J of
-    the null nodes q >= 1 the orthogonal complement of the direction
-    r = H e_1 of m_J, H its reflector.  Both kinds of field are dropped,
-    after one product checks that their columns of L are below
-    ``cutoff``; the returned block keeps every other coordinate and r.
-    L(gamma) must be real symmetric.
-    """
-    sp = pencil.spaces
-    pi_drop, psi = fields.electric, fields.magnetic
-    keep = np.ones(sp.n, dtype=bool)
-    keep[pi_drop] = keep[psi] = False
-    idx = np.flatnonzero(keep)
-    res = np.linalg.norm(mat[:, pi_drop])
-    if len(psi):
-        v, beta = fields.reflector
-        r = -beta * v[0] * v        # H e_1 = -m_J / |m_J|
-        r[0] += 1.0
-        cols = mat[:, psi]
-        lr = cols @ r
-        cols -= np.outer(lr, r)
-        res = math.hypot(res, np.linalg.norm(cols))
-        idx = np.append(idx, psi[0])
-    if res > cutoff:
-        raise ValueError(
-            f"L({gamma:g}): the fields the mesh makes null leave a residual "
-            f"{res:.3e} above the nullity cutoff {cutoff:.3e}")
-    block = mat[np.ix_(idx, idx)]
-    if len(psi):
-        block[-1, :-1] = block[:-1, -1] = lr[idx[:-1]]
-        block[-1, -1] = r @ lr[psi]
-    return block, sp.n - len(idx)
-
-
-def _negative_count(b):
-    """Negative eigenvalues of a real symmetric array, by Sylvester's law.
-
-    One Bunch-Kaufman factorization b = L D L^T (LAPACK ``dsytrf``, lower
-    triangle, the blocked code) overwrites b, which must be
-    C-contiguous: its transpose, the same matrix, is the Fortran array
-    LAPACK factors in place.  D has the inertia of b.  Its 1 x 1 pivots
-    (ipiv > 0) count by sign; each 2 x 2 pivot, a pair of equal negative
-    ipiv entries, has one negative eigenvalue when its determinant is
-    negative, and when it is positive two or none, as its diagonal's
-    sign says.
-    """
-    lwork = int(lapack.dsytrf_lwork(len(b), lower=1)[0])
-    ldu, ipiv, info = lapack.dsytrf(b.T, lower=1, lwork=lwork, overwrite_a=1)
-    if info < 0:
-        raise EigensolverError(f"dsytrf: illegal argument {-info}")
-    d = np.diagonal(ldu)
-    two = ipiv < 0
-    # a 2 x 2 pivot starts at an even offset into a run of negative entries
-    idx = np.arange(len(ipiv))
-    run = np.maximum.accumulate(np.where(two & ~np.r_[False, two[:-1]],
-                                         idx, 0))
-    start = np.flatnonzero(two & ((idx - run) % 2 == 0))
-    a, c, off = d[start], d[start + 1], ldu[start + 1, start]
-    det = a * c - off * off
-    pairs = np.where(det < 0.0, 1, np.where(det > 0.0, 2 * (a < 0.0),
-                                            a + c < 0.0))
-    return int(np.count_nonzero(d[~two] < 0.0) + pairs.sum())
-
-
 def _symmetric_factor(matrix):
     """SuperLU factor of a sparse symmetric matrix with diagonal pivots only.
 
@@ -492,10 +425,18 @@ def _negative_pivots(matrix, gamma, tol):
     return int(np.count_nonzero(factor.U.diagonal() < 0.0))
 
 
-def _bordered_nullity(pencil, gamma, cutoff):
-    """``numerical_nullity`` of a pencil that holds its nodal forms.
+def numerical_nullity(pencil, gamma):
+    """Count of eigenvalues of L(gamma) within NULLITY_REL_TOL * scale of 0.
 
-    B is ``pencil.bordered`` at gamma.  By Haynsworth's theorem
+    gamma must be real; a complex one raises ValueError naming it before
+    anything is built.  The scale c/``NULLITY_REL_TOL`` is
+    ``pencil.coefficient_scale``, which unlike ||L(gamma)|| does not
+    collapse when the pencil degenerates.  The count is that of the
+    eigenvalues in [-c, c), by Sylvester's law of inertia, with no
+    eigensolve and no dense L(gamma).  It is read on the sparse bordered
+    nodal L(gamma), B (``pencil.bordered``), so the pencil must hold its
+    ``nodal`` forms: operators supplied as arrays have none, and such a
+    pencil raises ValueError naming gamma.  By Haynsworth's theorem
     nu-(B + s I~) is nu-(L(gamma) + s I) + 1, so the count is
     nu-(B - c I~) - nu-(B + c I~), from two sparse factorizations
     (``_negative_pivots``) of B built at each shift; a build is O(nnz), a
@@ -503,11 +444,21 @@ def _bordered_nullity(pencil, gamma, cutoff):
     read the build at -c: it must be exactly symmetric, and the null-field
     columns, those of the nodes ``degeneration_null_nodes`` names (the
     electric ones off the shield, and every magnetic one), must have
-    field rows below c once the shift is taken off their diagonal.  Each
-    factor's backward error bound must be at most c / 2, so the count is
-    that of matrices within c / 2 of B -+ c I~.  At slab nx = 12-300 the
-    bound stays below 0.01 c.
+    field rows below c once the shift is taken off their diagonal;
+    otherwise ValueError names gamma.  The pivots are taken on the
+    diagonal, whose growth an indefinite B does not bound, so each
+    factor's backward error bound (``_factor_error``) must be at most
+    c / 2, and the count is that of matrices within c / 2 of B -+ c I~.
+    At slab nx = 12-300 the bound stays below 0.01 c.
     """
+    if complex(gamma).imag != 0.0:
+        raise ValueError(f"L({gamma:g}): the nullity is counted at real "
+                         f"gamma only")
+    if pencil.nodal is None:
+        raise ValueError(f"L({gamma:g}): operators supplied as arrays have "
+                         f"no nodal forms, so the nullity is not counted")
+    gamma = complex(gamma).real
+    cutoff = NULLITY_REL_TOL * pencil_mod.coefficient_scale(pencil, gamma)
     sp = pencil.spaces
     below = pencil_mod.bordered(pencil, gamma, -cutoff)
     if (below != below.T).nnz:
@@ -527,47 +478,3 @@ def _bordered_nullity(pencil, gamma, cutoff):
     above = pencil_mod.bordered(pencil, gamma, cutoff)
     return (_negative_pivots(below, gamma, 0.5 * cutoff)
             - _negative_pivots(above, gamma, 0.5 * cutoff))
-
-
-def numerical_nullity(pencil, gamma):
-    """Count of eigenvalues of L(gamma) within NULLITY_REL_TOL * scale of 0.
-
-    gamma must be real; a complex one raises ValueError naming it before
-    anything is built.  The scale c/``NULLITY_REL_TOL`` is
-    ``pencil.coefficient_scale``, which unlike ||L(gamma)|| does not
-    collapse when the pencil degenerates.  The count is that of the
-    eigenvalues in [-c, c), by Sylvester's law of inertia, with no
-    eigensolve.  A pencil that holds its sparse ``nodal`` forms is
-    counted on the bordered nodal L(gamma) (``pencil.bordered``,
-    ``_bordered_nullity``), by two sparse factorizations, with no dense
-    L(gamma); their pivots are taken on the diagonal, whose growth an
-    indefinite B does not bound, so each factor's backward error bound
-    must stay below c / 2 (``_factor_error``).  Operators supplied as
-    arrays are counted on the dense L(gamma) (``evaluate``): at a
-    degeneration point it first loses the fields the mesh makes null
-    (``degeneration_null_nodes``, ``_deflate``), which count as null,
-    and the rest B, about half of L, is counted as nu-(B - c I) -
-    nu-(B + c I), from two Bunch-Kaufman factorizations
-    (``_negative_count``) with the diagonal shifted in place, whose
-    pivoting bounds their growth.  On both routes the matrix counted
-    must be exactly symmetric, and the columns of the null fields below
-    c; otherwise ValueError names gamma.
-    """
-    if complex(gamma).imag != 0.0:
-        raise ValueError(f"L({gamma:g}): the nullity is counted at real "
-                         f"gamma only")
-    cutoff = NULLITY_REL_TOL * pencil_mod.coefficient_scale(pencil, gamma)
-    if pencil.nodal is not None:
-        return _bordered_nullity(pencil, complex(gamma).real, cutoff)
-    mat = pencil_mod.evaluate(pencil, gamma)
-    if not np.array_equal(mat, mat.T):
-        raise ValueError(f"L({gamma:g}) is not exactly symmetric, so its "
-                         f"nullity is not counted")
-    dropped = 0
-    fields = null_fields(pencil.spaces, pencil.eps1, pencil.eps2, gamma)
-    if fields is not None:
-        mat, dropped = _deflate(pencil, gamma, mat, fields, cutoff)
-    below = mat.copy()
-    below.flat[::len(mat) + 1] -= cutoff
-    mat.flat[::len(mat) + 1] += cutoff
-    return dropped + _negative_count(below) - _negative_count(mat)

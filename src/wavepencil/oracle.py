@@ -211,9 +211,19 @@ def slab_dispersion_roots(a, b, d, eps1, eps2, n=0, family=OracleFamily.LSE,
 
     LSM at n = 0 returns no roots: the LSM potential carries the factor
     sin(n pi y / b), so that family is empty and the roots of its
-    determinant are not eigenvalues.
+    determinant are not eigenvalues.  A size or permittivity that is not
+    finite, a height b or a ``gamma_max`` that is not positive, d outside
+    (0, a), a permittivity below 1 and a negative n raise OracleError.
     """
     family = _family(family)
+    sizes = {"a": a, "b": b, "d": d, "eps1": eps1, "eps2": eps2,
+             "gamma_max": gamma_max}
+    for name, value in sizes.items():
+        if not math.isfinite(value):
+            raise OracleError(f"{name} must be finite, not {value!r}")
+    for name in ("b", "gamma_max"):
+        if sizes[name] <= 0.0:
+            raise OracleError(f"{name} must be > 0, not {sizes[name]!r}")
     if not 0.0 < d < a:
         raise OracleError("slab boundary must satisfy 0 < d < a")
     if eps1 < 1.0 or eps2 < 1.0:

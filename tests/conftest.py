@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import wavepencil as wp
-from wavepencil.eigensolver import solve_pencil
+from wavepencil.eigensolver import NULLITY_REL_TOL, solve_pencil
 
 PI = math.pi
 
@@ -39,6 +39,19 @@ def parity_signs(spaces):
     signs = np.ones(spaces.n)
     signs[spaces.blocks[0]] = -1.0
     return signs
+
+
+def gram(matrices):
+    """(G_pi, G_psi): the field blocks of the Gram matrix, written afresh."""
+    return tuple(matrices.gram_blocks())
+
+
+def eigvalsh_nullity(pencil, gamma):
+    """|eigenvalues| of the whole dense L(gamma) under the nullity cutoff:
+    the reference count ``numerical_nullity`` is checked against."""
+    cutoff = NULLITY_REL_TOL * wp.pencil.coefficient_scale(pencil, gamma)
+    vals = np.linalg.eigvalsh(wp.evaluate(pencil, gamma))
+    return int(np.sum(np.abs(vals) <= cutoff))
 
 
 def interface_node_mask(mesh):

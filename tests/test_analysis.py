@@ -7,13 +7,13 @@ from scipy import linalg, sparse
 
 import wavepencil as wp
 from wavepencil import analysis
-from wavepencil.eigensolver import NULLITY_REL_TOL, solve_pencil
+from wavepencil.eigensolver import solve_pencil
 from wavepencil.analysis import (SpectrumClass, build_spectrum, classify,
                                  count_in_disk,
                                  count_real_outside_exclusion,
                                  degeneration_count, degeneration_scan,
                                  k_decay_slope, symmetry_pairing, verify_all)
-from conftest import parity_signs, traced_peak
+from conftest import eigvalsh_nullity, gram, parity_signs, traced_peak
 
 PI = math.pi
 EXC = wp.exclusion_interval(1.0, 4.0)
@@ -375,13 +375,6 @@ def test_degeneration_scan_needs_two_levels(slab_pencil):
         degeneration_scan([slab_pencil])
 
 
-def _eigvalsh_nullity(pencil, gamma):
-    """|eigenvalues| of the whole L(gamma) under the nullity cutoff."""
-    cutoff = NULLITY_REL_TOL * wp.pencil.coefficient_scale(pencil, gamma)
-    vals = np.linalg.eigvalsh(wp.evaluate(pencil, gamma))
-    return int(np.sum(np.abs(vals) <= cutoff))
-
-
 @pytest.mark.parametrize("case,eps", [
     ("slab12_col3", (1.0, 4.0)), ("slab12_col6", (1.0, 4.0)),
     ("slab12_col9", (1.0, 4.0)), ("slab16_col5", (1.0, 4.0)),
@@ -409,7 +402,7 @@ def test_degeneration_count_is_the_numerical_nullity(case, eps, slit_mesh,
     assert sorted(counts) == wp.pencil.degeneration_points(*eps)
     for g, count in counts.items():
         assert count == analysis.numerical_nullity(pencil, g) \
-            == _eigvalsh_nullity(pencil, g)
+            == eigvalsh_nullity(pencil, g)
         if case == "homog":
             assert count == pencil.n
         else:
@@ -473,7 +466,7 @@ def test_verify_all_working_memory_is_bounded():
         mats = wp.assemble_matrices(wp.build_spaces(
             wp.generate_rect_slab(PI, PI, PI / 2, nx, nx)), 1.0, 4.0)
         assert mats.n == n
-        mats.k, mats.a1, mats.a2, mats.s, mats.gram
+        mats.k, mats.a1, mats.a2, mats.s
         peak = traced_peak(lambda: verify_all(mats, pencil=mats))
         assert peak <= bound * n * n * 8, nx
 
@@ -558,7 +551,7 @@ def test_verify_all_fails_on_negated_k_diagonal(slab_matrices):
 
 def _dense_bound_margins(mats):
     """Bound margins from the full-size operators against the full Gram."""
-    g = linalg.block_diag(*mats.gram)
+    g = linalg.block_diag(*gram(mats))
     a1, a2, s = (linalg.eigh(0.5 * (op + op.T), g, eigvals_only=True)
                  for op in (mats.a1, mats.a2, mats.s))
     k_vals = np.sort(linalg.eigh(mats.k, g, eigvals_only=True))[::-1]
@@ -611,7 +604,7 @@ def _svdvals_s_bound(mats):
     """sigma_max(L_pi^-1 F L_psi^-T) from full triangular solves."""
     e, m = mats.spaces.blocks
     f = 0.5 * (mats.s[e, m] + mats.s[m, e].T)
-    l_pi, l_psi = (linalg.cholesky(g, lower=True) for g in mats.gram)
+    l_pi, l_psi = (linalg.cholesky(g, lower=True) for g in gram(mats))
     x = linalg.solve_triangular(l_pi, f, lower=True)
     x = linalg.solve_triangular(l_psi, x.T, lower=True)
     return float(linalg.svdvals(x)[0])
@@ -800,14 +793,6 @@ def test_degeneration_scan_counts_once_per_magnitude(case, monkeypatch,
         assert set(row) == set(gammas)
         for g in gammas:
             assert row[g] == nullity(pen, g)
-
-
-def test_degeneration_scan_refuses_a_parity_breaking_pencil(slab_matrices,
-                                                            slab_pencil):
-    bad = _inject(slab_matrices, "a1", 0, slab_matrices.spaces.n_pi, 1e-3,
-                  True)
-    with pytest.raises(ValueError, match="A1"):
-        degeneration_scan([slab_pencil, wp.make_pencil(bad)])
 
 
 def _break_one_element(monkeypatch, weights, region, factor):

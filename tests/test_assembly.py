@@ -9,7 +9,7 @@ import wavepencil as wp
 from wavepencil import assembly_kernels as kernels
 from wavepencil.assembly import (AssemblyError, PencilMatrices,
                                  assemble_s_line, assemble_s_volume)
-from conftest import interface_node_mask, parity_signs, traced_peak
+from conftest import gram, interface_node_mask, parity_signs, traced_peak
 
 PI = math.pi
 
@@ -19,7 +19,7 @@ def gen_eigs(a, g):
 
 
 def full_gram(matrices):
-    return linalg.block_diag(*matrices.gram)
+    return linalg.block_diag(*gram(matrices))
 
 
 def test_a1_equals_gram_for_unit_permittivity(slab_spaces, slab_matrices):
@@ -38,7 +38,7 @@ def test_a1_pi_block_scales_with_constant_permittivity(slab_spaces,
                                                         slab_matrices):
     a1 = wp.assemble_a1(slab_spaces, 2.0, 2.0)
     n_pi = slab_spaces.n_pi
-    g_pi = slab_matrices.gram[0]
+    g_pi = gram(slab_matrices)[0]
     assert np.allclose(a1[:n_pi, :n_pi], 2.0 * g_pi, rtol=0, atol=1e-14)
 
 
@@ -54,18 +54,16 @@ def test_a2_pi_block_independent_of_permittivity(slab_spaces, slab_matrices):
     a2_a = wp.assemble_a2(slab_spaces, 1.0, 4.0)[:n_pi, :n_pi]
     a2_b = wp.assemble_a2(slab_spaces, 3.0, 7.0)[:n_pi, :n_pi]
     assert np.array_equal(a2_a, a2_b)
-    assert np.array_equal(a2_a, slab_matrices.gram[0])
+    assert np.array_equal(a2_a, gram(slab_matrices)[0])
 
 
 def test_unweighted_gradient_blocks_are_the_gram_blocks(slab_matrices):
     m = slab_matrices
     assert (m.eps1, m.eps2) == (1.0, 4.0)
     n_pi = m.spaces.n_pi
-    assert np.array_equal(m.a1[n_pi:, n_pi:], m.gram[1])
-    assert np.array_equal(m.a2[:n_pi, :n_pi], m.gram[0])
-    # formed once, read-only
-    assert m.gram is m.gram
-    assert not any(g.flags.writeable for g in m.gram)
+    g_pi, g_psi = gram(m)
+    assert np.array_equal(m.a1[n_pi:, n_pi:], g_psi)
+    assert np.array_equal(m.a2[:n_pi, :n_pi], g_pi)
 
 
 def test_k_positive_definite(slab_matrices):
@@ -175,7 +173,7 @@ def test_operator_blocks_are_the_products_with_null_basis(request, mesh_name,
             (mats.k[m, m], kernels.nodal_mass(mesh, 1.0, 1.0)),
             (mats.a2[m, m],
              kernels.nodal_stiffness(mesh, 1.0 / eps[0], 1.0 / eps[1])),
-            (mats.gram[1], kernels.nodal_stiffness(mesh, 1.0, 1.0))):
+            (gram(mats)[1], kernels.nodal_stiffness(mesh, 1.0, 1.0))):
         expected = z.T @ nodal.toarray() @ z
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
         assert np.array_equal(got, got.T)
@@ -390,11 +388,11 @@ def test_nodal_forms_are_held_only_for_operators_from_the_spaces(
         assert (got != want).nnz == 0
     assert mats.nodal is forms
     # the Gram blocks are written from the held stiffness form
-    assert np.array_equal(mats.gram[1], mats.a1[slab_spaces.blocks[1],
-                                                slab_spaces.blocks[1]])
+    assert np.array_equal(gram(mats)[1], mats.a1[slab_spaces.blocks[1],
+                                                 slab_spaces.blocks[1]])
     supplied = dataclasses.replace(mats, k=mats.k)
     assert supplied.nodal is None
-    assert np.array_equal(supplied.gram[0], mats.gram[0])
+    assert np.array_equal(gram(supplied)[0], gram(mats)[0])
 
 
 def test_a_repeated_gamma_tag_fails_at_assembly(slab_spaces):
@@ -421,7 +419,7 @@ def test_an_attribute_error_while_forming_keeps_its_message(
     monkeypatch.setattr(kernels, "nodal_stiffness", boom)
     mats = wp.assemble_matrices(slab_spaces, 1.0, 4.0)
     with pytest.raises(AttributeError) as err:
-        getattr(mats, name)
+        gram(mats) if name == "gram" else getattr(mats, name)
     messages, exc = [], err.value
     while exc is not None:
         messages.append(str(exc))
@@ -439,11 +437,10 @@ def test_gram_blocks_are_written_afresh_on_both_routes(route, slab_spaces):
         mats = dataclasses.replace(mats)
         assert mats.nodal is None
     blocks = list(mats.gram_blocks())
-    assert "gram" not in vars(mats)
-    for g, kept, again in zip(blocks, mats.gram, mats.gram_blocks()):
+    for g, kept, again in zip(blocks, gram(mats), mats.gram_blocks()):
         assert g.flags.writeable and g.flags.f_contiguous
         assert g is not kept and g is not again
         assert np.array_equal(g, kept) and np.array_equal(g, again)
     # a caller may overwrite a block: the next one is written afresh
     blocks[0][:] = 0.0
-    assert np.array_equal(next(mats.gram_blocks()), mats.gram[0])
+    assert np.array_equal(next(mats.gram_blocks()), gram(mats)[0])

@@ -10,7 +10,8 @@ from scipy.optimize import linear_sum_assignment
 import wavepencil as wp
 from wavepencil import eigensolver
 from wavepencil import pencil as pencil_mod
-from wavepencil.analysis import CLASSIFICATION_TOL, degeneration_count
+from wavepencil.analysis import (CLASSIFICATION_TOL, degeneration_count,
+                                 degeneration_scan)
 from wavepencil.assembly import PencilMatrices
 from wavepencil.eigensolver import (EigensolverError, MAX_COMPANION_DIM,
                                     _deflation_tol, _null_planes,
@@ -21,7 +22,8 @@ from wavepencil.eigensolver import (EigensolverError, MAX_COMPANION_DIM,
                                     solve_pencil)
 from wavepencil.pencil import (PencilError, apply, linearize, parity_square,
                                residual)
-from conftest import build_slit_mesh_text, parity_signs, traced_peak
+from conftest import (build_slit_mesh_text, eigvalsh_nullity, parity_signs,
+                      traced_peak)
 
 PI = math.pi
 
@@ -521,36 +523,16 @@ def test_numerical_nullity_refuses_a_complex_gamma(slab_pencil, monkeypatch):
         numerical_nullity(slab_pencil, 0.7 + 0.3j)
 
 
-def test_numerical_nullity_refuses_an_asymmetric_pencil(slab_matrices,
-                                                        slab_pencil):
-    # one entry above the diagonal of A1, on a row and a column that the
-    # kernel at gamma = 1 uses: a solver that reads one triangle misses it,
-    # and the SVD count sees it
-    vecs = null_space_basis(slab_pencil, 1.0, max_dim=slab_pencil.n)
-    weight = np.abs(vecs).sum(axis=1)
-    i, j = sorted(np.argsort(weight)[-2:])
-    a1 = slab_matrices.a1.copy()
-    a1[i, j] += 1.0
-    bad = wp.make_pencil(dataclasses.replace(slab_matrices, a1=a1))
-    assert _svd_nullity(bad, 1.0) < numerical_nullity(slab_pencil, 1.0)
-    with pytest.raises(ValueError, match=r"L\(1\) is not exactly symmetric"):
-        numerical_nullity(bad, 1.0)
-
-
-@pytest.mark.parametrize("field", ["electric", "magnetic"])
-def test_numerical_nullity_refuses_a_null_field_that_is_not(field,
-                                                            slab_matrices):
-    # one diagonal entry of A1 at a node the mesh makes null at gamma = 1:
-    # L(1) stays symmetric, but that field is no longer in its kernel
-    sp = slab_matrices.spaces
-    null = degeneration_null_nodes(sp.mesh, 1.0, 4.0, 1.0)
-    node = np.flatnonzero(null & (sp.pi_index >= 0))[0]
-    i = sp.pi_index[node] if field == "electric" else sp.n_pi + node - 1
-    a1 = slab_matrices.a1.copy()
-    a1[i, i] += 1e-3
-    bad = wp.make_pencil(dataclasses.replace(slab_matrices, a1=a1))
-    with pytest.raises(ValueError, match=r"L\(1\): .* residual .*e-0[34]"):
-        numerical_nullity(bad, 1.0)
+def test_nullity_refuses_a_pencil_without_nodal_forms(slab_pencil):
+    # operators supplied as arrays, here every operator carried over by
+    # dataclasses.replace, have no nodal forms to border
+    supplied = dataclasses.replace(slab_pencil)
+    assert supplied.nodal is None
+    refused = r"L\(1\): operators supplied as arrays have no nodal forms"
+    with pytest.raises(ValueError, match=refused):
+        numerical_nullity(supplied, 1.0)
+    with pytest.raises(ValueError, match=refused):
+        degeneration_scan([slab_pencil, supplied])
 
 
 def test_null_space_basis_at_a_complex_eigenvalue(slab_pencil, slab_eigenvalues):
@@ -561,20 +543,6 @@ def test_null_space_basis_at_a_complex_eigenvalue(slab_pencil, slab_eigenvalues)
     basis = null_space_basis(slab_pencil, g)
     assert basis.shape[1] == _svd_nullity(slab_pencil, g) == 1
     assert residual(slab_pencil, g, basis[:, 0]) <= 1e-12
-
-
-def _eigvalsh_block_count(pencil, gamma):
-    """The deflated block's |eigenvalues| under the cutoff, plus the
-    fields the mesh makes null: the count by a symmetric eigensolve."""
-    cutoff = eigensolver.NULLITY_REL_TOL * pencil_mod.coefficient_scale(
-        pencil, gamma)
-    mat, dropped = wp.evaluate(pencil, gamma), 0
-    fields = eigensolver.null_fields(pencil.spaces, pencil.eps1, pencil.eps2,
-                                     gamma)
-    if fields is not None:
-        mat, dropped = eigensolver._deflate(pencil, gamma, mat, fields,
-                                            cutoff)
-    return dropped + int(np.sum(np.abs(np.linalg.eigvalsh(mat)) <= cutoff))
 
 
 @pytest.mark.parametrize("case,eps", [("slab", (1.0, 4.0)),
@@ -594,25 +562,9 @@ def test_inertia_nullity_equals_the_eigvalsh_count(case, eps, slab_mesh,
     gammas = degenerate + [float(real.min())]
     for g in gammas:
         count = numerical_nullity(pen, g)
-        assert count == _eigvalsh_block_count(pen, g), g
+        assert count == eigvalsh_nullity(pen, g), g
         assert count > 0, g
     assert numerical_nullity(pen, 0.5 * gammas[-1]) == 0
-
-
-def test_negative_count_reads_the_two_by_two_pivots():
-    # a zero diagonal forces Bunch-Kaufman to take 2 x 2 pivots
-    rng = np.random.default_rng(3)
-    for m in (2, 7, 40):
-        b = rng.standard_normal((m, m))
-        b += b.T
-        b[: m // 2, : m // 2] = 0.0
-        want = int(np.sum(np.linalg.eigvalsh(b) < 0.0))
-        assert eigensolver._negative_count(b.copy()) == want
-    for d in ([[0.0, 1.0], [1.0, 0.0]], [[-1.0, 3.0], [3.0, 0.0]],
-              [[-1.0, 0.5], [0.5, -1.0]]):
-        b = np.array(d)
-        want = int(np.sum(np.linalg.eigvalsh(b) < 0.0))
-        assert eigensolver._negative_count(b.copy()) == want
 
 
 def _fresh_pencil(mesh, eps):
@@ -626,9 +578,8 @@ def _fresh_pencil(mesh, eps):
     (24, (1.0, 4.0)), ("homog", (2.0, 2.0)), ("slit", (1.0, 4.0))])
 def test_sparse_nullity_equals_the_dense_route(case, eps, homog_mesh,
                                                slit_mesh):
-    # the replaced copy holds the four operators as arrays and no nodal
-    # forms, so it is counted on the dense L(gamma); the pencil itself is
-    # counted on the sparse bordered L(gamma)
+    # the pencil is counted on the sparse bordered L(gamma), the reference
+    # by the eigenvalues of the whole dense L(gamma)
     mesh = {"homog": homog_mesh, "slit": slit_mesh}.get(case) \
         or wp.generate_rect_slab(PI, PI, PI / 2, case, case)
     pen = _fresh_pencil(mesh, eps)
@@ -637,13 +588,11 @@ def test_sparse_nullity_equals_the_dense_route(case, eps, homog_mesh,
     off = np.abs(vals[:, None] - np.array(degenerate)).min(axis=1) > 1e-3
     smallest = float(vals.real[off & (vals.imag == 0.0)
                                & (vals.real > 0.0)].min())
-    dense = dataclasses.replace(pen)
-    assert dense.nodal is None and pen.nodal is not None
     counts = degeneration_count(pen.spaces, *eps)
     for g in degenerate:
         assert numerical_nullity(pen, g) == counts[g], g
     for g in [*degenerate, smallest, 0.5 * smallest]:
-        assert numerical_nullity(pen, g) == numerical_nullity(dense, g), g
+        assert numerical_nullity(pen, g) == eigvalsh_nullity(pen, g), g
     assert numerical_nullity(pen, smallest) > 0
     assert numerical_nullity(pen, 0.5 * smallest) == 0
 

@@ -21,6 +21,9 @@ UNREFERENCED_EXPORTS = {
     "degeneration_scan":
         "the benchmark's verify-ladder workload runs it, and the analysis "
         "tests check its table",
+    "evaluate":
+        "acceptance criterion 2 reads L(gamma) from it, and the tests "
+        "count their dense reference nullity on it",
 }
 
 
@@ -39,9 +42,8 @@ UNREFERENCED_DEFINITIONS = {
                                 "(ROADMAP item 5) will read it",
     "generate_homogeneous_rect": "the benchmark's tracer names it by "
                                  "string (perfbench/tracing.py TARGETS)",
-    "PencilMatrices.gram": "the assembly, spaces and analysis tests read "
-                           "the kept Gram blocks from it; the program "
-                           "writes them afresh (gram_blocks)",
+    "evaluate": "acceptance criterion 2 reads L(gamma) from it, and the "
+                "tests count their dense reference nullity on it",
 }
 
 PACKAGE_DIR = Path(wavepencil.__file__).parent

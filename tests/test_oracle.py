@@ -265,6 +265,21 @@ def test_slab_argument_validation():
                               family="dirichlet_derived")
 
 
+@pytest.mark.parametrize("name,value", [
+    ("gamma_max", math.nan), ("gamma_max", math.inf), ("gamma_max", 0.0),
+    ("gamma_max", -4.0), ("eps1", math.nan), ("eps2", math.inf),
+    ("a", math.inf), ("d", math.nan), ("b", 0.0), ("b", -PI),
+    ("b", math.nan)])
+def test_slab_roots_refuse_a_parameter_that_is_not_finite_or_positive(
+        name, value):
+    # each returned no roots, the same roots as +4 (gamma_max = -4), or a
+    # bare ZeroDivisionError (b = 0) before it was refused
+    args = {"a": PI, "b": PI, "d": PI / 2, "eps1": 1.0, "eps2": 4.0,
+            "gamma_max": 4.0, name: value}
+    with pytest.raises(OracleError, match=f"^{name} must be"):
+        slab_dispersion_roots(**args, n=0, family="lse")
+
+
 @pytest.mark.parametrize("fn", [cleared_determinant, normalized_determinant])
 def test_a_family_named_by_its_value_is_that_family(fn):
     args = (1.5, PI, PI, PI / 2, 1.0, 4.0, 1)
